@@ -1,12 +1,11 @@
 //! **bench-hotpath** — microbenchmark of the dense edge-indexed hot
 //! path: the validator pass (`ColorMarks` + dense `EdgeColoring`),
 //! Misra–Gries fan coloring, and the D1LC finishing protocol, timed
-//! on gnp/gnm grids at n ∈ {1e3, 1e4, 1e5, 1e6} × an intra-trial
-//! thread-budget axis {1, 4, 8}, and written to `BENCH_hotpath.json`
-//! (nanos per phase + edges/sec) so CI tracks hot-path throughput
-//! across PRs. A full run also times two end-to-end campaign shapes
-//! (few giant cells vs a 100+-cell small grid) through the real
-//! runner, exercising the queue-occupancy budget scheduler.
+//! on gnp/gnm grids at n ∈ {1e3, 1e4, 1e5, 1e6}, and written to
+//! `BENCH_hotpath.json` (nanos per phase + edges/sec) so CI tracks
+//! hot-path throughput across PRs. A full run also times two
+//! end-to-end campaign shapes (few giant cells vs a 100+-cell small
+//! grid) through the real runner.
 //!
 //! The bin asserts its own schema invariants (all timings > 0, every
 //! phase present) before writing, so a malformed benchmark fails the
@@ -14,18 +13,16 @@
 //!
 //! ```sh
 //! cargo run --release -p bichrome-bench --bin bench_hotpath \
-//!     [out.json] [--max-n N] [--threads T]
+//!     [out.json] [--max-n N]
 //! ```
 //!
-//! `--max-n` drops grid sizes above `N`; `--threads` restricts the
-//! budget axis to one value. Either filter also skips the campaign
-//! section (CI uses `--max-n 100000 --threads 8` for a quick
-//! trajectory point).
+//! `--max-n` drops grid sizes above `N` and skips the campaign section
+//! (CI uses `--max-n 100000` for a quick trajectory point).
 
 use bichrome_comm::Side;
 use bichrome_core::d1lc::{solve_d1lc, D1lcInput};
 use bichrome_graph::coloring::{ColorId, ColorMarks};
-use bichrome_graph::edge_color::misra_gries_with_budget;
+use bichrome_graph::edge_color::misra_gries;
 use bichrome_graph::partition::Partitioner;
 use bichrome_graph::{gen, Graph, VertexId};
 use bichrome_runner::{Campaign, GraphSpec};
@@ -33,9 +30,6 @@ use std::time::Instant;
 
 /// The benchmark's graph sizes.
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
-
-/// The intra-trial thread-budget axis.
-const THREADS: [usize; 3] = [1, 4, 8];
 
 /// Average degree targeted by both families.
 const AVG_DEGREE: usize = 8;
@@ -53,7 +47,6 @@ struct Point {
     n: usize,
     m: usize,
     delta: usize,
-    threads: usize,
     validate_nanos: u64,
     validate_nanos_p50: f64,
     validate_nanos_p95: f64,
@@ -73,16 +66,8 @@ fn build(family: &'static str, n: usize, seed: u64) -> Graph {
     }
 }
 
-/// Times one `(family, n)` slice of the grid: the graph, validator
-/// timing, and D1LC instance are built once and reused across the
-/// thread-budget axis (outputs are bit-identical at every budget, so
-/// only the timings differ).
-fn measure(
-    family: &'static str,
-    n: usize,
-    threads_axis: &[usize],
-    marks: &mut ColorMarks,
-) -> Vec<Point> {
+/// Times one `(family, n)` grid point.
+fn measure(family: &'static str, n: usize, marks: &mut ColorMarks) -> Point {
     let g = build(family, n, 1);
     let m = g.num_edges();
     let delta = g.max_degree();
@@ -90,64 +75,55 @@ fn measure(
     let (ia, ib, zlen) = d1lc_instance(&g);
     let per_sec = |nanos: u64, units: usize| units as f64 / (nanos as f64 / 1e9);
 
-    threads_axis
-        .iter()
-        .map(|&threads| {
-            // --- Misra–Gries (Proposition 3.4) at this budget. ---
-            let started = Instant::now();
-            let coloring = misra_gries_with_budget(&g, threads);
-            let misra_gries_nanos = started.elapsed().as_nanos() as u64;
+    // --- Misra–Gries (Proposition 3.4). ---
+    let started = Instant::now();
+    let coloring = misra_gries(&g);
+    let misra_gries_nanos = started.elapsed().as_nanos() as u64;
 
-            // --- Validator pass over the coloring, scratch reused.
-            // Each rep lands in an obs histogram so the trajectory
-            // carries tail latency, not just the mean. ---
-            let (n_label, t_label) = (n.to_string(), threads.to_string());
-            let validate_hist = bichrome_obs::histogram_labeled(
-                "bench_validate_nanos",
-                &[("family", family), ("n", &n_label), ("threads", &t_label)],
-            );
-            let started = Instant::now();
-            for _ in 0..VALIDATE_REPS {
-                let rep = Instant::now();
-                marks
-                    .check_edge_coloring_with_palette(&g, &coloring, budget)
-                    .expect("Misra–Gries colorings are valid");
-                validate_hist.observe(rep.elapsed().as_nanos() as u64);
-            }
-            let validate_nanos =
-                (started.elapsed().as_nanos() as u64 / u128::from(VALIDATE_REPS) as u64).max(1);
+    // --- Validator pass over the coloring, scratch reused. Each rep
+    // lands in an obs histogram so the trajectory carries tail
+    // latency, not just the mean. ---
+    let n_label = n.to_string();
+    let validate_hist = bichrome_obs::histogram_labeled(
+        "bench_validate_nanos",
+        &[("family", family), ("n", &n_label)],
+    );
+    let started = Instant::now();
+    for _ in 0..VALIDATE_REPS {
+        let rep = Instant::now();
+        marks
+            .check_edge_coloring_with_palette(&g, &coloring, budget)
+            .expect("Misra–Gries colorings are valid");
+        validate_hist.observe(rep.elapsed().as_nanos() as u64);
+    }
+    let validate_nanos =
+        (started.elapsed().as_nanos() as u64 / u128::from(VALIDATE_REPS) as u64).max(1);
 
-            // --- D1LC rounds with this trial-wide thread budget. ---
-            let (ia, ib) = (ia.clone(), ib.clone());
-            let started = Instant::now();
-            let (ca, cb, _) = bichrome_comm::with_intra_budget(threads, || {
-                bichrome_comm::session::run_two_party_ctx(
-                    7,
-                    move |ctx| solve_d1lc(&ia, &ctx),
-                    move |ctx| solve_d1lc(&ib, &ctx),
-                )
-            });
-            let d1lc_nanos = started.elapsed().as_nanos() as u64;
-            assert_eq!(ca, cb, "D1LC parties must agree");
+    // --- D1LC rounds. ---
+    let started = Instant::now();
+    let (ca, cb, _) = bichrome_comm::session::run_two_party_ctx(
+        7,
+        move |ctx| solve_d1lc(&ia, &ctx),
+        move |ctx| solve_d1lc(&ib, &ctx),
+    );
+    let d1lc_nanos = started.elapsed().as_nanos() as u64;
+    assert_eq!(ca, cb, "D1LC parties must agree");
 
-            Point {
-                family,
-                n,
-                m,
-                delta,
-                threads,
-                validate_nanos,
-                validate_nanos_p50: validate_hist.percentile(50.0),
-                validate_nanos_p95: validate_hist.percentile(95.0),
-                validate_nanos_p99: validate_hist.percentile(99.0),
-                validate_edges_per_sec: per_sec(validate_nanos, m),
-                misra_gries_nanos,
-                misra_gries_edges_per_sec: per_sec(misra_gries_nanos, m),
-                d1lc_nanos,
-                d1lc_vertices_per_sec: per_sec(d1lc_nanos, zlen),
-            }
-        })
-        .collect()
+    Point {
+        family,
+        n,
+        m,
+        delta,
+        validate_nanos,
+        validate_nanos_p50: validate_hist.percentile(50.0),
+        validate_nanos_p95: validate_hist.percentile(95.0),
+        validate_nanos_p99: validate_hist.percentile(99.0),
+        validate_edges_per_sec: per_sec(validate_nanos, m),
+        misra_gries_nanos,
+        misra_gries_edges_per_sec: per_sec(misra_gries_nanos, m),
+        d1lc_nanos,
+        d1lc_vertices_per_sec: per_sec(d1lc_nanos, zlen),
+    }
 }
 
 /// Builds a realistic D1LC instance the way Theorem 1 does: greedily
@@ -213,7 +189,6 @@ fn point_json(p: &Point) -> String {
     w.field_u64("n", p.n as u64);
     w.field_u64("m", p.m as u64);
     w.field_u64("delta", p.delta as u64);
-    w.field_u64("threads", p.threads as u64);
     w.field_u64("validate_nanos", p.validate_nanos);
     w.field_f64("validate_nanos_p50", p.validate_nanos_p50);
     w.field_f64("validate_nanos_p95", p.validate_nanos_p95);
@@ -227,15 +202,12 @@ fn point_json(p: &Point) -> String {
 }
 
 /// One end-to-end campaign timing through the real runner (queue →
-/// budget assignment → executor), reported as trajectory evidence for
-/// the two scheduling regimes: few giant cells (each trial gets a
-/// multi-thread budget) vs a wide small grid (1 thread per trial, so
-/// the budget machinery must cost nothing).
+/// executor), reported as trajectory evidence for the two scheduling
+/// regimes: few giant cells vs a wide small grid.
 struct CampaignPoint {
     label: &'static str,
     cells: usize,
     trials: u64,
-    intra_threads: u64,
     wall_seconds: f64,
 }
 
@@ -244,14 +216,13 @@ fn campaign_json(p: &CampaignPoint) -> String {
     w.field_str("label", p.label);
     w.field_u64("cells", p.cells as u64);
     w.field_u64("trials", p.trials);
-    w.field_u64("intra_threads", p.intra_threads);
     w.field_f64("wall_seconds", p.wall_seconds);
     w.finish()
 }
 
 /// Four big cells at n = 1e5: two protocols × two partitioners, one
-/// seed — the "queue occupancy hands each trial several threads"
-/// regime.
+/// seed — fewer trials than cores, so the run is bound by its slowest
+/// trial.
 fn giant_campaign() -> CampaignPoint {
     let started = Instant::now();
     let (report, stats) = Campaign::new()
@@ -267,13 +238,12 @@ fn giant_campaign() -> CampaignPoint {
         label: "giant-4-cells-n1e5",
         cells: report.cells.len(),
         trials: stats.trials_computed,
-        intra_threads: stats.intra_threads,
         wall_seconds: started.elapsed().as_secs_f64(),
     }
 }
 
-/// A 100+-cell grid of small instances — the "stay at 1 thread per
-/// trial" regime the budget scheduler must not slow down.
+/// A 100+-cell grid of small instances — many more trials than
+/// cores, so the run is bound by the executor's per-trial overhead.
 fn small_grid_campaign() -> CampaignPoint {
     let started = Instant::now();
     let (report, stats) = Campaign::new()
@@ -290,7 +260,6 @@ fn small_grid_campaign() -> CampaignPoint {
         label: "small-grid-100plus-cells",
         cells: report.cells.len(),
         trials: stats.trials_computed,
-        intra_threads: stats.intra_threads,
         wall_seconds: started.elapsed().as_secs_f64(),
     }
 }
@@ -298,7 +267,6 @@ fn small_grid_campaign() -> CampaignPoint {
 fn main() {
     let mut out_path = "BENCH_hotpath.json".to_string();
     let mut max_n: Option<usize> = None;
-    let mut only_threads: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -306,10 +274,7 @@ fn main() {
                 let v = args.next().expect("--max-n needs a value");
                 max_n = Some(v.parse().expect("--max-n must be an integer"));
             }
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                only_threads = Some(v.parse().expect("--threads must be an integer"));
-            }
+            flag if flag.starts_with("--") => panic!("unknown flag {flag}"),
             other => out_path = other.to_string(),
         }
     }
@@ -317,31 +282,25 @@ fn main() {
         .into_iter()
         .filter(|&n| max_n.is_none_or(|cap| n <= cap))
         .collect();
-    let threads_axis: Vec<usize> = match only_threads {
-        Some(t) => vec![t],
-        None => THREADS.to_vec(),
-    };
-    let full_grid = max_n.is_none() && only_threads.is_none();
+    let full_grid = max_n.is_none();
 
     let started = Instant::now();
     let mut marks = ColorMarks::new();
     let mut points = Vec::new();
     for family in ["gnp", "gnm"] {
         for &n in &sizes {
-            for p in measure(family, n, &threads_axis, &mut marks) {
-                println!(
-                    "{family:4} n={n:7} m={:8} Δ={:3} t={} · validate {:9} ns ({:.1}M edges/s) · \
-                     misra-gries {:10} ns · d1lc {:11} ns",
-                    p.m,
-                    p.delta,
-                    p.threads,
-                    p.validate_nanos,
-                    p.validate_edges_per_sec / 1e6,
-                    p.misra_gries_nanos,
-                    p.d1lc_nanos,
-                );
-                points.push(p);
-            }
+            let p = measure(family, n, &mut marks);
+            println!(
+                "{family:4} n={n:7} m={:8} Δ={:3} · validate {:9} ns ({:.1}M edges/s) · \
+                 misra-gries {:10} ns · d1lc {:11} ns",
+                p.m,
+                p.delta,
+                p.validate_nanos,
+                p.validate_edges_per_sec / 1e6,
+                p.misra_gries_nanos,
+                p.d1lc_nanos,
+            );
+            points.push(p);
         }
     }
 
@@ -350,13 +309,13 @@ fn main() {
     let campaigns: Vec<CampaignPoint> = if full_grid {
         let giant = giant_campaign();
         println!(
-            "campaign {} · {} cells · {} trials · intra-threads ≤ {} · wall {:.3}s",
-            giant.label, giant.cells, giant.trials, giant.intra_threads, giant.wall_seconds
+            "campaign {} · {} cells · {} trials · wall {:.3}s",
+            giant.label, giant.cells, giant.trials, giant.wall_seconds
         );
         let small = small_grid_campaign();
         println!(
-            "campaign {} · {} cells · {} trials · intra-threads ≤ {} · wall {:.3}s",
-            small.label, small.cells, small.trials, small.intra_threads, small.wall_seconds
+            "campaign {} · {} cells · {} trials · wall {:.3}s",
+            small.label, small.cells, small.trials, small.wall_seconds
         );
         vec![giant, small]
     } else {
@@ -366,11 +325,7 @@ fn main() {
 
     // Schema smoke invariants: a zero timing or a missing phase means
     // the benchmark is broken, not fast.
-    assert_eq!(
-        points.len(),
-        2 * sizes.len() * threads_axis.len(),
-        "full grid measured"
-    );
+    assert_eq!(points.len(), 2 * sizes.len(), "full grid measured");
     for p in &points {
         assert!(p.m > 0 && p.delta > 0, "graphs must be nonempty");
         assert!(
@@ -400,17 +355,6 @@ fn main() {
     let mut w = bichrome_runner::json::Writer::object();
     w.field_str("benchmark", "hotpath");
     w.field_u64("sizes", sizes.len() as u64);
-    w.field_raw(
-        "threads_axis",
-        &format!(
-            "[{}]",
-            threads_axis
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
-    );
     w.field_f64("wall_seconds", wall_seconds);
     w.field_raw("grid", &format!("[{}]", rows.join(",")));
     w.field_raw("campaigns", &format!("[{}]", camp_rows.join(",")));

@@ -664,6 +664,16 @@ mod tests {
     use super::*;
     use crate::wire::BitWriter;
 
+    /// Held for the whole body of every test that injects faults. The
+    /// fault counters are process-global, so a test diffing them must
+    /// not overlap another test's injections on a parallel test
+    /// thread. Poison-tolerant: one failed test must not fail the rest.
+    static INJECTING: Mutex<()> = Mutex::new(());
+
+    fn injecting() -> std::sync::MutexGuard<'static, ()> {
+        INJECTING.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn msg(value: u64, width: usize) -> Message {
         let mut w = BitWriter::new();
         w.write_uint(value, width);
@@ -769,6 +779,7 @@ mod tests {
 
     #[test]
     fn every_fault_clause_lets_traffic_through_on_every_transport() {
+        let _injecting = injecting();
         let plans = [
             "sever@1",
             "sever@2",
@@ -792,6 +803,7 @@ mod tests {
 
     #[test]
     fn corruption_is_counted_as_injected_and_detected() {
+        let _injecting = injecting();
         let detected = bichrome_obs::counter_labeled(
             "bichrome_comm_faults_detected_total",
             &[("kind", "corrupt")],
@@ -813,6 +825,7 @@ mod tests {
 
     #[test]
     fn severs_are_counted_and_recovered_from() {
+        let _injecting = injecting();
         let injected = bichrome_obs::counter_labeled(
             "bichrome_comm_faults_injected_total",
             &[("kind", "sever")],
@@ -828,6 +841,7 @@ mod tests {
         // Bob vanishes for real (no sever in flight): Alice's recv
         // must fail rather than wait forever — the reconnect slot only
         // ever helps the responder half.
+        let _injecting = injecting();
         let plan: FaultPlan = "delay:1".parse().unwrap();
         let (mut alice, bob) = faulty_pair(TransportKind::InProc, &plan, 0).expect("pair");
         drop(bob);

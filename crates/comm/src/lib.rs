@@ -69,7 +69,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod channel;
 pub mod coin;
 pub mod fault;
@@ -80,13 +79,21 @@ pub mod session;
 pub mod transport;
 pub mod wire;
 
-pub use budget::{intra_budget, with_intra_budget};
 pub use channel::Endpoint;
 pub use coin::PublicCoin;
 pub use fault::{with_session_faults, FaultPlan};
 pub use meter::CommStats;
 pub use transport::{with_session_transport, Transport, TransportError, TransportKind};
 pub use wire::{BitReader, BitWriter, Message};
+
+/// Calls `f` and returns its result; the thread count is ignored.
+///
+/// A pass-through kept for callers written when a trial carried an
+/// ambient intra-trial thread budget. Every protocol now runs one
+/// serial code path per party, so there is nothing left to budget.
+pub fn with_intra_budget<R>(_threads: usize, f: impl FnOnce() -> R) -> R {
+    f()
+}
 
 /// Which party an endpoint belongs to.
 ///

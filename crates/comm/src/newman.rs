@@ -76,7 +76,6 @@ where
             alice(PartyCtx {
                 endpoint: a_ep,
                 coin,
-                threads: 1,
             })
         });
         let hb = s.spawn(move || {
@@ -86,7 +85,6 @@ where
             bob(PartyCtx {
                 endpoint: b_ep,
                 coin,
-                threads: 1,
             })
         });
         let ra = match ha.join() {

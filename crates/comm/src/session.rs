@@ -6,19 +6,14 @@ use crate::fault;
 use crate::meter::{CommStats, Meter};
 use crate::transport::{self, TransportKind};
 
-/// Everything a party's protocol code receives: its channel endpoint,
-/// the shared public coin, and its intra-trial thread budget.
+/// Everything a party's protocol code receives: its channel endpoint
+/// and the shared public coin.
 #[derive(Debug)]
 pub struct PartyCtx {
     /// This party's end of the link.
     pub endpoint: Endpoint,
     /// The shared public randomness.
     pub coin: PublicCoin,
-    /// How many OS threads this party may use for its own compute
-    /// (≥ 1). Half the trial's ambient [`crate::budget`] — the two
-    /// parties run concurrently, so each gets half. Purely advisory
-    /// capacity: protocol output must be bit-identical at any value.
-    pub threads: usize,
 }
 
 /// Runs Alice's and Bob's closures on two threads connected by a
@@ -95,19 +90,13 @@ where
         endpoint_pair_from_links(a_link, b_link, meter.clone())
     };
     let coin = PublicCoin::new(seed);
-    // The trial's budget is read on the *calling* thread (thread-locals
-    // don't cross into Bob's spawned thread) and split between the two
-    // parties, which run concurrently.
-    let per_party = (crate::budget::intra_budget() / 2).max(1);
     let a_ctx = PartyCtx {
         endpoint: a_ep,
         coin,
-        threads: per_party,
     };
     let b_ctx = PartyCtx {
         endpoint: b_ep,
         coin,
-        threads: per_party,
     };
     // Only Bob gets a fresh thread; Alice runs on the calling worker.
     // This halves the per-session spawn cost, which matters when the

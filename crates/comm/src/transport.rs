@@ -25,22 +25,14 @@
 //!
 //! # Frame format
 //!
-//! Stream transports ship each message as one *frame*. Two frame
-//! versions coexist on the read side:
-//!
-//! * **v1** (legacy): a little-endian `u32` *bit* length, then
-//!   `ceil(bits / 8)` payload bytes.
-//! * **v2** (current, written by [`write_frame`]): the same `u32` bit
-//!   length with the high bit ([`FRAME_V2_FLAG`]) set, then a
-//!   little-endian IEEE CRC-32 of (bit length, payload), then the
-//!   payload bytes. A corrupted header or payload is *detected* —
-//!   [`read_frame`] refuses it as `InvalidData` instead of delivering
-//!   garbage.
-//!
-//! Because legal bit lengths are capped at [`MAX_FRAME_BITS`]
-//! (`1 << 30`), the v2 flag bit can never appear in a v1 header:
-//! [`read_frame`] auto-detects the version per frame, so streams (and
-//! any persisted frames) written before v2 still load.
+//! Stream transports ship each message as one *frame*, written by
+//! [`write_frame`]: a little-endian `u32` *bit* length with the high
+//! bit ([`FRAME_V2_FLAG`]) set, then a little-endian IEEE CRC-32 of
+//! (bit length, payload), then `ceil(bits / 8)` payload bytes.
+//! [`read_frame`] refuses as `InvalidData`, never delivering garbage,
+//! a header without the flag, a bit length above [`MAX_FRAME_BITS`]
+//! (both before any payload is allocated), and a checksum mismatch —
+//! so every single-bit flip of a frame is detected.
 //!
 //! # Errors instead of hangs
 //!
@@ -89,11 +81,12 @@ const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_secs(300);
 ///
 /// A header above this is refused as corrupt instead of allocating —
 /// a torn or misaligned stream must not look like a 500 MB message.
-/// Keeping the cap below `1 << 31` also guarantees a legal v1 header
-/// never has the [`FRAME_V2_FLAG`] bit set.
+/// Keeping the cap below `1 << 31` leaves the header's high bit to
+/// [`FRAME_V2_FLAG`].
 pub const MAX_FRAME_BITS: usize = 1 << 30;
 
-/// High bit of the frame header marking the checksummed v2 format.
+/// High bit of the frame header, set on every frame; a header without
+/// it is refused (see the module's frame-format docs).
 pub const FRAME_V2_FLAG: u32 = 1 << 31;
 
 // ---------------------------------------------------------------------------
@@ -399,7 +392,7 @@ const CRC32_TABLE: [u32; 256] = {
 /// IEEE CRC-32 (the zlib/PNG polynomial) over `parts` concatenated.
 ///
 /// Detects all single-bit errors and all burst errors up to 32 bits —
-/// exactly what the v2 frame format and the fault-injection layer
+/// exactly what the frame format and the fault-injection layer
 /// rely on to guarantee corruption is *detected*, never silently
 /// delivered.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
@@ -412,7 +405,7 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
     !c
 }
 
-/// Writes one v2 frame — a little-endian `u32` *bit* length with
+/// Writes one frame — a little-endian `u32` *bit* length with
 /// [`FRAME_V2_FLAG`] set, a little-endian CRC-32 of (bit length,
 /// payload), then `ceil(bits / 8)` payload bytes — into `w` without
 /// flushing, so a buffered writer coalesces header and payload into
@@ -437,65 +430,41 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     w.write_all(msg.as_bytes())
 }
 
-/// Writes one legacy v1 frame (bit length + payload, no checksum).
-/// Kept for compatibility tests and tooling that must produce the
-/// pre-checksum format; new code writes v2 via [`write_frame`].
+/// Reads one frame from `r` (the format [`write_frame`] writes).
 ///
 /// # Errors
 ///
-/// Same contract as [`write_frame`].
-pub fn write_frame_v1(w: &mut impl Write, msg: &Message) -> io::Result<()> {
-    let bits = msg.len_bits();
-    if bits > MAX_FRAME_BITS {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {bits} bits exceeds the {MAX_FRAME_BITS}-bit cap"),
-        ));
-    }
-    w.write_all(&(bits as u32).to_le_bytes())?;
-    w.write_all(msg.as_bytes())
-}
-
-/// Reads one frame from `r`, auto-detecting the version per frame:
-/// headers with [`FRAME_V2_FLAG`] set are checksummed v2 frames,
-/// headers without it are legacy v1 frames (so pre-checksum streams
-/// still load).
-///
-/// # Errors
-///
-/// `UnexpectedEof` on a torn frame (stream ends inside the header or
-/// payload); `InvalidData` on an oversized bit length (refused before
-/// any allocation) or a v2 checksum mismatch (corruption is detected,
-/// never silently delivered).
+/// `UnexpectedEof` on a torn frame (stream ends inside the header,
+/// checksum or payload); `InvalidData` on a header without
+/// [`FRAME_V2_FLAG`] or with an oversized bit length (both refused
+/// before any payload allocation), or on a checksum mismatch
+/// (corruption is detected, never silently delivered).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Message> {
+    let refuse = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
     let mut header = [0u8; 4];
     r.read_exact(&mut header)?;
     let raw = u32::from_le_bytes(header);
-    let v2 = raw & FRAME_V2_FLAG != 0;
+    if raw & FRAME_V2_FLAG == 0 {
+        return Err(refuse(format!(
+            "frame header {raw:#010x} lacks the checksum flag; refusing"
+        )));
+    }
     let bits = (raw & !FRAME_V2_FLAG) as usize;
     if bits > MAX_FRAME_BITS {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame header claims {bits} bits (cap {MAX_FRAME_BITS}); refusing"),
-        ));
+        return Err(refuse(format!(
+            "frame header claims {bits} bits (cap {MAX_FRAME_BITS}); refusing"
+        )));
     }
     let mut want_crc = [0u8; 4];
-    if v2 {
-        r.read_exact(&mut want_crc)?;
-    }
+    r.read_exact(&mut want_crc)?;
+    let want = u32::from_le_bytes(want_crc);
     let mut buf = vec![0u8; bits.div_ceil(8)];
     r.read_exact(&mut buf)?;
-    if v2 {
-        let got = crc32(&[&(bits as u32).to_le_bytes(), &buf]);
-        if got != u32::from_le_bytes(want_crc) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "frame checksum mismatch (want {:08x}, got {got:08x}); refusing",
-                    u32::from_le_bytes(want_crc)
-                ),
-            ));
-        }
+    let got = crc32(&[&(bits as u32).to_le_bytes(), &buf]);
+    if got != want {
+        return Err(refuse(format!(
+            "frame checksum mismatch (want {want:08x}, got {got:08x}); refusing"
+        )));
     }
     Ok(Message::from_raw_parts(buf, bits))
 }
@@ -787,18 +756,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_frames_still_decode() {
-        for bits in [0usize, 1, 8, 13, 200] {
-            let mut w = BitWriter::new();
-            for i in 0..bits {
-                w.write_bit(i % 2 == 0);
-            }
-            let original = w.finish();
-            let mut buf = Vec::new();
-            write_frame_v1(&mut buf, &original).expect("encode v1");
-            assert_eq!(buf.len(), 4 + bits.div_ceil(8), "v1 has no checksum");
-            let decoded = read_frame(&mut Cursor::new(&buf)).expect("decode v1");
-            assert_eq!(decoded, original, "{bits} bits");
+    fn unflagged_frame_headers_are_refused() {
+        // A header without the flag carries no checksum, so nothing
+        // after it can be trusted: refused after the header alone.
+        for bits in [0u32, 1, 8, 13, 200] {
+            let mut buf = bits.to_le_bytes().to_vec();
+            buf.extend_from_slice(&[0xA5; 32]);
+            let mut cursor = Cursor::new(&buf);
+            let err = read_frame(&mut cursor).expect_err("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bits} bits");
+            assert_eq!(cursor.position(), 4, "only the header was read");
         }
     }
 
@@ -807,13 +774,10 @@ mod tests {
         let original = msg(0xDEAD, 16);
         let mut clean = Vec::new();
         write_frame(&mut clean, &original).expect("encode");
-        // Flip every single bit of the frame in turn: every corruption
-        // must surface as an error. (The one exception is the version
-        // flag bit itself, which downgrades the frame to the
-        // checksum-free v1 parse — that flip is caught one layer up,
-        // by the fault layer's per-message envelope checksum.)
-        let flag_bit = 31;
-        for bit in (0..clean.len() * 8).filter(|&b| b != flag_bit) {
+        // Flip every single bit of the frame in turn — header flag,
+        // length, checksum and payload alike: every corruption must
+        // surface as an error.
+        for bit in 0..clean.len() * 8 {
             let mut corrupted = clean.clone();
             corrupted[bit / 8] ^= 1 << (bit % 8);
             match read_frame(&mut Cursor::new(&corrupted)) {

@@ -121,22 +121,6 @@ impl BitWriter {
         }
     }
 
-    /// Appends every bit of `other` in order — bit-level
-    /// concatenation, so independently built per-chunk writers can be
-    /// stitched into one round message whose bits are identical to a
-    /// single sequential writer.
-    pub fn append(&mut self, other: &BitWriter) {
-        if self.len_bits.is_multiple_of(8) {
-            // Byte-aligned fast path: splice the raw buffer.
-            self.buf.extend_from_slice(&other.buf);
-            self.len_bits += other.len_bits;
-        } else {
-            for i in 0..other.len_bits {
-                self.write_bit((other.buf[i / 8] >> (i % 8)) & 1 == 1);
-            }
-        }
-    }
-
     /// Freezes into an immutable [`Message`].
     pub fn finish(self) -> Message {
         Message {
@@ -290,25 +274,6 @@ impl BitReader<'_> {
         out.clear();
         out.extend((0..count).map(|_| self.read_bit()));
     }
-
-    /// Advances the cursor by `count` bits without decoding them.
-    ///
-    /// Lets per-chunk readers seek to their own region of a stitched
-    /// round message (the chunk's offset is the sum of the earlier
-    /// chunks' write lengths).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `count` bits remain.
-    pub fn skip(&mut self, count: usize) {
-        assert!(count <= self.remaining(), "bit skip past end of message");
-        self.pos += count;
-    }
-
-    /// Bits consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]
@@ -402,69 +367,6 @@ mod tests {
         w.write_uint(u64::MAX, 64);
         let msg = w.finish();
         assert_eq!(msg.reader().read_uint(64), u64::MAX);
-    }
-
-    #[test]
-    fn append_matches_sequential_writes() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(0xA44E17D);
-        for _ in 0..200 {
-            // Build one sequential writer and a chunked set of
-            // writers over the same field script; stitching the
-            // chunks must reproduce the sequential bits exactly,
-            // whatever the alignment at each seam.
-            let chunks = rng.gen_range(1..5usize);
-            let mut seq = BitWriter::new();
-            let mut parts: Vec<BitWriter> = Vec::new();
-            for _ in 0..chunks {
-                let mut part = BitWriter::new();
-                for _ in 0..rng.gen_range(0..20usize) {
-                    let width = rng.gen_range(0..=64usize);
-                    let value = if width == 0 {
-                        0
-                    } else if width == 64 {
-                        rng.gen()
-                    } else {
-                        rng.gen_range(0..(1u64 << width))
-                    };
-                    seq.write_uint(value, width);
-                    part.write_uint(value, width);
-                }
-                parts.push(part);
-            }
-            let mut stitched = BitWriter::new();
-            for part in &parts {
-                stitched.append(part);
-            }
-            assert_eq!(stitched.len_bits(), seq.len_bits());
-            assert_eq!(stitched.finish(), seq.finish());
-        }
-    }
-
-    #[test]
-    fn skip_positions_reader_at_chunk_offsets() {
-        let mut w = BitWriter::new();
-        w.write_uint(0b101, 3);
-        w.write_uint(0xBEEF, 16);
-        w.write_uint(7, 3);
-        let msg = w.finish();
-        let mut r = msg.reader();
-        r.skip(3);
-        assert_eq!(r.position(), 3);
-        assert_eq!(r.read_uint(16), 0xBEEF);
-        let mut r2 = msg.reader();
-        r2.skip(19);
-        assert_eq!(r2.read_uint(3), 7);
-        assert_eq!(r2.remaining(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "past end")]
-    fn skip_past_end_panics() {
-        let mut w = BitWriter::new();
-        w.write_uint(1, 2);
-        let msg = w.finish();
-        msg.reader().skip(3);
     }
 
     #[test]

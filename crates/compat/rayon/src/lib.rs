@@ -1,27 +1,16 @@
 //! Offline stand-in for `rayon`.
 //!
 //! The build environment cannot reach crates.io, so this crate
-//! provides the shapes the workspace uses, implemented on
+//! provides the two shapes the workspace uses, implemented on
 //! `std::thread::scope`:
 //!
+//! * [`current_num_threads`] — the number of available cores;
 //! * `par_iter().map(..).collect()` — the input slice is cut into one
 //!   contiguous chunk per available core, each chunk is mapped on its
 //!   own OS thread, and results are stitched back in input order.
-//! * [`scope`] / [`join`] — structured fork-join primitives.
-//! * [`par_ranges`] / [`par_chunks`] / [`par_map_mut`] — *deterministic*
-//!   chunked helpers: the chunk boundaries are a pure function of
-//!   `(len, chunks)` (never of thread scheduling) and results merge in
-//!   chunk-index order, so callers that fold the per-chunk results get
-//!   bit-identical output at every thread count.
 //!
-//! Nesting is safe by construction: there is no global pool to
-//! deadlock — every helper runs chunk 0 on the *calling* thread (a
-//! worker entering a scope lends itself) and spawns plain scoped
-//! threads for the rest, so a parallel region inside a parallel region
-//! degrades to more (short-lived) threads, never to a stall.
-//! Oversubscription is the caller's contract: pass a thread *budget*
-//! (the runner's executor derives one from queue occupancy) rather
-//! than unconditionally fanning out to all cores.
+//! The campaign runner and the store parallelize *across* trials with
+//! these; each trial itself runs serially.
 //!
 //! Semantics match rayon for pure `Fn` closures: same output order,
 //! real parallelism, panics propagate.
@@ -29,7 +18,6 @@
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
-use std::ops::Range;
 
 /// Number of worker threads available to parallel maps — rayon's
 /// `current_num_threads`.
@@ -37,211 +25,6 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Number of worker threads used for parallel maps.
-fn num_threads() -> usize {
-    current_num_threads()
-}
-
-/// Runs `a` on the calling thread and `b` on a scoped thread,
-/// returning both results — rayon's `join`, minus work stealing.
-///
-/// A panic in either closure propagates to the caller after both
-/// finish or unwind.
-///
-/// # Example
-///
-/// ```
-/// let (sum, product) = rayon::join(
-///     || (1..=4).sum::<u32>(),
-///     || (1..=4).product::<u32>(),
-/// );
-/// assert_eq!((sum, product), (10, 24));
-/// ```
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = match hb.join() {
-            Ok(v) => v,
-            Err(p) => std::panic::resume_unwind(p),
-        };
-        (ra, rb)
-    })
-}
-
-/// A fork-join scope handed to the closure of [`scope`].
-///
-/// Tasks spawned on it may borrow from the enclosing stack frame and
-/// may themselves spawn further tasks (nested spawns reuse the same
-/// scope — no pool, no deadlock).
-#[derive(Debug, Clone, Copy)]
-pub struct Scope<'s, 'env: 's> {
-    inner: &'s std::thread::Scope<'s, 'env>,
-}
-
-impl<'s, 'env> Scope<'s, 'env> {
-    /// Spawns a task on the scope. The task receives the scope itself,
-    /// so it can spawn siblings — this is what makes workers entering
-    /// a nested scope safe: they lend their own thread and add scoped
-    /// threads, never waiting on a fixed-size pool.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'s, 'env>) + Send + 's,
-    {
-        let inner = self.inner;
-        self.inner.spawn(move || f(&Scope { inner }));
-    }
-}
-
-/// Creates a fork-join scope: all tasks spawned on it complete before
-/// `scope` returns — rayon's `scope` on `std::thread::scope`.
-///
-/// Panics from spawned tasks propagate after every task has been
-/// joined.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::atomic::{AtomicU32, Ordering};
-///
-/// let total = AtomicU32::new(0);
-/// rayon::scope(|s| {
-///     for x in 1..=4 {
-///         let total = &total;
-///         s.spawn(move |_| {
-///             total.fetch_add(x, Ordering::Relaxed);
-///         });
-///     }
-/// });
-/// assert_eq!(total.load(Ordering::Relaxed), 10);
-/// ```
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'s> FnOnce(&Scope<'s, 'env>) -> R,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
-/// The `i`-th of `chunks` balanced contiguous ranges of `0..len` — a
-/// pure function of its arguments, so chunked parallel passes are
-/// deterministic at every thread count.
-///
-/// The first `len % chunks` ranges are one element longer.
-///
-/// # Panics
-///
-/// Panics if `chunks == 0` or `i >= chunks`.
-pub fn chunk_range(len: usize, chunks: usize, i: usize) -> Range<usize> {
-    assert!(chunks > 0 && i < chunks, "chunk {i} of {chunks}");
-    let base = len / chunks;
-    let rem = len % chunks;
-    let start = i * base + i.min(rem);
-    let end = start + base + usize::from(i < rem);
-    start..end
-}
-
-/// Maps `chunks` deterministic ranges of `0..len` through `f` in
-/// parallel — chunk 0 on the calling thread, the rest on scoped
-/// threads — and returns the results in chunk-index order.
-///
-/// Chunk boundaries come from [`chunk_range`], so the returned vector
-/// is identical whatever the scheduling; `chunks` is clamped to
-/// `1..=len` (an empty input yields no chunks).
-pub fn par_ranges<R, F>(len: usize, chunks: usize, f: F) -> Vec<R>
-where
-    F: Fn(usize, Range<usize>) -> R + Sync,
-    R: Send,
-{
-    if len == 0 {
-        return Vec::new();
-    }
-    let k = chunks.clamp(1, len);
-    if k == 1 {
-        return vec![f(0, 0..len)];
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (1..k)
-            .map(|ci| s.spawn(move || f(ci, chunk_range(len, k, ci))))
-            .collect();
-        let mut out = Vec::with_capacity(k);
-        out.push(f(0, chunk_range(len, k, 0)));
-        for h in handles {
-            out.push(match h.join() {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            });
-        }
-        out
-    })
-}
-
-/// Deterministic chunked map over a slice: `f(chunk_index, chunk)` for
-/// each of `chunks` balanced contiguous chunks, results in chunk-index
-/// order (see [`par_ranges`] for the determinism contract).
-pub fn par_chunks<T, R, F>(items: &[T], chunks: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    F: Fn(usize, &[T]) -> R + Sync,
-    R: Send,
-{
-    par_ranges(items.len(), chunks, |ci, range| f(ci, &items[range]))
-}
-
-/// Deterministic chunked map over a *mutable* slice: each chunk gets
-/// exclusive access to its elements, chunk 0 runs on the calling
-/// thread, and results return in chunk-index order.
-pub fn par_map_mut<T, R, F>(items: &mut [T], chunks: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-    R: Send,
-{
-    let len = items.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let k = chunks.clamp(1, len);
-    if k == 1 {
-        return vec![f(0, items)];
-    }
-    let mut parts: Vec<&mut [T]> = Vec::with_capacity(k);
-    let mut rest = items;
-    for ci in 0..k {
-        let take = chunk_range(len, k, ci).len();
-        let (head, tail) = rest.split_at_mut(take);
-        parts.push(head);
-        rest = tail;
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let mut first = None;
-        let mut handles = Vec::with_capacity(k - 1);
-        for (ci, part) in parts.into_iter().enumerate() {
-            if ci == 0 {
-                first = Some(part);
-            } else {
-                handles.push(s.spawn(move || f(ci, part)));
-            }
-        }
-        let mut out = Vec::with_capacity(k);
-        out.push(f(0, first.expect("chunk 0 exists")));
-        for h in handles {
-            out.push(match h.join() {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            });
-        }
-        out
-    })
 }
 
 /// Conversion of `&collection` into a parallel iterator, mirroring
@@ -303,7 +86,7 @@ impl<'a, T: Sync, R: Send, F: Fn(&'a T) -> R + Sync> ParMap<'a, T, F> {
         if n == 0 {
             return std::iter::empty().collect();
         }
-        let workers = num_threads().min(n);
+        let workers = current_num_threads().min(n);
         if workers <= 1 {
             return self.items.iter().map(&self.f).collect();
         }
@@ -335,98 +118,6 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::*;
-
-    #[test]
-    fn chunk_ranges_are_balanced_and_exhaustive() {
-        for len in [0usize, 1, 2, 7, 64, 100, 101] {
-            for chunks in 1..=9usize {
-                let mut next = 0;
-                for i in 0..chunks {
-                    let r = chunk_range(len, chunks, i);
-                    assert_eq!(r.start, next, "contiguous at len={len} k={chunks}");
-                    assert!(r.len() <= len / chunks + 1);
-                    next = r.end;
-                }
-                assert_eq!(next, len, "covers 0..len");
-            }
-        }
-    }
-
-    #[test]
-    fn par_ranges_results_in_chunk_order() {
-        for chunks in [1usize, 2, 3, 8, 100] {
-            let got = par_ranges(10, chunks, |ci, r| (ci, r.start, r.end));
-            assert_eq!(got.len(), chunks.min(10));
-            for (i, &(ci, start, end)) in got.iter().enumerate() {
-                assert_eq!(ci, i);
-                assert_eq!(start..end, chunk_range(10, chunks.min(10), i));
-            }
-        }
-        assert!(par_ranges(0, 4, |_, _| ()).is_empty());
-    }
-
-    #[test]
-    fn par_chunks_matches_serial_fold() {
-        let xs: Vec<u64> = (0..1000).collect();
-        let serial: u64 = xs.iter().sum();
-        for budget in [1usize, 2, 4, 8] {
-            let sums = par_chunks(&xs, budget, |_, chunk| chunk.iter().sum::<u64>());
-            assert_eq!(sums.iter().sum::<u64>(), serial, "budget {budget}");
-        }
-    }
-
-    #[test]
-    fn par_map_mut_gives_exclusive_chunks() {
-        for budget in [1usize, 3, 8] {
-            let mut xs: Vec<u64> = (0..100).collect();
-            let counts = par_map_mut(&mut xs, budget, |ci, chunk| {
-                for x in chunk.iter_mut() {
-                    *x += 1 + ci as u64;
-                }
-                chunk.len()
-            });
-            assert_eq!(counts.iter().sum::<usize>(), 100);
-            // Element i was bumped by 1 + its chunk index — chunk
-            // assignment is the deterministic chunk_range partition.
-            let k = budget.clamp(1, 100);
-            for (i, &x) in xs.iter().enumerate() {
-                let ci = (0..k)
-                    .find(|&c| chunk_range(100, k, c).contains(&i))
-                    .unwrap();
-                assert_eq!(x, i as u64 + 1 + ci as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn nested_scopes_do_not_deadlock() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let hits = AtomicUsize::new(0);
-        super::scope(|s| {
-            for _ in 0..4 {
-                let hits = &hits;
-                s.spawn(move |inner| {
-                    // A worker inside a scope opens another parallel
-                    // region: nested spawns reuse the same scope.
-                    inner.spawn(move |_| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                    let part = par_ranges(8, 2, |_, r| r.len());
-                    hits.fetch_add(part.iter().sum::<usize>(), Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4 + 4 * 8);
-    }
-
-    #[test]
-    fn join_propagates_panics() {
-        let caught = std::panic::catch_unwind(|| super::join(|| 1, || panic!("right side")));
-        assert!(caught.is_err());
-        let (a, b) = super::join(|| 2, || 3);
-        assert_eq!((a, b), (2, 3));
-    }
 
     #[test]
     fn preserves_input_order() {

@@ -99,12 +99,12 @@ pub fn solve_d1lc(input: &D1lcInput, ctx: &PartyCtx) -> VertexColoring {
 
     // --- Step 1: palette sparsification via parallel Color-Sample,
     // batched through the SoA engine (bit-identical to per-machine
-    // `ColorSample`s at any `ctx.threads`). ---
+    // `ColorSample`s). ---
     let l = sparsify_samples(zlen, input.palette);
     // Flatten the list complements first (occupied = colors *not* in
     // Ψ_P(v)), so the engine's fill closure — which runs once per
-    // (vertex, rep) machine, possibly across threads — copies a slice
-    // instead of recomputing the complement l times per vertex.
+    // (vertex, rep) machine — copies a slice instead of recomputing
+    // the complement l times per vertex.
     let mut comp_off: Vec<u32> = Vec::with_capacity(zlen + 1);
     let mut comp_flat: Vec<u32> = Vec::new();
     let mut in_psi = vec![false; input.palette];
@@ -119,71 +119,50 @@ pub fn solve_d1lc(input: &D1lcInput, ctx: &PartyCtx) -> VertexColoring {
         }
         comp_off.push(comp_flat.len() as u32);
     }
-    let mut batch = ColorSampleBatch::build(
-        input.palette,
-        zlen * l,
-        ctx.threads,
-        &ctx.coin,
-        |idx, spec| {
-            let i = idx / l;
-            spec.set_stream(&[SPARSIFY_TAG, input.z[i].0 as u64, (idx % l) as u64]);
-            let comp = &comp_flat[comp_off[i] as usize..comp_off[i + 1] as usize];
-            spec.extend_occupied(comp.iter().map(|&c| ColorId(c)));
-        },
-    );
+    let mut batch = ColorSampleBatch::build(input.palette, zlen * l, &ctx.coin, |idx, spec| {
+        let i = idx / l;
+        spec.set_stream(&[SPARSIFY_TAG, input.z[i].0 as u64, (idx % l) as u64]);
+        let comp = &comp_flat[comp_off[i] as usize..comp_off[i + 1] as usize];
+        spec.extend_occupied(comp.iter().map(|&c| ColorId(c)));
+    });
     batch.drive(&ctx.endpoint);
     let results: Vec<ColorId> = batch.results().collect();
     drop(batch);
-    // Per-vertex list build in deterministic fixed ranges, merged in
-    // chunk-index order; each vertex also gets a dense color bitmask
-    // for the step-2 intersection tests.
+    // Per-vertex lists, each with a dense color bitmask for the step-2
+    // intersection tests.
     let w64 = input.palette.div_ceil(64);
-    let parts = rayon::par_ranges(zlen, ctx.threads, |_, range| {
-        let mut lists_part: Vec<Vec<ColorId>> = Vec::with_capacity(range.len());
-        let mut masks_part: Vec<u64> = vec![0u64; range.len() * w64];
-        for (k, i) in range.enumerate() {
-            let mut list = results[i * l..(i + 1) * l].to_vec();
-            list.sort_unstable();
-            list.dedup();
-            for c in &list {
-                masks_part[k * w64 + c.index() / 64] |= 1u64 << (c.index() % 64);
-            }
-            lists_part.push(list);
-        }
-        (lists_part, masks_part)
-    });
     let mut lists: Vec<Vec<ColorId>> = Vec::with_capacity(zlen);
-    let mut list_masks: Vec<u64> = Vec::with_capacity(zlen * w64);
-    for (lists_part, masks_part) in parts {
-        lists.extend(lists_part);
-        list_masks.extend(masks_part);
+    let mut list_masks: Vec<u64> = vec![0u64; zlen * w64];
+    for (i, samples) in results.chunks_exact(l).enumerate() {
+        let mut list = samples.to_vec();
+        list.sort_unstable();
+        list.dedup();
+        for c in &list {
+            list_masks[i * w64 + c.index() / 64] |= 1u64 << (c.index() % 64);
+        }
+        lists.push(list);
     }
 
     // --- Step 2: drop list-disjoint edges (public, no bits). One
-    // fused pass over the dense edge array — membership in Z and the
-    // L(u) ∩ L(v) test per edge via the bitmasks — chunked
-    // deterministically with an index-ordered merge. ---
-    let zpos_ref = &zpos;
-    let list_masks_ref = &list_masks;
-    let my_h_edges: Vec<Edge> = rayon::par_chunks(input.graph.edges(), ctx.threads, |_, chunk| {
-        chunk
-            .iter()
-            .copied()
-            .filter(|e| {
-                let pu = zpos_ref[e.u().index()];
-                let pv = zpos_ref[e.v().index()];
-                pu != usize::MAX
-                    && pv != usize::MAX
-                    && list_masks_ref[pu * w64..(pu + 1) * w64]
-                        .iter()
-                        .zip(&list_masks_ref[pv * w64..(pv + 1) * w64])
-                        .any(|(&a, &b)| a & b != 0)
-            })
-            .collect::<Vec<Edge>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    // fused pass over the dense edge array: membership in Z and the
+    // L(u) ∩ L(v) test per edge via the bitmasks. ---
+    let mask_of = |p: usize| &list_masks[p * w64..(p + 1) * w64];
+    let my_h_edges: Vec<Edge> = input
+        .graph
+        .edges()
+        .iter()
+        .copied()
+        .filter(|e| {
+            let pu = zpos[e.u().index()];
+            let pv = zpos[e.v().index()];
+            pu != usize::MAX
+                && pv != usize::MAX
+                && mask_of(pu)
+                    .iter()
+                    .zip(mask_of(pv))
+                    .any(|(&a, &b)| a & b != 0)
+        })
+        .collect();
 
     // --- Step 3: gather H at Alice; she colors and announces. ---
     let zwidth = width_for(zlen as u64 - 1);

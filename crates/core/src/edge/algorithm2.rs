@@ -32,7 +32,7 @@ use crate::input::PartyInput;
 use bichrome_comm::session::PartyCtx;
 use bichrome_comm::wire::{width_for, BitWriter};
 use bichrome_graph::coloring::{ColorId, EdgeColoring};
-use bichrome_graph::edge_color::{fournier, misra_gries_with_budget, remap_colors};
+use bichrome_graph::edge_color::{fournier, misra_gries, remap_colors};
 use bichrome_graph::matching::matching_covering;
 use bichrome_graph::{Edge, EdgeId, Graph, VertexId};
 
@@ -130,7 +130,7 @@ pub fn algorithm2_party(input: &PartyInput, ctx: &PartyCtx) -> EdgeColoring {
                 .expect("deferral + matching removal leave max-degree vertices independent")
         } else {
             debug_assert!(d < delta - 1, "Vizing fits in the palette");
-            misra_gries_with_budget(&r_prime, ctx.threads)
+            misra_gries(&r_prime)
         };
         coloring
             .merge(&remap_colors(&raw, &my_palette))

@@ -12,7 +12,7 @@
 //!   (Lemma 3.1).
 //! * [`sample_batch`] — the batched SoA engine driving thousands of
 //!   `Color-Sample` machines per round, bit-identical to the
-//!   reference machines at any thread budget.
+//!   reference machines.
 //! * [`rct`] — `Random-Color-Trial` (Algorithm 1).
 //! * [`d1lc`] — the `(degree+1)`-list-coloring protocol with palette
 //!   sparsification (Proposition 3.2, Lemma 3.3).

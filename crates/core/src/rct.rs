@@ -115,22 +115,20 @@ pub fn run_random_color_trial(
         }
 
         // One Color-Sample machine per awake vertex, batched through
-        // the SoA engine (bit-identical to per-machine `ColorSample`s
-        // at any thread budget; duplicate occupied colors set the same
-        // membership bit, so no dedup pass is needed).
-        let coloring_ref = &*coloring;
-        let mut batch =
-            ColorSampleBatch::build(palette, awake.len(), ctx.threads, &ctx.coin, |i, spec| {
-                let v = awake[i];
-                spec.set_stream(&[TRIAL_TAG, iter as u64, v.0 as u64]);
-                spec.extend_occupied(
-                    input
-                        .graph
-                        .neighbors(v)
-                        .iter()
-                        .filter_map(|&u| coloring_ref.get(u)),
-                );
-            });
+        // the SoA engine (bit-identical to per-machine `ColorSample`s;
+        // duplicate occupied colors set the same membership bit, so no
+        // dedup pass is needed).
+        let mut batch = ColorSampleBatch::build(palette, awake.len(), &ctx.coin, |i, spec| {
+            let v = awake[i];
+            spec.set_stream(&[TRIAL_TAG, iter as u64, v.0 as u64]);
+            spec.extend_occupied(
+                input
+                    .graph
+                    .neighbors(v)
+                    .iter()
+                    .filter_map(|&u| coloring.get(u)),
+            );
+        });
         batch.drive(&ctx.endpoint);
         let proposals: Vec<ColorId> = batch.results().collect();
 

@@ -9,32 +9,19 @@
 //! scans the dominant cost of D1LC on large instances.
 //!
 //! [`ColorSampleBatch`] runs the *same protocol, bit for bit*, over
-//! dense shared arenas:
-//!
-//! * machines are partitioned into `threads` contiguous **blocks**;
-//!   each block owns flat SoA arenas (permutation `u32`s, membership
-//!   and probe-sample bitmasks as `u64` words) — zero per-machine
-//!   allocations, probe counts are word popcounts;
-//! * each round, blocks build their slice of the outgoing message
-//!   independently (in parallel) and the slices are stitched in block
-//!   order, which reproduces the sequential writer's bits exactly;
-//! * incoming bits are parsed in parallel too: per machine and per
-//!   round, *my* write width equals the *peer's* write width (the
-//!   probe width comes from the shared public sample, the search
-//!   width from the publicly-evolving window), so each block's read
-//!   offset is the sum of the earlier blocks' write lengths.
-//!
-//! The block partition therefore affects scheduling only, never
-//! content: results, wire bits, and round counts are identical to
-//! driving the equivalent `ColorSample`s with
-//! [`bichrome_comm::machine::drive_lockstep`] at any thread budget
-//! (asserted by the differential tests below and by the workspace's
-//! `intra_trial_determinism` proptests).
+//! flat SoA arenas: permutation `u32`s, membership and probe-sample
+//! bitmasks as `u64` words — zero per-machine allocations, probe
+//! counts are word popcounts. Each round writes every active machine's
+//! bits into one message in machine order and parses the peer's
+//! message in place, so results, wire bits and round counts are
+//! identical to driving the equivalent `ColorSample`s with
+//! [`bichrome_comm::machine::drive_lockstep`] (asserted by the
+//! differential tests below).
 
 use crate::color_sample::{PERM_TAG, SAMPLE_TAG};
 use crate::slack_int::SAMPLE_CONSTANT;
 use bichrome_comm::channel::Endpoint;
-use bichrome_comm::wire::{width_for, BitWriter};
+use bichrome_comm::wire::{width_for, BitReader, BitWriter};
 use bichrome_comm::PublicCoin;
 use bichrome_graph::coloring::ColorId;
 use rand::rngs::StdRng;
@@ -75,11 +62,13 @@ impl MachineSpec {
     }
 }
 
-/// One contiguous block of machines with SoA arenas. Strides: `m` for
-/// `perm`, `w = ceil(m/64)` words for the bitmasks, 1 elsewhere.
+/// A batch of `Color-Sample` machines over dense SoA arenas,
+/// bit-identical on the wire to the equivalent `Vec<ColorSample>`
+/// under `drive_lockstep`. Strides: `m` for `perm`, `w = ceil(m/64)`
+/// words for the bitmasks, 1 elsewhere.
 #[derive(Debug)]
-struct Block {
-    len: usize,
+pub struct ColorSampleBatch {
+    count: usize,
     m: usize,
     w: usize,
     /// `perm[i*m + j]` = original color at permuted position `j`.
@@ -170,35 +159,44 @@ fn masked_popcount(a: &[u64], b: &[u64]) -> u64 {
         .sum()
 }
 
-impl Block {
-    fn build<F>(palette: usize, start: usize, len: usize, coin: &PublicCoin, fill: &F) -> Block
+impl ColorSampleBatch {
+    /// Builds `count` machines over the palette `{0, …,
+    /// palette_size-1}`. `fill` receives each machine index in order
+    /// and sets its stream path and occupied colors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `palette_size == 0` or a machine's occupied color
+    /// falls outside the palette.
+    pub fn build<F>(palette_size: usize, count: usize, coin: &PublicCoin, mut fill: F) -> Self
     where
-        F: Fn(usize, &mut MachineSpec),
+        F: FnMut(usize, &mut MachineSpec),
     {
-        let m = palette;
+        assert!(palette_size >= 1, "palette must be nonempty");
+        let m = palette_size;
         let w = m.div_ceil(64);
-        let mut b = Block {
-            len,
+        let mut b = ColorSampleBatch {
+            count,
             m,
             w,
-            perm: vec![0u32; len * m],
-            mem: vec![0u64; len * w],
-            sample: vec![0u64; len * w],
-            sample_len: vec![0u32; len],
-            width: vec![0u8; len],
-            rng: Vec::with_capacity(len),
-            k_guess: vec![m as u64; len],
-            lo: vec![0u32; len],
-            hi: vec![0u32; len],
-            result: vec![PENDING; len],
+            perm: vec![0u32; count * m],
+            mem: vec![0u64; count * w],
+            sample: vec![0u64; count * w],
+            sample_len: vec![0u32; count],
+            width: vec![0u8; count],
+            rng: Vec::with_capacity(count),
+            k_guess: vec![m as u64; count],
+            lo: vec![0u32; count],
+            hi: vec![0u32; count],
+            result: vec![PENDING; count],
         };
         let mut spec = MachineSpec::default();
         let mut pos_of = vec![0u32; m];
         let mut ids: Vec<u64> = Vec::new();
-        for i in 0..len {
+        for i in 0..count {
             spec.stream.clear();
             spec.occupied.clear();
-            fill(start + i, &mut spec);
+            fill(i, &mut spec);
             // Permutation — identical RNG consumption to
             // `ColorSample::new` (same stream path, same shuffle).
             let perm = &mut b.perm[i * m..(i + 1) * m];
@@ -229,6 +227,58 @@ impl Block {
         b
     }
 
+    /// Number of machines.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether the batch holds no machines.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Drives every machine to completion over `ep`, one message per
+    /// round (exactly `drive_lockstep`'s wire format). Returns the
+    /// number of rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer's message for a round is not exactly as long
+    /// as this side's: per machine and per round both sides write the
+    /// same width (the probe width comes from the shared public sample,
+    /// the search width from the publicly evolving window).
+    pub fn drive(&mut self, ep: &Endpoint) -> u64 {
+        let mut rounds = 0u64;
+        loop {
+            let mut w = BitWriter::new();
+            if !self.write_round(&mut w) {
+                return rounds;
+            }
+            let sent = w.len_bits();
+            let incoming = ep.exchange(w.finish());
+            assert_eq!(
+                incoming.len_bits(),
+                sent,
+                "peer sent a different number of bits than expected"
+            );
+            self.read_round(&mut incoming.reader());
+            rounds += 1;
+        }
+    }
+
+    /// The settled colors in machine order. Both parties agree on
+    /// every entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch has not been driven to completion.
+    pub fn results(&self) -> impl Iterator<Item = ColorId> + '_ {
+        self.result.iter().map(|&c| {
+            assert_ne!(c, PENDING, "batch not driven to completion");
+            ColorId(c)
+        })
+    }
+
     /// Draws a fresh probe sample for machine `i` — exactly `m`
     /// booleans from the shared stream, like
     /// `RandSlackInt::probe_phase`, so the streams stay aligned
@@ -254,7 +304,7 @@ impl Block {
     /// whether any machine was active.
     fn write_round(&mut self, w: &mut BitWriter) -> bool {
         let mut any = false;
-        for i in 0..self.len {
+        for i in 0..self.count {
             if self.result[i] != PENDING {
                 continue;
             }
@@ -282,8 +332,8 @@ impl Block {
     /// Absorbs this round's peer bits for every machine active at
     /// round start (done-ness only changes at a machine's own read, in
     /// index order, so the skip test sees round-start state).
-    fn read_round(&mut self, r: &mut bichrome_comm::wire::BitReader<'_>) {
-        for i in 0..self.len {
+    fn read_round(&mut self, r: &mut BitReader<'_>) {
+        for i in 0..self.count {
             if self.result[i] != PENDING {
                 continue;
             }
@@ -333,117 +383,6 @@ impl Block {
         let sample = &self.sample[i * self.w..(i + 1) * self.w];
         let j = select_rank(sample, self.lo[i]);
         self.result[i] = self.perm[i * self.m + j as usize];
-    }
-}
-
-/// A batch of `Color-Sample` machines over dense arenas, bit-identical
-/// on the wire to the equivalent `Vec<ColorSample>` under
-/// `drive_lockstep` (see the module docs for why, and how the blocks
-/// parallelize).
-#[derive(Debug)]
-pub struct ColorSampleBatch {
-    blocks: Vec<Block>,
-    count: usize,
-}
-
-impl ColorSampleBatch {
-    /// Builds `count` machines over the palette `{0, …,
-    /// palette_size-1}`, partitioned into at most `threads` blocks
-    /// built in parallel. `fill` receives each machine index and sets
-    /// its stream path and occupied colors; it must be deterministic
-    /// in the index (it runs once per machine, in no particular
-    /// order across blocks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `palette_size == 0` or a machine's occupied color
-    /// falls outside the palette.
-    pub fn build<F>(
-        palette_size: usize,
-        count: usize,
-        threads: usize,
-        coin: &PublicCoin,
-        fill: F,
-    ) -> Self
-    where
-        F: Fn(usize, &mut MachineSpec) + Sync,
-    {
-        assert!(palette_size >= 1, "palette must be nonempty");
-        let coin = *coin;
-        let blocks = rayon::par_ranges(count, threads.max(1), |_, range| {
-            Block::build(palette_size, range.start, range.len(), &coin, &fill)
-        });
-        ColorSampleBatch { blocks, count }
-    }
-
-    /// Number of machines.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the batch holds no machines.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Drives every machine to completion over `ep`, one stitched
-    /// message per round (exactly `drive_lockstep`'s wire format).
-    /// Returns the number of rounds.
-    pub fn drive(&mut self, ep: &Endpoint) -> u64 {
-        let nblocks = self.blocks.len();
-        let mut rounds = 0u64;
-        loop {
-            // Write phase: blocks fill their slices independently.
-            let parts: Vec<(BitWriter, bool)> =
-                rayon::par_map_mut(&mut self.blocks, nblocks, |_, blocks| {
-                    let mut w = BitWriter::new();
-                    let any = blocks[0].write_round(&mut w);
-                    (w, any)
-                });
-            if !parts.iter().any(|&(_, any)| any) {
-                return rounds;
-            }
-            let mut w = BitWriter::new();
-            let mut offsets = Vec::with_capacity(parts.len());
-            for (bw, _) in &parts {
-                offsets.push((w.len_bits(), bw.len_bits()));
-                w.append(bw);
-            }
-            let total_bits = w.len_bits();
-            let incoming = ep.exchange(w.finish());
-            // Per machine and per round my width equals the peer's, so
-            // block boundaries land at my own write offsets.
-            assert_eq!(
-                incoming.len_bits(),
-                total_bits,
-                "peer sent a different number of bits than expected"
-            );
-            let incoming = &incoming;
-            let offsets = &offsets;
-            rayon::par_map_mut(&mut self.blocks, nblocks, |ci, blocks| {
-                let (off, len) = offsets[ci];
-                let mut r = incoming.reader();
-                r.skip(off);
-                blocks[0].read_round(&mut r);
-                assert_eq!(r.position() - off, len, "peer block width mismatch");
-            });
-            rounds += 1;
-        }
-    }
-
-    /// The settled colors in machine order. Both parties agree on
-    /// every entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch has not been driven to completion.
-    pub fn results(&self) -> impl Iterator<Item = ColorId> + '_ {
-        self.blocks.iter().flat_map(|b| {
-            b.result.iter().map(|&c| {
-                assert_ne!(c, PENDING, "batch not driven to completion");
-                ColorId(c)
-            })
-        })
     }
 }
 
@@ -557,12 +496,11 @@ mod tests {
         palette: usize,
         instances: &[(Vec<u32>, Vec<u32>)],
         seed: u64,
-        threads: usize,
     ) -> (Vec<ColorId>, Vec<ColorId>, CommStats) {
         let side = |mine: Vec<Vec<u32>>| {
             move |ctx: bichrome_comm::session::PartyCtx| {
                 let mut batch =
-                    ColorSampleBatch::build(palette, mine.len(), threads, &ctx.coin, |i, spec| {
+                    ColorSampleBatch::build(palette, mine.len(), &ctx.coin, |i, spec| {
                         spec.set_stream(&[0xBA7C4, i as u64]);
                         spec.extend_occupied(mine[i].iter().map(|&c| ColorId(c)));
                     });
@@ -577,21 +515,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_bit_identical_to_reference_at_every_thread_count() {
+    fn batch_is_bit_identical_to_reference() {
         for (seed, count, palette) in [(1u64, 37usize, 9usize), (2, 80, 17), (3, 5, 1), (4, 64, 70)]
         {
             let instances = random_instances(seed * 31, count, palette);
             let (ra, rb, ref_stats) = run_reference(palette, &instances, seed);
             assert_eq!(ra, rb);
-            for threads in [1usize, 2, 3, 8] {
-                let (ba, bb, stats) = run_batch(palette, &instances, seed, threads);
-                assert_eq!(ba, ra, "results at {threads} threads (seed {seed})");
-                assert_eq!(bb, rb);
-                assert_eq!(
-                    stats, ref_stats,
-                    "CommStats at {threads} threads (seed {seed})"
-                );
-            }
+            let (ba, bb, stats) = run_batch(palette, &instances, seed);
+            assert_eq!(ba, ra, "results (seed {seed})");
+            assert_eq!(bb, rb);
+            assert_eq!(stats, ref_stats, "CommStats (seed {seed})");
         }
     }
 
@@ -600,12 +533,12 @@ mod tests {
         let (ra, rb, stats) = run_two_party_ctx(
             0,
             |ctx| {
-                let mut b = ColorSampleBatch::build(5, 0, 4, &ctx.coin, |_, _| {});
+                let mut b = ColorSampleBatch::build(5, 0, &ctx.coin, |_, _| {});
                 assert!(b.is_empty());
                 b.drive(&ctx.endpoint)
             },
             |ctx| {
-                let mut b = ColorSampleBatch::build(5, 0, 4, &ctx.coin, |_, _| {});
+                let mut b = ColorSampleBatch::build(5, 0, &ctx.coin, |_, _| {});
                 b.drive(&ctx.endpoint)
             },
         );
@@ -618,15 +551,13 @@ mod tests {
     fn results_avoid_both_occupied_sets() {
         let palette = 12;
         let instances = random_instances(99, 50, palette);
-        for threads in [1usize, 4] {
-            let (ra, _, _) = run_batch(palette, &instances, 5, threads);
-            for (i, c) in ra.iter().enumerate() {
-                let (a, b) = &instances[i];
-                assert!(
-                    !a.contains(&c.0) && !b.contains(&c.0),
-                    "machine {i} got occupied {c}"
-                );
-            }
+        let (ra, _, _) = run_batch(palette, &instances, 5);
+        for (i, c) in ra.iter().enumerate() {
+            let (a, b) = &instances[i];
+            assert!(
+                !a.contains(&c.0) && !b.contains(&c.0),
+                "machine {i} got occupied {c}"
+            );
         }
     }
 
@@ -634,7 +565,7 @@ mod tests {
     #[should_panic(expected = "outside palette")]
     fn occupied_outside_palette_panics() {
         let coin = PublicCoin::new(0);
-        let _ = ColorSampleBatch::build(3, 1, 1, &coin, |_, spec| {
+        let _ = ColorSampleBatch::build(3, 1, &coin, |_, spec| {
             spec.set_stream(&[1]);
             spec.add_occupied(ColorId(3));
         });

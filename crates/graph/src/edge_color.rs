@@ -15,23 +15,11 @@
 //!   on that vertex, whose neighbors all have degree `≤ Δ−1` by
 //!   independence and therefore always have a free color among `Δ`.
 //!
-//! The fan/Kempe procedure is written once, generically over a
-//! `ColorOps` state; it runs either directly against the mutable
-//! `FanState` (the serial path) or against a read-only snapshot plus
-//! a speculative write overlay (the parallel path of
-//! [`misra_gries_with_budget`], which plans batches of fans/Kempe
-//! paths concurrently and commits them serially in edge order,
-//! falling back to the serial procedure whenever a speculation read a
-//! vertex that an earlier commit in the same window wrote). Both paths
-//! produce *bit-identical* colorings.
-//!
 //! Both algorithms run in `O(m · (n + Δ))` time and are validated by
 //! property tests against the checkers in [`crate::coloring`].
 
 use crate::coloring::{ColorId, EdgeColoring};
 use crate::graph::{Edge, EdgeId, Graph, VertexId};
-use std::collections::HashMap;
-use std::ops::Range;
 
 /// Failure of [`fournier`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,41 +49,8 @@ impl std::error::Error for FournierError {}
 /// The "no neighbor" sentinel of [`FanState::tbl`].
 const NO_VERTEX: u32 = u32::MAX;
 
-/// The state one fan/Kempe step reads and writes, abstracted so the
-/// identical procedure drives both the live [`FanState`] and a
-/// speculative overlay ([`SpecState`]).
-///
-/// Read methods take `&mut self` so the speculative implementation can
-/// record its read set (for commit-time conflict detection); the live
-/// state simply ignores the mutability.
-trait ColorOps {
-    /// Palette size `k`; colors are `0..k`.
-    fn palette(&self) -> usize;
-    /// Neighbor joined to `v` by an edge colored `c`, or [`NO_VERTEX`].
-    fn joined(&mut self, v: VertexId, c: ColorId) -> u32;
-    /// Current color of edge `(a, b)`.
-    fn edge_color(&mut self, a: VertexId, b: VertexId) -> Option<ColorId>;
-    /// Colors the edge `(a, b)` with `c` (must be free at both ends).
-    fn assign(&mut self, a: VertexId, b: VertexId, c: ColorId);
-    /// Uncolors the edge `(a, b)`, returning its color.
-    fn clear(&mut self, a: VertexId, b: VertexId) -> ColorId;
-
-    /// Is `c` unused at `v`?
-    fn free(&mut self, v: VertexId, c: ColorId) -> bool {
-        self.joined(v, c) == NO_VERTEX
-    }
-
-    /// Smallest color unused at `v`.
-    fn first_free(&mut self, v: VertexId) -> Option<ColorId> {
-        (0..self.palette() as u32)
-            .map(ColorId)
-            .find(|&c| self.free(v, c))
-    }
-}
-
-/// Reusable fan / Kempe-path buffers, independent of the state they
-/// operate on (stamp-marked membership instead of a fresh `Vec<bool>`
-/// per edge).
+/// Reusable fan / Kempe-path buffers (stamp-marked membership instead
+/// of a fresh `Vec<bool>` per edge).
 struct FanScratch {
     /// Reusable fan buffer (taken out while a fan is processed).
     fan: Vec<VertexId>,
@@ -117,26 +72,105 @@ impl FanScratch {
     }
 }
 
+/// Mutable edge-coloring state with O(1) "which neighbor is joined to
+/// `v` by color `c`" lookups, the workhorse of the fan algorithm.
+///
+/// All bookkeeping is dense and edge-id-indexed: the color table is
+/// one flat `n × k` array and the coloring is a dense vector over the
+/// graph's [`EdgeId`] space.
+struct FanState<'a> {
+    g: &'a Graph,
+    /// Palette size; colors are `0..k`.
+    k: usize,
+    /// `tbl[v·k + c]` = neighbor joined to `v` by an edge colored `c`,
+    /// or [`NO_VERTEX`].
+    tbl: Vec<u32>,
+    coloring: EdgeColoring,
+}
+
+impl<'a> FanState<'a> {
+    fn new(g: &'a Graph, k: usize) -> Self {
+        FanState {
+            g,
+            k,
+            tbl: vec![NO_VERTEX; k * g.num_vertices()],
+            coloring: EdgeColoring::dense_for(g),
+        }
+    }
+
+    /// Neighbor joined to `v` by an edge colored `c`, or [`NO_VERTEX`].
+    #[inline]
+    fn tbl_at(&self, v: VertexId, c: ColorId) -> u32 {
+        self.tbl[v.index() * self.k + c.index()]
+    }
+
+    /// Is `c` unused at `v`?
+    #[inline]
+    fn is_free(&self, v: VertexId, c: ColorId) -> bool {
+        self.tbl_at(v, c) == NO_VERTEX
+    }
+
+    /// Smallest color unused at `v`.
+    fn some_free(&self, v: VertexId) -> Option<ColorId> {
+        let row = &self.tbl[v.index() * self.k..(v.index() + 1) * self.k];
+        row.iter()
+            .position(|&slot| slot == NO_VERTEX)
+            .map(|c| ColorId(c as u32))
+    }
+
+    #[inline]
+    fn id_of(&self, a: VertexId, b: VertexId) -> EdgeId {
+        self.g.edge_id(a, b).expect("fan edges are graph edges")
+    }
+
+    /// Colors the edge `(a, b)` with `c` (must be free at both ends).
+    fn set(&mut self, a: VertexId, b: VertexId, c: ColorId) {
+        debug_assert!(
+            self.is_free(a, c) && self.is_free(b, c),
+            "color {c} not free"
+        );
+        self.tbl[a.index() * self.k + c.index()] = b.0;
+        self.tbl[b.index() * self.k + c.index()] = a.0;
+        self.coloring.set_id(self.id_of(a, b), c);
+    }
+
+    /// Uncolors the edge `(a, b)`, returning its color.
+    fn unset(&mut self, a: VertexId, b: VertexId) -> ColorId {
+        let c = self
+            .coloring
+            .clear_id(self.id_of(a, b))
+            .expect("edge was colored");
+        self.tbl[a.index() * self.k + c.index()] = NO_VERTEX;
+        self.tbl[b.index() * self.k + c.index()] = NO_VERTEX;
+        c
+    }
+
+    /// Current color of edge `(a, b)`.
+    fn color_of(&self, a: VertexId, b: VertexId) -> Option<ColorId> {
+        self.coloring.get_id(self.id_of(a, b))
+    }
+}
+
 /// Inverts the maximal alternating `c/d` path starting at `u`.
 ///
 /// Precondition: `c` is free at `u`. The path (if nonempty) starts
 /// with the `d`-edge at `u` and alternates; since each vertex has
 /// at most one edge of each color and `u` has no `c`-edge, the path
 /// is simple.
-fn invert_cd_path<S: ColorOps>(
-    st: &mut S,
+fn invert_cd_path(
+    st: &mut FanState<'_>,
     scratch: &mut FanScratch,
     u: VertexId,
     c: ColorId,
     d: ColorId,
 ) {
-    debug_assert!(st.free(u, c));
+    debug_assert!(st.is_free(u, c));
     let mut segments = std::mem::take(&mut scratch.segments);
     segments.clear();
     let mut cur = u;
     let mut want = d;
     loop {
-        let next = st.joined(cur, want);
+        let next = st.tbl_at(cur, want);
         if next == NO_VERTEX {
             break;
         }
@@ -145,11 +179,11 @@ fn invert_cd_path<S: ColorOps>(
         want = if want == c { d } else { c };
     }
     for &(a, b, _) in &segments {
-        st.clear(a, b);
+        st.unset(a, b);
     }
     for &(a, b, col) in &segments {
         let flipped = if col == c { d } else { c };
-        st.assign(a, b, flipped);
+        st.set(a, b, flipped);
     }
     scratch.segments = segments;
 }
@@ -159,8 +193,8 @@ fn invert_cd_path<S: ColorOps>(
 /// `f_0 = v, f_1, ...` where edge `(u, f_{i+1})` is colored with a
 /// color free at `f_i`. Return the buffer via `scratch.fan` when
 /// done.
-fn take_maximal_fan<S: ColorOps>(
-    st: &mut S,
+fn take_maximal_fan(
+    st: &FanState<'_>,
     scratch: &mut FanScratch,
     u: VertexId,
     v: VertexId,
@@ -176,12 +210,12 @@ fn take_maximal_fan<S: ColorOps>(
     scratch.in_fan[v.index()] = scratch.fan_stamp;
     'grow: loop {
         let last = *fan.last().expect("fan nonempty");
-        for c in 0..st.palette() as u32 {
+        for c in 0..st.k as u32 {
             let c = ColorId(c);
-            if !st.free(last, c) {
+            if !st.is_free(last, c) {
                 continue;
             }
-            let w = st.joined(u, c);
+            let w = st.tbl_at(u, c);
             if w != NO_VERTEX && scratch.in_fan[w as usize] != scratch.fan_stamp {
                 scratch.in_fan[w as usize] = scratch.fan_stamp;
                 fan.push(VertexId(w));
@@ -193,9 +227,9 @@ fn take_maximal_fan<S: ColorOps>(
 }
 
 /// Checks the fan property of `fan[0..=j]` under current colors.
-fn prefix_is_fan<S: ColorOps>(st: &mut S, u: VertexId, fan: &[VertexId], j: usize) -> bool {
-    (0..j).all(|i| match st.edge_color(u, fan[i + 1]) {
-        Some(c) => st.free(fan[i], c),
+fn prefix_is_fan(st: &FanState<'_>, u: VertexId, fan: &[VertexId], j: usize) -> bool {
+    (0..j).all(|i| match st.color_of(u, fan[i + 1]) {
+        Some(c) => st.is_free(fan[i], c),
         None => false,
     })
 }
@@ -207,8 +241,8 @@ fn prefix_is_fan<S: ColorOps>(st: &mut S, u: VertexId, fan: &[VertexId], j: usiz
 /// Requires that `u` and every neighbor of `u` reachable as a fan
 /// vertex have a free color; callers establish this via the
 /// preconditions documented on [`misra_gries`] and [`fournier`].
-fn color_edge<S: ColorOps>(
-    st: &mut S,
+fn color_edge(
+    st: &mut FanState<'_>,
     scratch: &mut FanScratch,
     u: VertexId,
     v: VertexId,
@@ -219,317 +253,39 @@ fn color_edge<S: ColorOps>(
     result
 }
 
-fn color_edge_with_fan<S: ColorOps>(
-    st: &mut S,
+fn color_edge_with_fan(
+    st: &mut FanState<'_>,
     scratch: &mut FanScratch,
     u: VertexId,
     fan: &[VertexId],
 ) -> Result<(), FournierError> {
     let v = fan[0];
     let stuck = || FournierError::FanStuck(Edge::new(u, v));
-    let c = st.first_free(u).ok_or_else(stuck)?;
+    let c = st.some_free(u).ok_or_else(stuck)?;
     let last = *fan.last().expect("fan nonempty");
-    let d = st.first_free(last).ok_or_else(stuck)?;
-    if !st.free(u, d) {
+    let d = st.some_free(last).ok_or_else(stuck)?;
+    if !st.is_free(u, d) {
         invert_cd_path(st, scratch, u, c, d);
     }
-    debug_assert!(st.free(u, d), "d must be free at u after inversion");
+    debug_assert!(st.is_free(u, d), "d must be free at u after inversion");
     // Find a rotation point: smallest j with d free at fan[j] and a
     // valid fan prefix under post-inversion colors. Misra–Gries
     // guarantees one exists.
     let j = (0..fan.len())
-        .find(|&j| st.free(fan[j], d) && prefix_is_fan(st, u, fan, j))
+        .find(|&j| st.is_free(fan[j], d) && prefix_is_fan(st, u, fan, j))
         .ok_or_else(stuck)?;
     // Rotate the prefix: shift each fan edge's color one step down.
     for i in 0..j {
-        let col = st.clear(u, fan[i + 1]);
-        st.assign(u, fan[i], col);
+        let col = st.unset(u, fan[i + 1]);
+        st.set(u, fan[i], col);
     }
-    st.assign(u, fan[j], d);
+    st.set(u, fan[j], d);
     Ok(())
-}
-
-/// Mutable edge-coloring state with O(1) "which neighbor is joined to
-/// `v` by color `c`" lookups, the workhorse of the fan algorithm.
-///
-/// All bookkeeping is dense and edge-id-indexed: the color table is
-/// one flat `n × k` array and the coloring is a dense vector over the
-/// graph's [`EdgeId`] space.
-struct FanState<'a> {
-    g: &'a Graph,
-    k: usize,
-    /// `tbl[v·k + c]` = neighbor joined to `v` by an edge colored `c`,
-    /// or [`NO_VERTEX`].
-    tbl: Vec<u32>,
-    coloring: EdgeColoring,
-    /// When `log_touches`, every vertex written by `set`/`unset` is
-    /// appended here — how the serial fallback of the parallel path
-    /// reports its write set for conflict stamping.
-    touched: Vec<u32>,
-    log_touches: bool,
-}
-
-impl<'a> FanState<'a> {
-    fn new(g: &'a Graph, k: usize) -> Self {
-        FanState {
-            g,
-            k,
-            tbl: vec![NO_VERTEX; k * g.num_vertices()],
-            coloring: EdgeColoring::dense_for(g),
-            touched: Vec::new(),
-            log_touches: false,
-        }
-    }
-
-    #[inline]
-    fn tbl_at(&self, v: VertexId, c: ColorId) -> u32 {
-        self.tbl[v.index() * self.k + c.index()]
-    }
-
-    #[inline]
-    fn is_free(&self, v: VertexId, c: ColorId) -> bool {
-        self.tbl_at(v, c) == NO_VERTEX
-    }
-
-    fn some_free(&self, v: VertexId) -> Option<ColorId> {
-        let row = &self.tbl[v.index() * self.k..(v.index() + 1) * self.k];
-        row.iter()
-            .position(|&slot| slot == NO_VERTEX)
-            .map(|c| ColorId(c as u32))
-    }
-
-    #[inline]
-    fn id_of(&self, a: VertexId, b: VertexId) -> EdgeId {
-        self.g.edge_id(a, b).expect("fan edges are graph edges")
-    }
-
-    fn set(&mut self, a: VertexId, b: VertexId, c: ColorId) {
-        debug_assert!(
-            self.is_free(a, c) && self.is_free(b, c),
-            "color {c} not free"
-        );
-        self.tbl[a.index() * self.k + c.index()] = b.0;
-        self.tbl[b.index() * self.k + c.index()] = a.0;
-        self.coloring.set_id(self.id_of(a, b), c);
-        if self.log_touches {
-            self.touched.push(a.0);
-            self.touched.push(b.0);
-        }
-    }
-
-    fn unset(&mut self, a: VertexId, b: VertexId) -> ColorId {
-        let c = self
-            .coloring
-            .clear_id(self.id_of(a, b))
-            .expect("edge was colored");
-        self.tbl[a.index() * self.k + c.index()] = NO_VERTEX;
-        self.tbl[b.index() * self.k + c.index()] = NO_VERTEX;
-        if self.log_touches {
-            self.touched.push(a.0);
-            self.touched.push(b.0);
-        }
-        c
-    }
-
-    fn color_of(&self, a: VertexId, b: VertexId) -> Option<ColorId> {
-        self.coloring.get_id(self.id_of(a, b))
-    }
-}
-
-impl ColorOps for FanState<'_> {
-    fn palette(&self) -> usize {
-        self.k
-    }
-
-    fn joined(&mut self, v: VertexId, c: ColorId) -> u32 {
-        self.tbl_at(v, c)
-    }
-
-    fn edge_color(&mut self, a: VertexId, b: VertexId) -> Option<ColorId> {
-        self.color_of(a, b)
-    }
-
-    fn assign(&mut self, a: VertexId, b: VertexId, c: ColorId) {
-        self.set(a, b, c);
-    }
-
-    fn clear(&mut self, a: VertexId, b: VertexId) -> ColorId {
-        self.unset(a, b)
-    }
-
-    fn first_free(&mut self, v: VertexId) -> Option<ColorId> {
-        self.some_free(v)
-    }
-}
-
-/// One table/coloring write planned by a speculation, replayed at
-/// commit time if the plan's read set is still current.
-#[derive(Clone, Copy)]
-enum Op {
-    Assign(VertexId, VertexId, ColorId),
-    Clear(VertexId, VertexId),
-}
-
-/// One planned edge: sub-ranges of the owning [`Planner`]'s arenas.
-struct PlanMeta {
-    reads: Range<usize>,
-    ops: Range<usize>,
-    ok: bool,
-}
-
-/// Per-worker speculation state, persistent across windows so the
-/// `n`-sized fan scratch and the arenas are allocated once.
-struct Planner {
-    scratch: FanScratch,
-    /// Overlay of `tbl` writes: key `v·k + c` → neighbor/[`NO_VERTEX`].
-    tbl_over: HashMap<u64, u32>,
-    /// Overlay of edge-color writes, by dense edge id.
-    color_over: HashMap<u32, Option<ColorId>>,
-    /// Arena of read vertices, sorted + deduped per plan.
-    reads: Vec<u32>,
-    /// Arena of planned writes.
-    ops: Vec<Op>,
-    plans: Vec<PlanMeta>,
-}
-
-impl Planner {
-    fn new(num_vertices: usize) -> Self {
-        Planner {
-            scratch: FanScratch::new(num_vertices),
-            tbl_over: HashMap::new(),
-            color_over: HashMap::new(),
-            reads: Vec::new(),
-            ops: Vec::new(),
-            plans: Vec::new(),
-        }
-    }
-
-    fn begin_window(&mut self) {
-        self.reads.clear();
-        self.ops.clear();
-        self.plans.clear();
-    }
-
-    /// Speculatively colors `e` against the frozen `base` state,
-    /// recording reads and planned writes instead of mutating.
-    fn plan(&mut self, base: &FanState<'_>, e: Edge) {
-        self.tbl_over.clear();
-        self.color_over.clear();
-        let reads_start = self.reads.len();
-        let ops_start = self.ops.len();
-        // The endpoints are always semantically read (the edge must
-        // still be uncolored at commit); record them explicitly so the
-        // read set does not depend on debug assertions.
-        self.reads.push(e.u().0);
-        self.reads.push(e.v().0);
-        let ok = {
-            let mut st = SpecState {
-                base,
-                tbl_over: &mut self.tbl_over,
-                color_over: &mut self.color_over,
-                reads: &mut self.reads,
-                ops: &mut self.ops,
-            };
-            color_edge(&mut st, &mut self.scratch, e.u(), e.v()).is_ok()
-        };
-        // Sort + dedup this plan's reads in place.
-        self.reads[reads_start..].sort_unstable();
-        let mut write = reads_start;
-        for r in reads_start..self.reads.len() {
-            if write == reads_start || self.reads[r] != self.reads[write - 1] {
-                self.reads[write] = self.reads[r];
-                write += 1;
-            }
-        }
-        self.reads.truncate(write);
-        self.plans.push(PlanMeta {
-            reads: reads_start..self.reads.len(),
-            ops: ops_start..self.ops.len(),
-            ok,
-        });
-    }
-}
-
-/// [`ColorOps`] over a frozen [`FanState`] plus a write overlay:
-/// reads record the touched vertices, writes go to the overlay and the
-/// op log. Replaying the op log against the live state reproduces the
-/// speculation exactly — provided no recorded read vertex was written
-/// in between, which is exactly the commit-time check (a vertex's
-/// table row determines the colors of all its incident edges, so
-/// unchanged read rows imply unchanged edge colors too).
-struct SpecState<'a, 'g> {
-    base: &'a FanState<'g>,
-    tbl_over: &'a mut HashMap<u64, u32>,
-    color_over: &'a mut HashMap<u32, Option<ColorId>>,
-    reads: &'a mut Vec<u32>,
-    ops: &'a mut Vec<Op>,
-}
-
-impl SpecState<'_, '_> {
-    #[inline]
-    fn tbl_key(&self, v: VertexId, c: ColorId) -> u64 {
-        v.index() as u64 * self.base.k as u64 + c.index() as u64
-    }
-
-    #[inline]
-    fn record(&mut self, v: VertexId) {
-        // Cheap common-case dedup; the planner fully dedups per plan.
-        if self.reads.last() != Some(&v.0) {
-            self.reads.push(v.0);
-        }
-    }
-}
-
-impl ColorOps for SpecState<'_, '_> {
-    fn palette(&self) -> usize {
-        self.base.k
-    }
-
-    fn joined(&mut self, v: VertexId, c: ColorId) -> u32 {
-        self.record(v);
-        match self.tbl_over.get(&self.tbl_key(v, c)) {
-            Some(&w) => w,
-            None => self.base.tbl_at(v, c),
-        }
-    }
-
-    fn edge_color(&mut self, a: VertexId, b: VertexId) -> Option<ColorId> {
-        self.record(a);
-        self.record(b);
-        let id = self.base.id_of(a, b);
-        match self.color_over.get(&id.0) {
-            Some(&c) => c,
-            None => self.base.color_of(a, b),
-        }
-    }
-
-    fn assign(&mut self, a: VertexId, b: VertexId, c: ColorId) {
-        let id = self.base.id_of(a, b);
-        let ka = self.tbl_key(a, c);
-        let kb = self.tbl_key(b, c);
-        self.tbl_over.insert(ka, b.0);
-        self.tbl_over.insert(kb, a.0);
-        self.color_over.insert(id.0, Some(c));
-        self.ops.push(Op::Assign(a, b, c));
-    }
-
-    fn clear(&mut self, a: VertexId, b: VertexId) -> ColorId {
-        let c = self.edge_color(a, b).expect("edge was colored");
-        let ka = self.tbl_key(a, c);
-        let kb = self.tbl_key(b, c);
-        self.tbl_over.insert(ka, NO_VERTEX);
-        self.tbl_over.insert(kb, NO_VERTEX);
-        self.color_over.insert(self.base.id_of(a, b).0, None);
-        self.ops.push(Op::Clear(a, b));
-        c
-    }
 }
 
 /// Misra–Gries edge coloring: a proper edge coloring of `g` with the
 /// palette `{0, ..., Δ}` (`Δ+1` colors), constructively realizing
 /// Vizing's theorem (Proposition 3.4).
-///
-/// Equivalent to [`misra_gries_with_budget`] with a budget of 1.
 ///
 /// # Example
 ///
@@ -542,120 +298,16 @@ impl ColorOps for SpecState<'_, '_> {
 /// assert!(validate_edge_coloring_with_palette(&g, &c, g.max_degree() + 1).is_ok());
 /// ```
 pub fn misra_gries(g: &Graph) -> EdgeColoring {
-    misra_gries_with_budget(g, 1)
-}
-
-/// [`misra_gries`] with an advisory thread budget: independent
-/// fans/Kempe paths are planned in parallel batches and committed
-/// serially in edge order.
-///
-/// The output is **bit-identical to the serial algorithm at every
-/// budget**: each window of `8·threads` edges is speculatively planned
-/// against a frozen snapshot (deterministic fixed-range chunks, one
-/// worker each), then committed in edge order — a plan whose read set
-/// intersects the write set of an earlier commit in the same window is
-/// discarded and that edge is recolored serially against the live
-/// state, so every committed step equals the step the serial sweep
-/// would have taken.
-///
-/// `threads <= 1` runs the plain serial sweep with zero speculation
-/// overhead.
-///
-/// # Example
-///
-/// ```
-/// use bichrome_graph::{gen, edge_color::{misra_gries, misra_gries_with_budget}};
-///
-/// let g = gen::gnp(60, 0.2, 9);
-/// assert_eq!(misra_gries_with_budget(&g, 4), misra_gries(&g));
-/// ```
-pub fn misra_gries_with_budget(g: &Graph, threads: usize) -> EdgeColoring {
-    let k = g.max_degree() + 1;
     if g.num_edges() == 0 {
         return EdgeColoring::new();
     }
-    let mut st = FanState::new(g, k);
+    let mut st = FanState::new(g, g.max_degree() + 1);
     let mut scratch = FanScratch::new(g.num_vertices());
-    if threads <= 1 {
-        for &e in g.edges() {
-            // With k = Δ+1 every vertex always has a free color, so the
-            // fan procedure cannot get stuck.
-            color_edge(&mut st, &mut scratch, e.u(), e.v())
-                .expect("Vizing: Δ+1 colors never get stuck");
-        }
-        return st.coloring;
-    }
-
-    let edges = g.edges();
-    let window = threads * 8;
-    let mut planners: Vec<Planner> = (0..threads)
-        .map(|_| Planner::new(g.num_vertices()))
-        .collect();
-    // stamps[v] = epoch of the last window in which v was written.
-    let mut stamps = vec![0u32; g.num_vertices()];
-    let mut epoch = 0u32;
-    let mut start = 0;
-    while start < edges.len() {
-        let end = (start + window).min(edges.len());
-        let win = &edges[start..end];
-        epoch += 1;
-
-        // Plan phase: fixed-range chunks of the window, one worker
-        // each, against the frozen pre-window state. Chunk boundaries
-        // are a pure function of (window length, threads), so the set
-        // of plans is independent of scheduling.
-        let st_ref = &st;
-        rayon::par_map_mut(&mut planners, threads, |ci, part| {
-            let planner = &mut part[0];
-            planner.begin_window();
-            for i in rayon::chunk_range(win.len(), threads, ci) {
-                planner.plan(st_ref, win[i]);
-            }
-        });
-
-        // Commit phase: serial, in edge order. A still-current plan
-        // replays its op log (which then equals what the serial sweep
-        // would have done at this point); a conflicting one falls back
-        // to the serial procedure against the live state.
-        for (ci, planner) in planners.iter().enumerate() {
-            let chunk = rayon::chunk_range(win.len(), threads, ci);
-            for (j, i) in chunk.enumerate() {
-                let e = win[i];
-                let plan = &planner.plans[j];
-                let current = plan.ok
-                    && planner.reads[plan.reads.clone()]
-                        .iter()
-                        .all(|&v| stamps[v as usize] != epoch);
-                if current {
-                    for &op in &planner.ops[plan.ops.clone()] {
-                        match op {
-                            Op::Assign(a, b, c) => {
-                                st.set(a, b, c);
-                                stamps[a.index()] = epoch;
-                                stamps[b.index()] = epoch;
-                            }
-                            Op::Clear(a, b) => {
-                                st.unset(a, b);
-                                stamps[a.index()] = epoch;
-                                stamps[b.index()] = epoch;
-                            }
-                        }
-                    }
-                } else {
-                    st.touched.clear();
-                    st.log_touches = true;
-                    let result = color_edge(&mut st, &mut scratch, e.u(), e.v());
-                    st.log_touches = false;
-                    result.expect("Vizing: Δ+1 colors never get stuck");
-                    let touched = std::mem::take(&mut st.touched);
-                    for &v in &touched {
-                        stamps[v as usize] = epoch;
-                    }
-                    st.touched = touched;
-                }
-            }
-        }
-        start = end;
+    for &e in g.edges() {
+        // With k = Δ+1 every vertex always has a free color, so the
+        // fan procedure cannot get stuck.
+        color_edge(&mut st, &mut scratch, e.u(), e.v())
+            .expect("Vizing: Δ+1 colors never get stuck");
     }
     st.coloring
 }
@@ -787,44 +439,6 @@ mod tests {
     #[test]
     fn misra_gries_empty() {
         assert!(misra_gries(&gen::empty(5)).is_empty());
-    }
-
-    #[test]
-    fn budgeted_misra_gries_is_bit_identical_to_serial() {
-        // The determinism contract of the parallel path: any thread
-        // budget, same coloring — across sparse, dense, and structured
-        // instances, including ones small enough that a window exceeds
-        // the edge count and dense ones where speculations collide
-        // constantly.
-        let graphs = vec![
-            gen::gnp(40, 0.2, 1),
-            gen::gnp(80, 0.15, 2),
-            gen::gnp(120, 0.05, 3),
-            gen::complete(20),
-            gen::complete_bipartite(9, 11),
-            gen::near_regular(150, 10, 4),
-            gen::star(30),
-            gen::path(3),
-        ];
-        for g in &graphs {
-            let serial = misra_gries_with_budget(g, 1);
-            for threads in [2, 3, 4, 8] {
-                let parallel = misra_gries_with_budget(g, threads);
-                assert_eq!(
-                    parallel, serial,
-                    "budget {threads} diverged from serial on {g}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_misra_gries_validates() {
-        for seed in 0..10 {
-            let g = gen::gnp(60, 0.25, seed);
-            let c = misra_gries_with_budget(&g, 4);
-            assert!(validate_edge_coloring_with_palette(&g, &c, g.max_degree() + 1).is_ok());
-        }
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// [`span`] with one numeric tag attached (rendered into the Chrome
-/// trace's `args`), e.g. the intra-trial thread budget.
+/// trace's `args`), e.g. a batch size.
 pub fn span_tagged(name: &'static str, key: &'static str, value: u64) -> SpanGuard {
     span_impl(name, Some((key, value)))
 }

@@ -473,15 +473,11 @@ impl Campaign {
                         partitioner,
                         trial_seed: seed,
                     },
-                    threads: 1,
                 });
                 queue_keys.push(key);
                 queue_slots.push(ci * per_cell + si);
             }
         }
-        // Budget from queue occupancy: few big pending cells → several
-        // threads inside each trial; a large grid → 1 thread each.
-        exec::assign_budgets(&mut queue, self.parallel);
 
         Ok(PreparedRun {
             meta,
@@ -638,12 +634,6 @@ impl PreparedRun {
             trials_computed: self.queue.len() as u64,
             trials_skipped: self.skipped,
             run_nanos: self.run_nanos.load(Ordering::Relaxed),
-            intra_threads: self
-                .queue
-                .iter()
-                .map(|it| it.threads as u64)
-                .max()
-                .unwrap_or(1),
             ..ExecStats::default()
         };
         (
@@ -708,8 +698,6 @@ pub fn compute_trial(
             .parse()
             .map_err(|e| format!("bad partitioner {:?}: {e}", key.partitioner))?
     };
-    // A remote worker computes one trial at a time, so the trial may
-    // saturate its machine.
     let item = WorkItem {
         protocol,
         source: WorkSource::Lazy {
@@ -717,7 +705,6 @@ pub fn compute_trial(
             partitioner,
             trial_seed: key.seed,
         },
-        threads: rayon::current_num_threads().max(1),
     };
     let (record, _nanos) = with_session_transport(transport, || {
         with_session_faults(fault, || exec::run_item(&item, cache))

@@ -75,37 +75,6 @@ pub(crate) struct WorkItem {
     pub protocol: Arc<dyn Protocol>,
     /// The instance to run it on (usually lazy — see [`WorkSource`]).
     pub source: WorkSource,
-    /// Advisory intra-trial thread budget, installed as the ambient
-    /// [`bichrome_comm::intra_budget`] around `Protocol::run` so the
-    /// protocol layers can parallelize *inside* the trial. Derived
-    /// from queue occupancy by [`assign_budgets`]; purely a scheduling
-    /// hint — records are bit-identical at any value.
-    pub threads: usize,
-}
-
-/// Thread budget each trial of a `pending`-item queue gets on a
-/// machine with `workers` worker threads: the leftover capacity
-/// divided evenly, at least 1. A campaign of 4 giant cells on 16
-/// cores hands each trial 4 threads; a 1000-cell grid stays at
-/// 1 thread per trial.
-pub(crate) fn intra_trial_budget(pending: usize, workers: usize) -> usize {
-    workers.checked_div(pending).unwrap_or(workers).max(1)
-}
-
-/// Installs each item's intra-trial thread budget: queue occupancy
-/// divided into the worker pool under parallel execution, the whole
-/// machine per trial under serial execution (trials then run one at a
-/// time, so each may saturate it).
-pub(crate) fn assign_budgets(queue: &mut [WorkItem], parallel: bool) {
-    let workers = rayon::current_num_threads();
-    let budget = if parallel {
-        intra_trial_budget(queue.len(), workers)
-    } else {
-        workers.max(1)
-    };
-    for item in queue {
-        item.threads = budget;
-    }
 }
 
 /// Counters and timings from one executor run — how much instance
@@ -139,9 +108,6 @@ pub struct ExecStats {
     /// Cumulative nanoseconds workers spent inside `Protocol::run`,
     /// summed across threads.
     pub run_nanos: u64,
-    /// Largest intra-trial thread budget any item of the run carried
-    /// (1 when every trial ran single-threaded inside).
-    pub intra_threads: u64,
 }
 
 impl ExecStats {
@@ -176,7 +142,7 @@ impl std::fmt::Display for ExecStats {
             f,
             "exec: computed {} trials ({} skipped via store) · graphs built {}/{} \
              ({:.0}% cache hits) · partitions built {}/{} ({:.0}% cache hits) · \
-             setup {:.3}s vs execute {:.3}s worker time · intra-trial threads ≤ {}",
+             setup {:.3}s vs execute {:.3}s worker time",
             self.trials_computed,
             self.trials_skipped,
             self.graphs_built,
@@ -187,7 +153,6 @@ impl std::fmt::Display for ExecStats {
             100.0 * self.partition_cache_hit_rate(),
             self.setup_nanos as f64 / 1e9,
             self.run_nanos as f64 / 1e9,
-            self.intra_threads.max(1),
         )
     }
 }
@@ -380,12 +345,11 @@ pub(crate) fn execute(
     } else {
         indexed.iter().map(trial).collect()
     };
-    let mut stats = stats_from(
+    let stats = stats_from(
         &cache,
         queue.len() as u64,
         run_nanos.load(Ordering::Relaxed),
     );
-    stats.intra_threads = queue.iter().map(|it| it.threads as u64).max().unwrap_or(1);
     (records, stats)
 }
 
@@ -394,8 +358,7 @@ pub(crate) fn execute(
 /// daemon's multiplexed executor schedules directly (one task per
 /// pending trial), bypassing [`execute`]'s per-call queue.
 pub(crate) fn run_item(item: &WorkItem, cache: &InstanceCache) -> (TrialRecord, u64) {
-    let budget = item.threads as u64;
-    let _trial_span = bichrome_obs::span_tagged("trial/run", "threads", budget);
+    let _trial_span = bichrome_obs::span("trial/run");
     let resolved;
     let instance: &Instance = match &item.source {
         WorkSource::Ready(instance) => instance,
@@ -404,15 +367,15 @@ pub(crate) fn run_item(item: &WorkItem, cache: &InstanceCache) -> (TrialRecord, 
             partitioner,
             trial_seed,
         } => {
-            let _setup_span = bichrome_obs::span_tagged("trial/setup", "threads", budget);
+            let _setup_span = bichrome_obs::span("trial/setup");
             resolved = cache.instance(spec, *partitioner, *trial_seed);
             &resolved
         }
     };
     let run_started = Instant::now();
     let outcome = {
-        let _execute_span = bichrome_obs::span_tagged("trial/execute", "threads", budget);
-        bichrome_comm::with_intra_budget(item.threads, || item.protocol.run(instance))
+        let _execute_span = bichrome_obs::span("trial/execute");
+        item.protocol.run(instance)
     };
     let record = TrialRecord::from_outcome(instance, outcome);
     let nanos = run_started.elapsed().as_nanos() as u64;
@@ -456,7 +419,6 @@ pub(crate) fn stats_from(cache: &InstanceCache, trials_computed: u64, run_nanos:
         partitions_built: cs.partitions_built,
         setup_nanos: cs.setup_nanos,
         run_nanos,
-        intra_threads: 1,
     }
 }
 
@@ -480,7 +442,6 @@ mod tests {
                         partitioner: Partitioner::Alternating,
                         trial_seed: seed,
                     },
-                    threads: 1,
                 });
             }
         }
@@ -533,7 +494,6 @@ mod tests {
         let queue = vec![WorkItem {
             protocol: registry().get("edge/theorem2").expect("registered"),
             source: WorkSource::Ready(inst.clone()),
-            threads: 1,
         }];
         let (records, stats) = execute(&queue, false, None);
         assert_eq!(records[0].seed, 7);

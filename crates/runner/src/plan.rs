@@ -98,7 +98,6 @@ impl TrialPlan {
             .map(|instance| WorkItem {
                 protocol: Arc::clone(&self.protocol),
                 source: WorkSource::Ready(instance),
-                threads: 1,
             })
             .collect();
         if let Some(spec) = self.graphs {
@@ -113,11 +112,9 @@ impl TrialPlan {
                         partitioner,
                         trial_seed: seed,
                     },
-                    threads: 1,
                 });
             }
         }
-        exec::assign_budgets(&mut queue, self.parallel);
         queue
     }
 
