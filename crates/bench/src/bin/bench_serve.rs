@@ -5,21 +5,18 @@
 //!    by 1 / 4 / 16 concurrent socket clients submitting disjoint
 //!    seed windows of the same grid — jobs/sec and trials/sec per
 //!    client count.
-//! 2. **Warm-store open.** Authors the *same* 10⁵-record store in
-//!    both formats — a legacy v1 `trials.jsonl` and the v2 binary
-//!    segments — and times `Store::open_existing` on each
-//!    (best-of-3). The v2 binary decode must beat the v1 JSON-line
-//!    parse; the binary asserts it.
+//! 2. **Warm-store open.** Authors a 10⁵-record store and times
+//!    `Store::open_existing` on it (best-of-3).
 //! 3. **Write batching.** Appends the same record stream with
-//!    `flush_every` 1 (per-record flush, the v1-era behavior) vs 64
-//!    (the daemon default) and records both timings.
+//!    `flush_every` 1 (per-record flush) vs 64 (the daemon default)
+//!    and records both timings.
 //!
 //! ```sh
 //! cargo run --release -p bichrome-bench --bin bench_serve [out.json]
 //! ```
 
 use bichrome_serve::{Addr, Client, Daemon, DaemonConfig, Listener};
-use bichrome_store::{v1, Store, StoreConfig, TrialKey};
+use bichrome_store::{Store, StoreConfig, TrialKey};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -46,7 +43,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// The synthetic trial identity stream shared by every store-side
-/// measurement, so v1 and v2 hold byte-identical data.
+/// measurement.
 fn nth_key(i: u64) -> TrialKey {
     TrialKey {
         protocol: "edge/theorem3-zero-comm".to_string(),
@@ -68,37 +65,21 @@ fn nth_record(i: u64) -> String {
     )
 }
 
-/// Authors a v1-format store: pinned `meta.json` plus a JSON-lines
-/// `trials.jsonl`, exactly as a pre-segment build would have left it.
-fn author_v1(dir: &Path, n: u64) {
-    std::fs::create_dir_all(dir).expect("mkdir v1 store");
-    std::fs::write(
-        dir.join("meta.json"),
-        "{\"magic\":\"bichrome-store\",\"format_version\":1}\n",
-    )
-    .expect("write v1 meta");
-    let mut log = String::new();
-    for i in 0..n {
-        log.push_str(&v1::encode_line(&nth_key(i), &nth_record(i)));
-    }
-    std::fs::write(dir.join("trials.jsonl"), log).expect("write v1 log");
-}
-
-/// Authors the same records as a v2 store (binary segments).
-fn author_v2(dir: &Path, n: u64) {
+/// Authors an `n`-record store.
+fn author_store(dir: &Path, n: u64) {
     let config = StoreConfig {
         flush_every: 4096,
         ..StoreConfig::default()
     };
-    let mut store = Store::open_or_create_with(dir, config).expect("create v2 store");
+    let mut store = Store::open_or_create_with(dir, config).expect("create store");
     for i in 0..n {
         store.append(nth_key(i), nth_record(i)).expect("append");
     }
     drop(store); // flushes the active segment
 }
 
-/// Best-of-3 `Store::open_existing` timing; also sanity-checks the
-/// record count so the two formats provably hold the same data.
+/// Best-of-3 `Store::open_existing` timing; also sanity-checks that
+/// the store loads every record cleanly.
 fn time_open(dir: &Path, n: u64) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..3 {
@@ -230,24 +211,13 @@ fn main() {
         );
     }
 
-    // Warm-store open: identical 10⁵-record data, both formats.
-    println!("bench-serve: authoring {OPEN_RECORDS}-record v1 and v2 stores...");
-    let v1_dir = scratch("open-v1");
-    let v2_dir = scratch("open-v2");
-    author_v1(&v1_dir, OPEN_RECORDS);
-    author_v2(&v2_dir, OPEN_RECORDS);
-    let v1_open = time_open(&v1_dir, OPEN_RECORDS);
-    let v2_open = time_open(&v2_dir, OPEN_RECORDS);
-    let _ = std::fs::remove_dir_all(&v1_dir);
-    let _ = std::fs::remove_dir_all(&v2_dir);
-    println!(
-        "  open: v1 {v1_open:.3}s · v2 {v2_open:.3}s · {:.2}x",
-        v1_open / v2_open
-    );
-    assert!(
-        v2_open < v1_open,
-        "v2 binary open ({v2_open:.3}s) must beat the v1 JSON-line parse ({v1_open:.3}s)"
-    );
+    // Warm-store open of a 10⁵-record store.
+    println!("bench-serve: authoring a {OPEN_RECORDS}-record store...");
+    let open_dir = scratch("open");
+    author_store(&open_dir, OPEN_RECORDS);
+    let open_seconds = time_open(&open_dir, OPEN_RECORDS);
+    let _ = std::fs::remove_dir_all(&open_dir);
+    println!("  open: {open_seconds:.3}s");
 
     // Write batching: per-record flush vs the daemon's group flush.
     let flush_1 = time_batched_append(1);
@@ -272,9 +242,7 @@ fn main() {
         );
     }
     w.field_u64("open_records", OPEN_RECORDS);
-    w.field_f64("v1_open_seconds", v1_open);
-    w.field_f64("v2_open_seconds", v2_open);
-    w.field_f64("v2_open_speedup", v1_open / v2_open);
+    w.field_f64("open_seconds", open_seconds);
     w.field_u64("batch_records", BATCH_RECORDS);
     w.field_f64("append_flush_every_1_seconds", flush_1);
     w.field_f64("append_flush_every_64_seconds", flush_64);

@@ -5,19 +5,37 @@
 //! `O(n)` claim), and rounds. The Flin–Mittal baseline's bits are
 //! shown alongside: both are `Θ(n)`, the difference is rounds (E2).
 //!
-//! Ported to the unified `bichrome-runner` harness: instances are
-//! declared once and both protocols run through `TrialPlan`, with
-//! trials parallel across seeds.
+//! The whole table is one `bichrome-runner` campaign: both protocols
+//! × near-regular graphs at each Δ × each `n` × three seeds, so the
+//! two protocols run on identical instances.
 
 use bichrome_bench::Table;
-use bichrome_graph::gen;
-use bichrome_graph::partition::Partitioner;
-use bichrome_runner::{registry, Instance, TrialPlan};
+use bichrome_runner::{Campaign, GraphSpec, Summary};
+
+const DELTAS: [usize; 3] = [8, 16, 32];
+const SIZES: [usize; 4] = [256, 512, 1024, 2048];
 
 fn main() {
     println!("E1: (Δ+1)-vertex coloring — communication (Theorem 1)\n");
-    let reg = registry();
-    let reps = 3u64;
+    let report = Campaign::new()
+        .protocol_keys(["vertex/theorem1", "baseline/flin-mittal"])
+        .graphs(DELTAS.map(|d| GraphSpec::NearRegular { n: SIZES[0], d }))
+        .sizes(SIZES)
+        .seeds(0..3)
+        .run();
+    assert!(
+        report.all_valid(),
+        "Theorem 1 and Flin–Mittal must validate:\n{}",
+        report.render_table()
+    );
+    let summary = |key: &str, spec: GraphSpec| -> &Summary {
+        report
+            .cells
+            .iter()
+            .find(|c| c.protocol == key && c.spec == spec)
+            .expect("every (protocol, graph) pair is a grid cell")
+            .summary()
+    };
     let mut table = Table::new(&[
         "Δ",
         "n",
@@ -27,33 +45,19 @@ fn main() {
         "FM bits/n",
         "ours rounds",
     ]);
-    for &delta in &[8usize, 16, 32] {
-        for &n in &[256usize, 512, 1024, 2048] {
-            // Same instance construction as the historical loop:
-            // graph seed rep*100+Δ, partition Random(rep), session
-            // seed rep+1.
-            let instances = || {
-                (0..reps).map(|rep| {
-                    let g = gen::near_regular(n, delta, rep * 100 + delta as u64);
-                    Instance::new("near-regular", Partitioner::Random(rep).split(&g), rep + 1)
-                })
-            };
-            let ours = TrialPlan::new(reg.get("vertex/theorem1").expect("registered"))
-                .instances(instances())
-                .run();
-            assert!(ours.all_valid(), "Theorem 1 must validate");
-            let fm = TrialPlan::new(reg.get("baseline/flin-mittal").expect("registered"))
-                .instances(instances())
-                .run();
-            assert!(fm.all_valid(), "Flin–Mittal must validate");
+    for d in DELTAS {
+        for n in SIZES {
+            let spec = GraphSpec::NearRegular { n, d };
+            let ours = summary("vertex/theorem1", spec);
+            let fm = summary("baseline/flin-mittal", spec);
             table.row(&[
-                &delta.to_string(),
+                &d.to_string(),
                 &n.to_string(),
-                &format!("{:.0}", ours.summary.total_bits.mean),
-                &format!("{:.1}", ours.summary.bits_per_vertex.mean),
-                &format!("{:.0}", fm.summary.total_bits.mean),
-                &format!("{:.1}", fm.summary.bits_per_vertex.mean),
-                &format!("{:.0}", ours.summary.rounds.mean),
+                &format!("{:.0}", ours.total_bits.mean),
+                &format!("{:.1}", ours.bits_per_vertex.mean),
+                &format!("{:.0}", fm.total_bits.mean),
+                &format!("{:.1}", fm.bits_per_vertex.mean),
+                &format!("{:.0}", ours.rounds.mean),
             ]);
         }
     }

@@ -3,33 +3,30 @@
 //! deterministic greedy+binary-search is `Θ(n log Δ)`.
 //!
 //! Two sweeps: rounds vs `n` at fixed Δ (the headline), and rounds vs
-//! `Δ` at fixed `n`. All three protocols run through one
-//! `bichrome-runner` `TrialPlan` per cell.
+//! `Δ` at fixed `n`. Each point is one three-protocol
+//! `bichrome-runner` campaign, so all three run on identical
+//! instances.
 
 use bichrome_bench::Table;
-use bichrome_graph::gen;
-use bichrome_graph::partition::Partitioner;
-use bichrome_runner::{registry, Instance, TrialPlan};
+use bichrome_runner::{Campaign, GraphSpec};
 
-/// Mean rounds per protocol key over `reps` seeded instances.
-fn rounds_for(n: usize, delta: usize, reps: u64) -> (f64, f64, f64) {
-    let reg = registry();
-    let mean_rounds = |key: &str| {
-        let instances = (0..reps).map(|rep| {
-            let g = gen::near_regular(n, delta, rep * 31 + n as u64);
-            Instance::new("near-regular", Partitioner::Random(rep).split(&g), rep)
-        });
-        let report = TrialPlan::new(reg.get(key).expect("registered"))
-            .instances(instances)
-            .run();
-        assert!(report.all_valid(), "{key} must validate");
-        report.summary.rounds.mean
-    };
-    (
-        mean_rounds("vertex/theorem1"),
-        mean_rounds("baseline/flin-mittal"),
-        mean_rounds("baseline/greedy-binary-search"),
-    )
+/// Mean rounds of ours, Flin–Mittal and greedy+binary-search on
+/// near-regular graphs over `reps` seeds.
+fn rounds_for(n: usize, d: usize, reps: u64) -> (f64, f64, f64) {
+    let report = Campaign::new()
+        .protocol_keys([
+            "vertex/theorem1",
+            "baseline/flin-mittal",
+            "baseline/greedy-binary-search",
+        ])
+        .graphs([GraphSpec::NearRegular { n, d }])
+        .seeds(0..reps)
+        .run();
+    assert!(report.all_valid(), "{}", report.render_table());
+    // One graph and the default partitioner: one cell per protocol,
+    // in axis order.
+    let mean = |i: usize| report.cells[i].summary().rounds.mean;
+    (mean(0), mean(1), mean(2))
 }
 
 fn main() {

@@ -3,18 +3,16 @@
 //! partitioner family (taking the worst case over partitioners, as a
 //! stand-in for the adversary).
 //!
-//! Ported to `bichrome-runner`: one `TrialPlan` per graph, with one
-//! instance per partitioner, and the worst case read off the report's
-//! max aggregates.
+//! Each point is one `bichrome-runner` campaign with the partitioner
+//! family on its adversary axis; the worst case is the max aggregate
+//! of the protocol's pivot over every partitioner.
 
 use bichrome_bench::Table;
-use bichrome_graph::gen;
 use bichrome_graph::partition::Partitioner;
-use bichrome_runner::{registry, Instance, TrialPlan};
+use bichrome_runner::{Campaign, GraphSpec, GroupBy};
 
 fn main() {
     println!("E5: (2Δ−1)-edge coloring — communication & rounds (Theorem 2)\n");
-    let reg = registry();
     let mut t = Table::new(&[
         "Δ",
         "n",
@@ -26,26 +24,35 @@ fn main() {
     ]);
     for &delta in &[10usize, 16, 32] {
         for &n in &[256usize, 512, 1024, 2048] {
-            let g = gen::gnm_max_degree(n, n * delta / 3, delta, (n + delta) as u64);
-            let instances = Partitioner::family(7)
-                .into_iter()
-                .map(|part| Instance::new(part.to_string(), part.split(&g), 0));
-            let report = TrialPlan::new(reg.get("edge/theorem2").expect("registered"))
-                .instances(instances)
+            let report = Campaign::new()
+                .protocol_keys(["edge/theorem2"])
+                .graphs([GraphSpec::GnmMaxDegree {
+                    n,
+                    m: n * delta / 3,
+                    dmax: delta,
+                }])
+                .partitioners(Partitioner::family(7))
+                .seeds([0])
                 .run();
             assert!(
                 report.all_valid(),
-                "Theorem 2 must validate on every partition"
+                "Theorem 2 must validate on every partition:\n{}",
+                report.render_table()
             );
-            let worst_bits = report.summary.total_bits.max;
+            let (_, worst) = report
+                .group_by(GroupBy::Protocol)
+                .pop()
+                .expect("one protocol");
+            // One seed: every partitioner splits the same graph.
+            let m = report.cells[0].report.trials[0].m;
             t.row(&[
                 &delta.to_string(),
                 &n.to_string(),
-                &g.num_edges().to_string(),
-                &format!("{worst_bits:.0}"),
-                &format!("{:.1}", worst_bits / n as f64),
-                &format!("{:.0}", report.summary.rounds.max),
-                &((g.num_edges() * 2 * (n as f64).log2().ceil() as usize) as u64).to_string(),
+                &m.to_string(),
+                &format!("{:.0}", worst.total_bits.max),
+                &format!("{:.1}", worst.total_bits.max / n as f64),
+                &format!("{:.0}", worst.rounds.max),
+                &((m * 2 * (n as f64).log2().ceil() as usize) as u64).to_string(),
             ]);
         }
     }

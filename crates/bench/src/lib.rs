@@ -2,9 +2,9 @@
 //! `a1` – `a2`, `bench_campaign`).
 //!
 //! Each binary regenerates one table of EXPERIMENTS.md by declaring a
-//! `bichrome_runner::Campaign` (or, for the pinned historical setups,
-//! a `TrialPlan`). The text-table printer and the statistics are the
-//! runner crate's — exactly one implementation of each in the
+//! `bichrome_runner::Campaign` (e6 runs registry protocols on
+//! hand-built instances). The text-table printer and the statistics
+//! are the runner crate's — exactly one implementation of each in the
 //! workspace — so this crate only re-exports them.
 //!
 //! # Example

@@ -27,10 +27,6 @@ USAGE:
         --trace-out records per-trial spans and writes a Chrome
         trace-event JSON file (load it at chrome://tracing or Perfetto);
         results are bit-identical with and without it.
-    bichrome trace <campaign.toml> --out <file> [--store <dir>] [--serial]
-                   [--transport inproc|pipe|tcp]
-        Run the grid with span tracing on and write only the Chrome
-        trace (the report still lands in the store, if one is set).
     bichrome resume <campaign.toml> [--store <dir>]
         Alias of `run` that *requires* a store — use after a killed run.
     bichrome report <store-dir> [--format text|json|csv]
@@ -99,7 +95,6 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
         }
         Some((&"run", rest)) => run(rest, false),
         Some((&"resume", rest)) => run(rest, true),
-        Some((&"trace", rest)) => trace(rest),
         Some((&"report", rest)) => report(rest),
         Some((&"diff", rest)) => diff(rest),
         Some((&"store", rest)) => store_cmd(rest),
@@ -148,7 +143,6 @@ struct Flags<'a> {
     max_retries: Option<u32>,
     backoff_ms: Option<u64>,
     trace_out: Option<&'a str>,
-    out: Option<&'a str>,
     http: Option<&'a str>,
 }
 
@@ -249,10 +243,6 @@ fn parse_flags<'a>(args: &[&'a str], allow: &[&str]) -> Result<Flags<'a>, String
                 check("--trace-out")?;
                 flags.trace_out = Some(*it.next().ok_or("--trace-out needs a file argument")?);
             }
-            "--out" => {
-                check("--out")?;
-                flags.out = Some(*it.next().ok_or("--out needs a file argument")?);
-            }
             "--http" => {
                 check("--http")?;
                 flags.http = Some(*it.next().ok_or("--http needs a host:port argument")?);
@@ -327,36 +317,6 @@ fn write_trace(path: &str) -> Result<(), String> {
         .map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("trace: {spans} span(s) written to {path}");
     Ok(())
-}
-
-/// `bichrome trace`: a traced run whose stdout is the span
-/// accounting, not the report (pair with a store to keep results).
-fn trace(args: &[&str]) -> Result<String, String> {
-    let flags = parse_flags(args, &["--store", "--serial", "--transport", "--out"])?;
-    let [path] = flags.positional.as_slice() else {
-        return Err("expected exactly one campaign file argument".to_string());
-    };
-    let out = flags.out.ok_or("trace needs --out <file>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let file = CampaignFile::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let mut campaign = file.to_campaign(flags.store);
-    if flags.serial {
-        campaign = campaign.parallel(false);
-    }
-    if let Some(kind) = flags.transport {
-        campaign = campaign.transport(kind);
-    }
-    bichrome_obs::clear_spans();
-    bichrome_obs::set_tracing(true);
-    let (_report, stats) = campaign
-        .try_run_with_stats()
-        .map_err(|e| format!("campaign store: {e}"))?;
-    let spans = bichrome_obs::span_events().len();
-    std::fs::write(out, bichrome_obs::export_chrome_trace())
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    Ok(format!(
-        "{stats}\ntrace: {spans} span(s) written to {out}\n"
-    ))
 }
 
 /// `bichrome report`.
@@ -930,9 +890,6 @@ mod tests {
 
     #[test]
     fn observability_flags_validate() {
-        assert!(dispatch_strs(&["trace", "x"])
-            .expect_err("trace without a sink")
-            .contains("--out"));
         assert!(
             dispatch_strs(&["report", "x", "--trace-out", "t.json"]).is_err(),
             "--trace-out is a run flag"

@@ -36,8 +36,8 @@
 //! ([`meter::Meter::phase_scope`]), and the per-phase breakdown rides
 //! along in every [`CommStats`]. To *run* whole protocols uniformly
 //! (configure → execute → repeat → report), use the `bichrome-runner`
-//! crate: its `Protocol` trait and `TrialPlan` builder wrap this
-//! substrate, and its `json` module serializes [`CommStats`]
+//! crate: its `Protocol` trait and `Campaign` builder wrap this
+//! substrate, and its `json` module encodes [`CommStats`]
 //! round-trippably.
 //!
 //! # Example

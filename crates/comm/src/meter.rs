@@ -1,13 +1,12 @@
 //! Shared accounting of communication cost.
 
 use crate::Side;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Immutable snapshot of a session's communication cost.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Bits sent by Alice to Bob.
     pub bits_alice_to_bob: u64,

@@ -25,7 +25,6 @@ use bichrome_graph::greedy::greedy_vertex_coloring;
 use bichrome_graph::partition::EdgePartition;
 use bichrome_graph::{Edge, GraphBuilder, VertexId};
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Stream tag for the Flin–Mittal random vertex order.
 const FM_ORDER_TAG: u64 = 0xF3_0001;
@@ -33,7 +32,7 @@ const FM_ORDER_TAG: u64 = 0xF3_0001;
 const FM_SAMPLE_TAG: u64 = 0xF3_0002;
 
 /// Which baseline to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Baseline {
     /// Flin–Mittal sequential random-order coloring.
     FlinMittal,
@@ -149,7 +148,7 @@ fn dedup(mut colors: Vec<ColorId>) -> Vec<ColorId> {
 #[deprecated(
     since = "0.1.0",
     note = "use bichrome_runner: registry().get(\"baseline/flin-mittal\") (or the other \
-            baseline keys) and Protocol::run, or TrialPlan for repeated trials"
+            baseline keys) and Protocol::run, or Campaign for repeated trials"
 )]
 pub fn run_baseline(
     partition: &EdgePartition,

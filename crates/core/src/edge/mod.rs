@@ -117,7 +117,7 @@ pub fn theorem2_party(input: &PartyInput, ctx: &bichrome_comm::session::PartyCtx
 #[deprecated(
     since = "0.1.0",
     note = "use bichrome_runner: registry().get(\"edge/theorem2\") and Protocol::run, \
-            or TrialPlan for repeated trials"
+            or Campaign for repeated trials"
 )]
 pub fn solve_edge_coloring(partition: &EdgePartition, seed: u64) -> EdgeOutcome {
     let a = PartyInput::alice(partition);

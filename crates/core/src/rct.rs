@@ -21,7 +21,6 @@ use bichrome_comm::wire::BitWriter;
 use bichrome_graph::coloring::{ColorId, VertexColoring};
 use bichrome_graph::VertexId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Stream tag for wake/idle coin flips.
 const WAKE_TAG: u64 = 0x8C7_0001;
@@ -29,7 +28,7 @@ const WAKE_TAG: u64 = 0x8C7_0001;
 const TRIAL_TAG: u64 = 0x8C7_0002;
 
 /// Tuning of `Random-Color-Trial`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RctConfig {
     /// Number of iterations; `None` uses the paper's
     /// `⌈1 + 4·log_{24/23} log₂ n⌉`.
@@ -59,7 +58,7 @@ pub fn paper_iterations(n: usize) -> usize {
 
 /// Instrumentation from one `Random-Color-Trial` run; identical on
 /// both sides.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RctReport {
     /// Number of active vertices at the *start* of each executed
     /// iteration (index 0 = first iteration, so `[0] == n` minus any

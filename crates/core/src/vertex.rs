@@ -84,7 +84,7 @@ pub fn vertex_coloring_party(
 #[deprecated(
     since = "0.1.0",
     note = "use bichrome_runner: registry().get(\"vertex/theorem1\") and Protocol::run, \
-            or TrialPlan for repeated trials"
+            or Campaign for repeated trials"
 )]
 pub fn solve_vertex_coloring(
     partition: &EdgePartition,

@@ -6,7 +6,6 @@
 //! depend on them.
 
 use crate::graph::{Graph, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Breadth-first search from `start`; returns the distance of every
@@ -92,7 +91,7 @@ pub fn bipartition(g: &Graph) -> Option<Vec<bool>> {
 }
 
 /// Summary statistics of a graph's degree sequence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DegreeStats {
     /// Minimum degree.
     pub min: usize,

@@ -5,7 +5,6 @@
 //! corresponding `validate_*` function returns `Ok`.
 
 use crate::graph::{Edge, EdgeId, Graph, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -15,9 +14,7 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Palettes are sets of `ColorId`s; the paper's palette `[Δ+1]` maps to
 /// `ColorId(0) ..= ColorId(Δ)`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ColorId(pub u32);
 
 impl ColorId {
@@ -54,7 +51,7 @@ impl From<u32> for ColorId {
 /// assert_eq!(c.get(VertexId(1)), None);
 /// assert_eq!(c.num_colored(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexColoring {
     colors: Vec<Option<ColorId>>,
 }

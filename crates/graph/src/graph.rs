@@ -1,6 +1,5 @@
 //! The immutable simple undirected graph type used across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -17,9 +16,7 @@ use std::sync::Arc;
 /// let v = VertexId(3);
 /// assert_eq!(v.index(), 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -63,9 +60,7 @@ impl From<u32> for VertexId {
 ///     assert_eq!(g.edge_id(e.u(), e.v()), Some(id)); // round-trips
 /// }
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -101,7 +96,7 @@ impl From<u32> for EdgeId {
 /// assert_eq!(e.u(), VertexId(2));
 /// assert_eq!(e.v(), VertexId(5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     u: VertexId,
     v: VertexId,
@@ -198,7 +193,7 @@ impl fmt::Display for Edge {
 /// assert_eq!(g.degree(VertexId(1)), 2);
 /// assert_eq!(g.max_degree(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     n: u32,
     /// CSR offsets, length n+1.

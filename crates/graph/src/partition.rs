@@ -10,11 +10,10 @@
 use crate::graph::{Edge, Graph, VertexId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which party holds an edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Party {
     /// The first party.
     Alice,
@@ -133,7 +132,7 @@ impl EdgePartition {
 ///
 /// `Hash` lets the runner's instance cache key materialized
 /// partitions by `(spec, graph seed, partitioner)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Partitioner {
     /// Every edge goes to Alice (the split used in the paper's
     /// vertex-coloring lower bound, §2.3).

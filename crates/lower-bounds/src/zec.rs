@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Number of middle vertices `v_1..v_7`.
 pub const MIDDLE: usize = 7;
@@ -25,7 +24,7 @@ pub type GameColor = u8;
 
 /// A player's input: the indices `0 ≤ i < j < 7` of the two middle
 /// vertices its edges touch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PairInput {
     /// Smaller middle-vertex index.
     pub i: u8,

@@ -1,12 +1,13 @@
 //! Grid-structured experiment orchestration: a [`Campaign`] takes
 //! *sets* of axes — protocols × graph families × sizes × partitioners
 //! × seeds — materializes the cross-product into one flat work queue,
-//! and executes the whole grid through the same shared executor that
-//! powers [`crate::TrialPlan`] (which is now a single-cell campaign).
+//! and executes the whole grid through the shared executor. It is the
+//! one batch front end: repeated trials of a single protocol on a
+//! single graph family are a one-cell campaign.
 //!
 //! The paper's results are all comparisons over exactly such grids
-//! (protocol × graph family × size × partition adversary), so every
-//! experiment binary declares its table as a campaign instead of
+//! (protocol × graph family × size × partition adversary), so the
+//! experiment binaries declare their tables as campaigns instead of
 //! hand-rolling trial loops.
 //!
 //! # Example
@@ -33,7 +34,7 @@
 //! ```
 
 use crate::csv::Csv;
-use crate::exec::{self, ExecStats, InstanceCache, WorkItem, WorkSource};
+use crate::exec::{self, ExecStats, InstanceCache, WorkItem};
 use crate::instance::GraphSpec;
 use crate::plan::{Report, Summary, TrialRecord};
 use crate::protocol::Protocol;
@@ -49,9 +50,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Placeholder label for the default partition axis entry (a fresh
-/// decorrelated `Partitioner::Random` per seed — see
-/// [`crate::TrialPlan::partitioner`]).
+/// Placeholder label for the default partition axis entry: a fresh
+/// `Partitioner::Random` per trial, keyed by
+/// [`crate::seeds::partition_seed`] so the split is decorrelated from
+/// the graph generator's and the protocol session's streams.
 ///
 /// Also the partitioner field of a stored trial's [`TrialKey`] when
 /// the default axis is in play: the concrete per-seed partitioner is
@@ -163,8 +165,8 @@ impl Campaign {
 
     /// Appends fixed partitioners to the adversary axis. Empty (the
     /// default) means one axis entry with a fresh decorrelated
-    /// `Partitioner::Random` per seed, exactly like
-    /// [`crate::TrialPlan`].
+    /// `Partitioner::Random` per seed (see
+    /// [`DEFAULT_PARTITIONER_LABEL`]).
     pub fn partitioners(mut self, ps: impl IntoIterator<Item = Partitioner>) -> Self {
         self.partitioners.extend(ps);
         self
@@ -431,9 +433,8 @@ impl Campaign {
         // the whole grid, not per cell. Items are lazy descriptors:
         // workers resolve them through a shared instance cache, so a
         // column of P protocols builds its (spec, seed) instance
-        // once, and the sub-seeds derive exactly like a single-cell
-        // TrialPlan, keeping a campaign cell bit-identical to the
-        // TrialPlan it replaced.
+        // once, and the sub-seeds derive exactly like
+        // `Instance::from_spec`.
         let per_cell = self.seeds.len();
         let mut results: Vec<Option<TrialRecord>> = vec![None; meta.len() * per_cell];
         let mut queue = Vec::new();
@@ -468,11 +469,9 @@ impl Campaign {
                     .unwrap_or(Partitioner::Random(seeds::partition_seed(seed)));
                 queue.push(WorkItem {
                     protocol: Arc::clone(&m.protocol),
-                    source: WorkSource::Lazy {
-                        spec: m.spec,
-                        partitioner,
-                        trial_seed: seed,
-                    },
+                    spec: m.spec,
+                    partitioner,
+                    trial_seed: seed,
                 });
                 queue_keys.push(key);
                 queue_slots.push(ci * per_cell + si);
@@ -700,11 +699,9 @@ pub fn compute_trial(
     };
     let item = WorkItem {
         protocol,
-        source: WorkSource::Lazy {
-            spec,
-            partitioner,
-            trial_seed: key.seed,
-        },
+        spec,
+        partitioner,
+        trial_seed: key.seed,
     };
     let (record, _nanos) = with_session_transport(transport, || {
         with_session_faults(fault, || exec::run_item(&item, cache))
@@ -749,8 +746,7 @@ pub struct CampaignCell {
     pub spec: GraphSpec,
     /// The fixed partitioner, or `None` for the per-seed default.
     pub partitioner: Option<Partitioner>,
-    /// Per-seed trials and their summary (the same [`Report`] a
-    /// single-cell [`crate::TrialPlan`] produces).
+    /// Per-seed trials and their summary.
     pub report: Report,
 }
 
@@ -908,7 +904,7 @@ impl CampaignReport {
     /// given axis value and re-aggregates one [`Summary`] per group,
     /// in first-seen cell order.
     pub fn group_by(&self, axis: GroupBy) -> Vec<(String, Summary)> {
-        let mut groups: Vec<(String, Vec<crate::plan::TrialRecord>)> = Vec::new();
+        let mut groups: Vec<(String, Vec<TrialRecord>)> = Vec::new();
         for cell in &self.cells {
             let key = match axis {
                 GroupBy::Protocol => cell.protocol.clone(),
@@ -1058,7 +1054,7 @@ impl CampaignReport {
         "colors_mean",
     ];
 
-    /// Serializes one CSV row per cell under
+    /// Renders one CSV row per cell under
     /// [`CampaignReport::CSV_HEADER`]. Fields containing commas (graph
     /// specs, partitioner labels) are RFC-4180-quoted.
     pub fn to_csv(&self) -> String {
@@ -1091,7 +1087,7 @@ impl CampaignReport {
         csv.finish()
     }
 
-    /// Serializes the whole grid — every cell with its full per-trial
+    /// Encodes the whole grid — every cell with its full per-trial
     /// report — via the hand-written JSON writer.
     pub fn to_json(&self) -> String {
         let mut w = crate::json::Writer::object();
@@ -1214,7 +1210,7 @@ fn ratio_label(b: f64, a: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::TrialPlan;
+    use crate::instance::Instance;
 
     fn small_grid() -> Campaign {
         Campaign::new()
@@ -1257,33 +1253,34 @@ mod tests {
     }
 
     #[test]
-    fn campaign_cell_is_bit_identical_to_the_trial_plan_it_replaced() {
+    fn campaign_cells_equal_the_hand_built_reference() {
+        // The reference a cell must reproduce, trial by trial: build
+        // the instance eagerly from the spec, run the protocol, and
+        // flatten the outcome. Checked under the default per-seed
+        // partitioner and under a fixed one.
         let spec = GraphSpec::NearRegular { n: 40, d: 5 };
-        let plan = TrialPlan::new(registry().get("vertex/theorem1").expect("registered"))
-            .graphs(spec)
-            .seeds(0..4)
-            .run();
-        let campaign = Campaign::new()
-            .protocol_keys(["vertex/theorem1"])
-            .graphs([spec])
-            .seeds(0..4)
-            .run();
-        assert_eq!(campaign.cells.len(), 1);
-        assert_eq!(campaign.cells[0].report, plan);
-
-        // Same with a fixed partitioner on the axis.
-        let plan = TrialPlan::new(registry().get("edge/theorem2").expect("registered"))
-            .graphs(spec)
-            .partitioner(Partitioner::Alternating)
-            .seeds(0..4)
-            .run();
-        let campaign = Campaign::new()
-            .protocol_keys(["edge/theorem2"])
-            .graphs([spec])
-            .partitioners([Partitioner::Alternating])
-            .seeds(0..4)
-            .run();
-        assert_eq!(campaign.cells[0].report, plan);
+        for (key, part) in [
+            ("vertex/theorem1", None),
+            ("edge/theorem2", Some(Partitioner::Alternating)),
+        ] {
+            let report = Campaign::new()
+                .protocol_keys([key])
+                .graphs([spec])
+                .partitioners(part)
+                .seeds(0..4)
+                .run();
+            assert_eq!(report.cells.len(), 1);
+            let proto = registry().get(key).expect("registered");
+            let reference: Vec<TrialRecord> = (0..4)
+                .map(|seed| {
+                    let partitioner =
+                        part.unwrap_or(Partitioner::Random(seeds::partition_seed(seed)));
+                    let inst = Instance::from_spec(&spec, partitioner, seed);
+                    TrialRecord::from_outcome(&inst, proto.run(&inst))
+                })
+                .collect();
+            assert_eq!(report.cells[0].report.trials, reference, "{key}");
+        }
     }
 
     #[test]
@@ -1340,13 +1337,26 @@ mod tests {
         // Graph-spec labels contain commas, so they must be quoted.
         assert!(lines[1].contains("\"near-regular(n=30,d=4)\""));
 
-        let json = crate::json::Value::parse(&report.to_json()).expect("parses");
+        use crate::json::Value;
+        let json = Value::parse(&report.to_json()).expect("parses");
         let obj = json.as_object().expect("object");
-        match &obj["cells"] {
-            crate::json::Value::Array(a) => assert_eq!(a.len(), 4),
-            other => panic!("cells not an array: {other:?}"),
+        let Value::Array(cells) = &obj["cells"] else {
+            panic!("cells not an array: {:?}", obj["cells"]);
+        };
+        assert_eq!(cells.len(), 4);
+        assert_eq!(obj["all_valid"], Value::Bool(true));
+        // Each cell nests its full report: the protocol and one trial
+        // entry per seed.
+        for (cell, json) in report.cells.iter().zip(cells) {
+            let nested = json.as_object().expect("cell object")["report"]
+                .as_object()
+                .expect("report object");
+            assert_eq!(nested["protocol"].as_str(), Some(cell.protocol.as_str()));
+            let Value::Array(trials) = &nested["trials"] else {
+                panic!("trials not an array: {:?}", nested["trials"]);
+            };
+            assert_eq!(trials.len(), 3, "one trial per seed");
         }
-        assert_eq!(obj["all_valid"], crate::json::Value::Bool(true));
     }
 
     #[test]

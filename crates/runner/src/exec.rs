@@ -1,17 +1,17 @@
-//! The one shared trial executor behind both [`crate::TrialPlan`]
-//! (a single cell) and [`crate::Campaign`] (a whole grid).
+//! The trial executor behind [`crate::Campaign`].
 //!
-//! Work arrives as a *flat* queue of [`WorkItem`]s — the campaign
-//! layer flattens its cross-product of cells × seeds into this queue
-//! rather than nesting per-plan parallelism, so one `par_iter` fans
-//! the entire grid across worker threads. Every item's randomness
-//! derives only from its own cell and seed, so the parallel and
-//! serial schedules produce bit-identical records.
+//! A campaign flattens its cross-product of cells × seeds into a
+//! *flat* queue of [`WorkItem`]s, so one `par_iter` fans the entire
+//! grid across worker threads; the `bichrome` daemon instead feeds
+//! every in-flight job's items to one shared pool. Either way each
+//! item runs through [`run_item`]. Every item's randomness derives
+//! only from its own cell and seed, so the parallel and serial
+//! schedules produce bit-identical records.
 //!
 //! # Lazy, shared instance materialization
 //!
-//! A work item does not carry a pre-built [`Instance`]; it carries a
-//! lazy *descriptor* (`spec` + `partitioner` + trial seed) that the
+//! A work item does not carry a pre-built [`Instance`]; it *is* a
+//! lazy descriptor (`spec` + `partitioner` + trial seed) that the
 //! worker resolves right before running the protocol, through a
 //! sharded concurrent cache:
 //!
@@ -42,39 +42,26 @@ use crate::protocol::Protocol;
 use crate::seeds;
 use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::Graph;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Where a work item's instance comes from.
-pub(crate) enum WorkSource {
-    /// Lazy: resolved inside the worker through the shared instance
-    /// cache. Graph, partition, and protocol sub-seeds derive from
-    /// `trial_seed` via [`crate::seeds`].
-    Lazy {
-        /// The graph family to build.
-        spec: GraphSpec,
-        /// The edge partitioner to split it with.
-        partitioner: Partitioner,
-        /// The trial seed every sub-stream derives from.
-        trial_seed: u64,
-    },
-    /// A pre-built instance, passed through untouched (the
-    /// [`crate::TrialPlan::instances`] escape hatch).
-    Ready(Instance),
-}
-
-/// One unit of work: run `protocol` on the instance described by
-/// `source`. The queue is cell-major, so callers recover per-cell
-/// grouping by chunking the returned records.
+/// One unit of work: run `protocol` on the instance the lazy
+/// descriptor `(spec, partitioner, trial_seed)` names. The instance
+/// is resolved inside the worker through the shared
+/// [`InstanceCache`]; graph, partition, and protocol sub-seeds derive
+/// from `trial_seed` via [`crate::seeds`].
 pub(crate) struct WorkItem {
     /// The protocol to execute.
     pub protocol: Arc<dyn Protocol>,
-    /// The instance to run it on (usually lazy — see [`WorkSource`]).
-    pub source: WorkSource,
+    /// The graph family to build.
+    pub spec: GraphSpec,
+    /// The edge partitioner to split it with.
+    pub partitioner: Partitioner,
+    /// The trial seed every sub-stream derives from.
+    pub trial_seed: u64,
 }
 
 /// Counters and timings from one executor run — how much instance
@@ -89,12 +76,12 @@ pub struct ExecStats {
     /// Trials skipped because the campaign's persistent store already
     /// held their record (0 when no store is attached).
     pub trials_skipped: u64,
-    /// Lazy trials that needed a graph (one per lazy work item).
+    /// Trials that needed a graph (one per executed work item).
     pub graphs_requested: u64,
     /// Graphs actually built — exactly one per distinct
     /// `(spec, graph_seed)` key.
     pub graphs_built: u64,
-    /// Lazy trials that needed an edge partition.
+    /// Trials that needed an edge partition.
     pub partitions_requested: u64,
     /// Partitions actually built — exactly one per distinct
     /// `(spec, graph_seed, partitioner)` key.
@@ -228,12 +215,12 @@ struct PartitionKey {
 /// builds (cache misses only, summed across threads).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lazy trials that needed a graph.
+    /// Trials that needed a graph.
     pub graphs_requested: u64,
     /// Graphs actually built — exactly one per distinct
     /// `(spec, graph_seed)` key.
     pub graphs_built: u64,
-    /// Lazy trials that needed an edge partition.
+    /// Trials that needed an edge partition.
     pub partitions_requested: u64,
     /// Partitions actually built — exactly one per distinct
     /// `(spec, graph_seed, partitioner)` key.
@@ -243,11 +230,11 @@ pub struct CacheStats {
 }
 
 /// The shared `(spec, seed) → Arc<Graph>` / partition cache trials
-/// resolve their instances through. One is created per `execute`
-/// call for one-shot runs; a long-lived service (the `bichrome`
-/// daemon) keeps a single cache at process scope so concurrent
-/// overlapping campaigns build each distinct instance exactly once
-/// between them.
+/// resolve their instances through. One is created per
+/// [`crate::Campaign::run`] for one-shot runs; a long-lived service
+/// (the `bichrome` daemon) keeps a single cache at process scope so
+/// concurrent overlapping campaigns build each distinct instance
+/// exactly once between them.
 pub struct InstanceCache {
     graphs: Sharded<GraphKey, Arc<Graph>>,
     partitions: Sharded<PartitionKey, Arc<EdgePartition>>,
@@ -311,73 +298,22 @@ impl InstanceCache {
     }
 }
 
-/// A per-record completion hook: called with `(queue index, record)`
-/// on the worker thread that finished the trial, *before* the run as
-/// a whole completes — this is how the campaign store flushes records
-/// as workers finish, so a killed run keeps everything already done.
-/// Must be `Sync`: under parallel execution it runs concurrently.
-pub(crate) type RecordHook<'a> = &'a (dyn Fn(usize, &TrialRecord) + Sync);
-
-/// Executes the whole queue — `par_iter` across *all* items when
-/// `parallel` — and returns one record per item, in queue order, plus
-/// the run's [`ExecStats`]. Records are bit-identical regardless of
-/// `parallel` and of cache hit/miss patterns. `on_record`, if given,
-/// observes every record as its worker finishes it (indexed by queue
-/// position; invocation *order* across items is scheduling-dependent).
-pub(crate) fn execute(
-    queue: &[WorkItem],
-    parallel: bool,
-    on_record: Option<RecordHook<'_>>,
-) -> (Vec<TrialRecord>, ExecStats) {
-    let cache = InstanceCache::new();
-    let run_nanos = AtomicU64::new(0);
-    let trial = |&(i, item): &(usize, &WorkItem)| -> TrialRecord {
-        let (record, nanos) = run_item(item, &cache);
-        run_nanos.fetch_add(nanos, Ordering::Relaxed);
-        if let Some(hook) = on_record {
-            hook(i, &record);
-        }
-        record
-    };
-    let indexed: Vec<(usize, &WorkItem)> = queue.iter().enumerate().collect();
-    let records = if parallel {
-        indexed.par_iter().map(trial).collect()
-    } else {
-        indexed.iter().map(trial).collect()
-    };
-    let stats = stats_from(
-        &cache,
-        queue.len() as u64,
-        run_nanos.load(Ordering::Relaxed),
-    );
-    (records, stats)
-}
-
 /// Runs one work item against `cache`, returning the record and the
-/// nanoseconds spent inside `Protocol::run`. This is the unit the
-/// daemon's multiplexed executor schedules directly (one task per
-/// pending trial), bypassing [`execute`]'s per-call queue.
+/// nanoseconds spent inside `Protocol::run`. This is the one unit of
+/// trial execution: a campaign run, the daemon's multiplexed pool and
+/// a remote worker's [`crate::compute_trial`] all schedule it.
 pub(crate) fn run_item(item: &WorkItem, cache: &InstanceCache) -> (TrialRecord, u64) {
     let _trial_span = bichrome_obs::span("trial/run");
-    let resolved;
-    let instance: &Instance = match &item.source {
-        WorkSource::Ready(instance) => instance,
-        WorkSource::Lazy {
-            spec,
-            partitioner,
-            trial_seed,
-        } => {
-            let _setup_span = bichrome_obs::span("trial/setup");
-            resolved = cache.instance(spec, *partitioner, *trial_seed);
-            &resolved
-        }
+    let instance = {
+        let _setup_span = bichrome_obs::span("trial/setup");
+        cache.instance(&item.spec, item.partitioner, item.trial_seed)
     };
     let run_started = Instant::now();
     let outcome = {
         let _execute_span = bichrome_obs::span("trial/execute");
-        item.protocol.run(instance)
+        item.protocol.run(&instance)
     };
-    let record = TrialRecord::from_outcome(instance, outcome);
+    let record = TrialRecord::from_outcome(&instance, outcome);
     let nanos = run_started.elapsed().as_nanos() as u64;
     trial_metrics().observe(nanos);
     (record, nanos)
@@ -406,22 +342,6 @@ impl TrialMetrics {
     }
 }
 
-/// Assembles an [`ExecStats`] from a cache snapshot plus the caller's
-/// trial count and cumulative protocol-run time.
-pub(crate) fn stats_from(cache: &InstanceCache, trials_computed: u64, run_nanos: u64) -> ExecStats {
-    let cs = cache.stats();
-    ExecStats {
-        trials_computed,
-        trials_skipped: 0,
-        graphs_requested: cs.graphs_requested,
-        graphs_built: cs.graphs_built,
-        partitions_requested: cs.partitions_requested,
-        partitions_built: cs.partitions_built,
-        setup_nanos: cs.setup_nanos,
-        run_nanos,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,22 +350,34 @@ mod tests {
     /// A queue repeating the same (spec, seed) column across several
     /// protocols — the shape whose redundancy the cache removes.
     fn shared_column_queue(protocols: &[&str], seeds: std::ops::Range<u64>) -> Vec<WorkItem> {
-        let spec = GraphSpec::NearRegular { n: 24, d: 4 };
         let reg = registry();
         let mut queue = Vec::new();
         for key in protocols {
             for seed in seeds.clone() {
                 queue.push(WorkItem {
                     protocol: reg.get(key).expect("registered"),
-                    source: WorkSource::Lazy {
-                        spec,
-                        partitioner: Partitioner::Alternating,
-                        trial_seed: seed,
-                    },
+                    spec: GraphSpec::NearRegular { n: 24, d: 4 },
+                    partitioner: Partitioner::Alternating,
+                    trial_seed: seed,
                 });
             }
         }
         queue
+    }
+
+    /// Runs the queue in order over one cache, returning the records
+    /// and the summed protocol-run nanoseconds.
+    fn run_all(queue: &[WorkItem], cache: &InstanceCache) -> (Vec<TrialRecord>, u64) {
+        let mut run_nanos = 0;
+        let records = queue
+            .iter()
+            .map(|item| {
+                let (record, nanos) = run_item(item, cache);
+                run_nanos += nanos;
+                record
+            })
+            .collect();
+        (records, run_nanos)
     }
 
     #[test]
@@ -458,21 +390,20 @@ mod tests {
             ],
             0..4,
         );
-        for parallel in [false, true] {
-            let (records, stats) = execute(&queue, parallel, None);
-            assert_eq!(records.len(), 12);
-            assert_eq!(stats.graphs_requested, 12, "parallel={parallel}");
-            assert_eq!(stats.graphs_built, 4, "one graph per seed");
-            assert_eq!(stats.partitions_requested, 12);
-            assert_eq!(stats.partitions_built, 4, "one partition per seed");
-            assert!(stats.graph_cache_hit_rate() > 0.6);
-        }
+        let cache = InstanceCache::new();
+        let (records, _) = run_all(&queue, &cache);
+        assert_eq!(records.len(), 12);
+        let stats = cache.stats();
+        assert_eq!(stats.graphs_requested, 12);
+        assert_eq!(stats.graphs_built, 4, "one graph per seed");
+        assert_eq!(stats.partitions_requested, 12);
+        assert_eq!(stats.partitions_built, 4, "one partition per seed");
     }
 
     #[test]
     fn cached_resolution_is_bit_identical_to_eager_from_spec() {
         let queue = shared_column_queue(&["edge/theorem2", "vertex/theorem1"], 0..3);
-        let (records, _) = execute(&queue, true, None);
+        let (records, _) = run_all(&queue, &InstanceCache::new());
         let reg = registry();
         let spec = GraphSpec::NearRegular { n: 24, d: 4 };
         let mut i = 0;
@@ -488,35 +419,24 @@ mod tests {
     }
 
     #[test]
-    fn ready_items_pass_through_untouched() {
-        let g = bichrome_graph::gen::cycle(8);
-        let inst = Instance::new("ready", Partitioner::Alternating.split(&g), 7);
-        let queue = vec![WorkItem {
-            protocol: registry().get("edge/theorem2").expect("registered"),
-            source: WorkSource::Ready(inst.clone()),
-        }];
-        let (records, stats) = execute(&queue, false, None);
-        assert_eq!(records[0].seed, 7);
-        assert_eq!(records[0].label, "ready");
-        assert_eq!(stats.graphs_requested, 0, "no lazy resolution happened");
-        assert_eq!(stats.graphs_built, 0);
-    }
-
-    #[test]
     fn stats_time_split_covers_the_run() {
         let queue = shared_column_queue(&["vertex/theorem1"], 0..2);
-        let (_, stats) = execute(&queue, false, None);
-        assert!(stats.run_nanos > 0, "protocol runs take measurable time");
-        assert!(stats.setup_nanos > 0, "two graphs were actually built");
+        let cache = InstanceCache::new();
+        let (_, run_nanos) = run_all(&queue, &cache);
+        assert!(run_nanos > 0, "protocol runs take measurable time");
+        assert!(
+            cache.stats().setup_nanos > 0,
+            "two graphs were actually built"
+        );
     }
 
     #[test]
     fn validator_scratch_is_reused_across_trials() {
         // Zero per-trial allocation in the validator pass: after a
         // warm-up run, re-executing the whole queue must not grow the
-        // per-worker ColorMarks scratch at all. Serial execution keeps
-        // every trial (and therefore every validation) on this thread,
-        // so this thread's scratch counter is the whole story.
+        // per-worker ColorMarks scratch at all. Every trial (and
+        // therefore every validation) runs on this thread, so this
+        // thread's scratch counter is the whole story.
         let queue = shared_column_queue(
             &[
                 "edge/theorem2",
@@ -525,9 +445,9 @@ mod tests {
             ],
             0..4,
         );
-        let (_, _) = execute(&queue, false, None);
+        run_all(&queue, &InstanceCache::new());
         let warm = crate::scratch::with_scratch(|s| s.marks.allocations());
-        let (records, _) = execute(&queue, false, None);
+        let (records, _) = run_all(&queue, &InstanceCache::new());
         assert_eq!(records.len(), 12);
         let after = crate::scratch::with_scratch(|s| s.marks.allocations());
         assert_eq!(

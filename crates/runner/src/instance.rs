@@ -9,8 +9,8 @@ use bichrome_graph::Graph;
 use std::sync::Arc;
 
 /// A declarative description of an input graph family, buildable at
-/// any seed. This is what [`crate::TrialPlan::graphs`] accepts: the
-/// plan instantiates one graph per trial seed.
+/// any seed. This is what [`crate::Campaign::graphs`] accepts: the
+/// campaign instantiates one graph per trial seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphSpec {
     /// `n` isolated vertices.

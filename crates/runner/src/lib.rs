@@ -10,33 +10,13 @@
 //!   [`registry()`] enumerates every implementation by string key
 //!   (`"vertex/theorem1"`, `"edge/theorem2"`, ... — see
 //!   [`registry`](crate::registry()) docs for the theorem map).
-//! * [`Campaign`] — grid-structured orchestration: sets of protocols
-//!   × graph families × sizes × partitioners × seeds, executed as one
+//! * [`Campaign`] — the one batch front end: sets of protocols ×
+//!   graph families × sizes × partitioners × seeds, executed as one
 //!   flat parallel work queue into a [`CampaignReport`] with pivots,
-//!   baseline deltas, and table / JSON / CSV output.
-//! * [`TrialPlan`] — the single-cell special case (one protocol, one
-//!   graph family), aggregating a serializable [`Report`].
+//!   baseline deltas, and table / JSON / CSV output. Repeated trials
+//!   of one protocol on one graph family are a one-cell campaign.
 //!
 //! # Quickstart
-//!
-//! ```
-//! use bichrome_runner::{registry, GraphSpec, TrialPlan};
-//!
-//! // Pick a protocol by key…
-//! let proto = registry().get("vertex/theorem1").expect("registered");
-//!
-//! // …and run 8 seeded trials on near-regular graphs, in parallel.
-//! let report = TrialPlan::new(proto)
-//!     .graphs(GraphSpec::NearRegular { n: 80, d: 6 })
-//!     .seeds(0..8)
-//!     .parallel(true)
-//!     .run();
-//!
-//! assert!(report.all_valid());
-//! println!("{}", report.render_table());
-//! let json = report.to_json();
-//! assert!(json.contains("\"protocol\":\"vertex/theorem1\""));
-//! ```
 //!
 //! Whole experiment grids — the shape of every table in the paper —
 //! are one [`Campaign`]:
@@ -56,7 +36,7 @@
 //! let _csv = report.to_csv();              // machine-readable grid
 //! ```
 //!
-//! Single runs use the same surface without a plan:
+//! Single runs use the same surface without a campaign:
 //!
 //! ```
 //! use bichrome_runner::{registry, Instance};
@@ -74,8 +54,8 @@
 //! A trial's single `u64` seed fans out into independent graph /
 //! partition / protocol-session streams through the tagged SplitMix64
 //! derivation in [`seeds`] — the one place the whole derivation
-//! scheme is defined and documented. Plans and campaigns enqueue lazy
-//! instance *descriptors*; the shared executor resolves them on its
+//! scheme is defined and documented. Campaigns enqueue lazy instance
+//! *descriptors*; the shared executor resolves them on its
 //! worker threads through a sharded concurrent cache
 //! (`(spec, graph seed) → Arc<Graph>`,
 //! `(spec, graph seed, partitioner) → Arc<EdgePartition>`), so a
@@ -121,7 +101,7 @@ pub use campaign::{
 pub use campaign_file::CampaignFile;
 pub use exec::{CacheStats, ExecStats, InstanceCache};
 pub use instance::{GraphSpec, Instance, ParseSpecError};
-pub use plan::{Aggregate, Report, Summary, TrialPlan, TrialRecord};
+pub use plan::{Aggregate, Report, Summary, TrialRecord};
 pub use protocol::{Artifact, Outcome, Protocol, Verdict};
 pub use registry::{registry, Registry};
 
@@ -196,97 +176,6 @@ mod tests {
         assert!(out.verdict.is_valid());
         assert_eq!(out.stats.total_bits(), 0);
         assert_eq!(out.stats.rounds, 0);
-    }
-
-    #[test]
-    fn parallel_and_serial_plans_agree() {
-        let reg = registry();
-        let plan = |parallel: bool| {
-            TrialPlan::new(reg.get("vertex/theorem1").expect("registered"))
-                .graphs(GraphSpec::Gnp { n: 40, p: 0.12 })
-                .seeds(0..6)
-                .parallel(parallel)
-                .run()
-        };
-        let par = plan(true);
-        let ser = plan(false);
-        assert_eq!(par, ser, "parallel execution must not change results");
-        assert!(par.all_valid());
-        assert_eq!(par.trials.len(), 6);
-    }
-
-    /// The acceptance check for the harness: a `TrialPlan` run (with
-    /// rayon-parallel trials) reproduces, bit for bit and round for
-    /// round, the numbers an e1-style hand-rolled loop produces from
-    /// the same seeds.
-    #[test]
-    #[allow(deprecated)] // the hand-rolled side intentionally uses the old shim
-    fn trial_plan_reproduces_hand_rolled_e1_numbers() {
-        use bichrome_core::rct::RctConfig;
-        use bichrome_core::vertex::solve_vertex_coloring;
-
-        let (n, delta) = (96usize, 6usize);
-        let seeds: Vec<u64> = (0..4).collect();
-
-        // The historical e1 loop: bespoke generation, partitioning,
-        // seeding, measurement.
-        #[allow(deprecated)]
-        let hand_rolled: Vec<(u64, u64)> = seeds
-            .iter()
-            .map(|&rep| {
-                let g = gen::near_regular(n, delta, rep * 100 + delta as u64);
-                let p = Partitioner::Random(rep).split(&g);
-                let out = solve_vertex_coloring(&p, rep + 1, &RctConfig::default());
-                (out.stats.total_bits(), out.stats.rounds)
-            })
-            .collect();
-
-        // The same trials expressed as a TrialPlan with explicit
-        // instances, executed in parallel.
-        let instances = seeds.iter().map(|&rep| {
-            let g = gen::near_regular(n, delta, rep * 100 + delta as u64);
-            Instance::new("e1", Partitioner::Random(rep).split(&g), rep + 1)
-        });
-        let report = TrialPlan::new(registry().get("vertex/theorem1").expect("registered"))
-            .instances(instances)
-            .parallel(true)
-            .run();
-
-        let harness: Vec<(u64, u64)> = report
-            .trials
-            .iter()
-            .map(|t| (t.total_bits(), t.rounds))
-            .collect();
-        assert_eq!(
-            harness, hand_rolled,
-            "same seeds must give same bits and rounds"
-        );
-        assert!(report.all_valid());
-    }
-
-    #[test]
-    fn report_summary_and_json_are_consistent() {
-        let report = TrialPlan::new(registry().get("baseline/send-everything").expect("reg"))
-            .graphs(GraphSpec::Gnp { n: 30, p: 0.2 })
-            .seeds(0..5)
-            .run();
-        assert_eq!(report.summary.trials, 5);
-        assert!(report.all_valid());
-        // send-everything is one round, always.
-        assert_eq!(report.summary.rounds.max, 1.0);
-        assert!(report.summary.total_bits.mean > 0.0);
-        let json = report.to_json();
-        let v = json::Value::parse(&json).expect("report JSON parses");
-        let obj = v.as_object().expect("object");
-        assert_eq!(obj["protocol"].as_str(), Some("baseline/send-everything"));
-        let trials = match &obj["trials"] {
-            json::Value::Array(a) => a,
-            other => panic!("trials not an array: {other:?}"),
-        };
-        assert_eq!(trials.len(), 5);
-        let table = report.render_table();
-        assert!(table.contains("rounds"));
-        assert!(table.contains("send-everything"));
     }
 
     #[test]

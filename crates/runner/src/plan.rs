@@ -1,153 +1,12 @@
-//! Repeated-trial execution: a builder-style [`TrialPlan`] runs one
-//! protocol over many instances — rayon-parallel across seeds — and
-//! aggregates the outcomes into a [`Report`] with JSON and text-table
-//! output. This replaces the hand-rolled trial loops the experiment
-//! binaries used to copy-paste.
+//! Trial results and their aggregation: one [`TrialRecord`] per
+//! executed trial (with its single-line JSON codec, the payload the
+//! campaign store persists), [`Aggregate`] / [`Summary`] statistics
+//! across trials, and the per-cell [`Report`] every
+//! [`crate::CampaignCell`] carries.
 
-use crate::exec::{self, WorkItem, WorkSource};
-use crate::instance::{GraphSpec, Instance};
-use crate::protocol::{Outcome, Protocol, Verdict};
-use crate::seeds;
-use crate::table::Table;
-use bichrome_graph::partition::Partitioner;
+use crate::instance::Instance;
+use crate::protocol::{Outcome, Verdict};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Builder for a batch of repeated trials of one protocol.
-///
-/// # Example
-///
-/// ```
-/// use bichrome_runner::{registry, GraphSpec, TrialPlan};
-///
-/// let proto = registry().get("edge/theorem2").expect("registered");
-/// let report = TrialPlan::new(proto)
-///     .graphs(GraphSpec::GnmMaxDegree { n: 60, m: 150, dmax: 8 })
-///     .seeds(0..8)
-///     .parallel(true)
-///     .run();
-/// assert!(report.all_valid());
-/// assert_eq!(report.trials.len(), 8);
-/// ```
-pub struct TrialPlan {
-    protocol: Arc<dyn Protocol>,
-    graphs: Option<GraphSpec>,
-    partitioner: Option<Partitioner>,
-    seeds: Vec<u64>,
-    explicit: Vec<Instance>,
-    parallel: bool,
-}
-
-impl TrialPlan {
-    /// A plan for `protocol` with no instances yet.
-    pub fn new(protocol: Arc<dyn Protocol>) -> Self {
-        TrialPlan {
-            protocol,
-            graphs: None,
-            partitioner: None,
-            seeds: Vec::new(),
-            explicit: Vec::new(),
-            parallel: true,
-        }
-    }
-
-    /// Generates one instance per seed from this graph family.
-    pub fn graphs(mut self, spec: GraphSpec) -> Self {
-        self.graphs = Some(spec);
-        self
-    }
-
-    /// Fixes the edge partitioner. Default: a fresh random adversary
-    /// per trial — `Partitioner::Random` keyed by
-    /// [`crate::seeds::partition_seed`], so the split is decorrelated
-    /// from the graph generator's and the protocol session's streams
-    /// (see the [`crate::seeds`] scheme).
-    pub fn partitioner(mut self, p: Partitioner) -> Self {
-        self.partitioner = Some(p);
-        self
-    }
-
-    /// The trial seeds. Each seed feeds the graph generator (when
-    /// [`TrialPlan::graphs`] is used) and the protocol session.
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Appends explicitly constructed instances (escape hatch for
-    /// exact reproduction of historical experiment setups).
-    pub fn instances(mut self, insts: impl IntoIterator<Item = Instance>) -> Self {
-        self.explicit.extend(insts);
-        self
-    }
-
-    /// Whether to run trials in parallel across worker threads
-    /// (default: true). Trial results are identical either way; each
-    /// trial's randomness is derived only from its own seed.
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
-        self
-    }
-
-    /// Enqueues the plan's work: explicit instances pass through
-    /// ready-made; spec × seed trials stay lazy descriptors, resolved
-    /// by the executor's shared instance cache inside the workers.
-    fn build_queue(&mut self) -> Vec<WorkItem> {
-        let mut queue: Vec<WorkItem> = std::mem::take(&mut self.explicit)
-            .into_iter()
-            .map(|instance| WorkItem {
-                protocol: Arc::clone(&self.protocol),
-                source: WorkSource::Ready(instance),
-            })
-            .collect();
-        if let Some(spec) = self.graphs {
-            for &seed in &self.seeds {
-                let partitioner = self
-                    .partitioner
-                    .unwrap_or(Partitioner::Random(seeds::partition_seed(seed)));
-                queue.push(WorkItem {
-                    protocol: Arc::clone(&self.protocol),
-                    source: WorkSource::Lazy {
-                        spec,
-                        partitioner,
-                        trial_seed: seed,
-                    },
-                });
-            }
-        }
-        queue
-    }
-
-    /// Runs every trial through the shared executor (the same one
-    /// that powers [`crate::Campaign`] grids) and aggregates a
-    /// [`Report`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan has no instances (no `graphs`+`seeds` and no
-    /// explicit `instances`).
-    pub fn run(mut self) -> Report {
-        let queue = self.build_queue();
-        assert!(
-            !queue.is_empty(),
-            "TrialPlan has no instances: set .graphs(..).seeds(..) or .instances(..)"
-        );
-        let (trials, _stats) = exec::execute(&queue, self.parallel, None);
-        Report::new(self.protocol.name().to_string(), trials)
-    }
-}
-
-impl std::fmt::Debug for TrialPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrialPlan")
-            .field("protocol", &self.protocol.name())
-            .field("graphs", &self.graphs)
-            .field("seeds", &self.seeds.len())
-            .field("explicit", &self.explicit.len())
-            .field("parallel", &self.parallel)
-            .finish()
-    }
-}
 
 /// One trial's flattened result.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,7 +81,7 @@ impl TrialRecord {
         self.bits_alice_to_bob + self.bits_bob_to_alice
     }
 
-    /// Serializes the record as one single-line JSON object — the
+    /// Encodes the record as one single-line JSON object — the
     /// payload format the campaign store persists and
     /// [`TrialRecord::from_json`] decodes. Every field round-trips
     /// bit-exactly (finite `f64` metrics render in Rust's shortest
@@ -461,7 +320,7 @@ impl Summary {
     }
 }
 
-/// The aggregated result of a [`TrialPlan`] run.
+/// The trials of one campaign cell and their cross-trial summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Registry key of the protocol that ran.
@@ -488,56 +347,7 @@ impl Report {
         self.summary.valid == self.summary.trials
     }
 
-    /// Renders the per-trial table plus a summary line.
-    pub fn render_table(&self) -> String {
-        let mut t = Table::new(&[
-            "trial",
-            "label",
-            "seed",
-            "n",
-            "m",
-            "Δ",
-            "bits A→B",
-            "bits B→A",
-            "total",
-            "rounds",
-            "colors",
-            "ok",
-        ]);
-        for (i, r) in self.trials.iter().enumerate() {
-            t.row(&[
-                &i.to_string(),
-                &r.label,
-                &r.seed.to_string(),
-                &r.n.to_string(),
-                &r.m.to_string(),
-                &r.delta.to_string(),
-                &r.bits_alice_to_bob.to_string(),
-                &r.bits_bob_to_alice.to_string(),
-                &r.total_bits().to_string(),
-                &r.rounds.to_string(),
-                &r.colors_used.to_string(),
-                if r.valid { "✓" } else { "✗" },
-            ]);
-        }
-        let s = &self.summary;
-        format!(
-            "{}\n{}: {}/{} valid · bits {:.1} ± {:.1} (max {:.0}) · rounds {:.1} ± {:.1} (max {:.0}) · bits/n {:.2}\n",
-            t.render(),
-            self.protocol,
-            s.valid,
-            s.trials,
-            s.total_bits.mean,
-            s.total_bits.stddev,
-            s.total_bits.max,
-            s.rounds.mean,
-            s.rounds.stddev,
-            s.rounds.max,
-            s.bits_per_vertex.mean,
-        )
-    }
-
-    /// Serializes the full report (trials + summary) as JSON.
+    /// Encodes the full report (trials + summary) as JSON.
     pub fn to_json(&self) -> String {
         let mut w = crate::json::Writer::object();
         w.field_str("protocol", &self.protocol);

@@ -1,7 +1,7 @@
 //! The unified protocol interface: every coloring protocol in the
 //! workspace — vertex, edge, baseline, streaming-reduction — runs
 //! through [`Protocol::run`] and returns the same [`Outcome`] shape,
-//! so harness code (trial plans, benches, services) never needs
+//! so harness code (campaigns, benches, services) never needs
 //! per-protocol plumbing.
 
 use crate::instance::Instance;
@@ -68,8 +68,8 @@ pub struct Outcome {
     /// protocol has one (`Δ+1`, `2Δ−1`, `2Δ`, ...).
     pub palette_budget: Option<usize>,
     /// Protocol-specific side measurements (e.g. `rct_remaining`,
-    /// `state_bits`, `win_rate`), aggregated per key by trial plans
-    /// and campaigns. Empty for protocols with nothing extra to say.
+    /// `state_bits`, `win_rate`), aggregated per key by campaigns.
+    /// Empty for protocols with nothing extra to say.
     pub metrics: BTreeMap<String, f64>,
 }
 
@@ -161,7 +161,7 @@ impl Outcome {
 /// executable.
 ///
 /// Implementations are stateless aside from configuration, and
-/// `Send + Sync` so trial plans can run them from worker threads.
+/// `Send + Sync` so campaigns can run them from worker threads.
 pub trait Protocol: Send + Sync {
     /// The registry key, e.g. `"vertex/theorem1"`.
     fn name(&self) -> &str;

@@ -6,9 +6,9 @@
 //! [`ColorMarks`] buffers — lives here in one thread-local slot, so
 //! it is allocated **once per worker thread** and reused by every
 //! trial that worker executes, not rebuilt per trial. Serial and
-//! parallel execution both route through it: `exec::execute`'s trial
-//! closure runs on whichever thread owns the work item, and that
-//! thread's scratch services the validation.
+//! parallel execution both route through it: `exec::run_item` runs on
+//! whichever thread owns the work item, and that thread's scratch
+//! services the validation.
 //!
 //! `exec`'s `validator_scratch_is_reused_across_trials` test pins the
 //! contract: after a warm-up run, a whole second run of the queue

@@ -31,10 +31,8 @@
 //! never collides with another `(seed, b)` combination the way the
 //! old `seed ^ b` mix did (`5 ^ 1 == 4 ^ 0`).
 //!
-//! Both the [`crate::Campaign`] and [`crate::TrialPlan`] layers (and
-//! [`crate::Instance::from_spec`]) derive through these functions, so
-//! a campaign cell remains bit-identical to the single-cell trial
-//! plan it replaced, and cached instance materialization in the
+//! Both [`crate::Campaign`] and [`crate::Instance::from_spec`] derive
+//! through these functions, so cached instance materialization in the
 //! executor reproduces exactly what an eager build would.
 //!
 //! Explicitly constructed instances ([`crate::Instance::new`]) are

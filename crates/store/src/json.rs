@@ -1,9 +1,9 @@
 //! Hand-written JSON encoding/decoding.
 //!
-//! The offline build environment has a no-op `serde` stand-in (see
-//! `crates/compat/serde`), so report serialization is implemented by
-//! hand here: a small escaping [`Writer`] for output and a strict
-//! recursive-descent [`Value`] parser for round-trips. [`CommStats`]
+//! The workspace builds offline with no JSON library, so report
+//! encoding is implemented by hand here: a small escaping [`Writer`]
+//! for output and a strict recursive-descent [`Value`] parser for
+//! round-trips. [`CommStats`]
 //! gets first-class encode/decode since it is the unit of exchange
 //! between runs, dashboards, and stored experiment records.
 
@@ -358,7 +358,7 @@ impl Parser<'_> {
     }
 }
 
-/// Serializes a [`CommStats`] as a JSON object.
+/// Encodes a [`CommStats`] as a JSON object.
 pub fn comm_stats_to_json(stats: &CommStats) -> String {
     let phases = |m: &BTreeMap<String, u64>| {
         let fields: Vec<String> = m
@@ -376,7 +376,7 @@ pub fn comm_stats_to_json(stats: &CommStats) -> String {
     w.finish()
 }
 
-/// Deserializes a [`CommStats`] from the JSON produced by
+/// Decodes a [`CommStats`] from the JSON produced by
 /// [`comm_stats_to_json`].
 ///
 /// # Errors

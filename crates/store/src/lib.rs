@@ -15,8 +15,6 @@
 //! ```text
 //! <dir>/meta.json              pinned {"magic", "format_version"} —
 //!                              written atomically (temp file + rename)
-//! <dir>/trials.jsonl           the v1 JSON-lines trial log; still
-//!                              loaded, never appended to anymore
 //! <dir>/segments/seg-NNNNNNNN.bcs
 //!                              v2 binary segments (see [`mod@segment`]
 //!                              docs for the frame format); all new
@@ -25,10 +23,10 @@
 //! ```
 //!
 //! The record payload is opaque to this crate (the runner serializes
-//! its `TrialRecord`s into it). Every stored record — v1 line or v2
-//! frame — carries the same integrity hash over the key fields *and*
-//! the payload bytes, so corruption of either is detected at load and
-//! never served as a cached result.
+//! its `TrialRecord`s into it). Every stored record carries an
+//! integrity hash over the key fields *and* the payload bytes, so
+//! corruption of either is detected at load and never served as a
+//! cached result.
 //!
 //! # Durability model
 //!
@@ -52,17 +50,17 @@
 //!   data survives, never a mix.
 //! * Opening a store whose `format_version` differs from this
 //!   build's is an error, never a silent reinterpretation.
-//!   [`FORMAT_VERSION`] is unchanged by v2: the version pins *key
-//!   addressing and hash chain*, which v1 lines and v2 frames share —
-//!   a store may hold both, and `merge` unions any two stores of this
-//!   version.
+//!   [`FORMAT_VERSION`] pins *key addressing and hash chain*, and
+//!   `merge` unions any two stores of this version. A directory that
+//!   still holds a pre-segment `trials.jsonl` log is refused too:
+//!   this build does not read that format, and ignoring the file
+//!   would silently drop its records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
 mod segment;
-pub mod v1;
 
 use bichrome_comm::PublicCoin;
 use std::collections::HashMap;
@@ -74,15 +72,16 @@ use std::path::{Path, PathBuf};
 /// The pinned on-disk format version. Bump it whenever the *meaning*
 /// of a stored record changes; stores written by other versions are
 /// rejected at open time instead of being silently reinterpreted.
-/// (The v1→v2 move changed only the framing — JSON lines to binary
-/// frames — under the same key addressing and integrity hash, so both
-/// share version 1 and coexist in one store.)
+/// (The move from JSON lines to binary segments changed only the
+/// framing, under the same key addressing and integrity hash, so it
+/// kept version 1.)
 pub const FORMAT_VERSION: u64 = 1;
 
 /// The magic string identifying a directory as a bichrome store.
 const MAGIC: &str = "bichrome-store";
 
-/// The v1 trial-log filename inside a store directory.
+/// The pre-segment JSON-lines trial log. No build reads it any more;
+/// opening a store directory that still holds one is an error.
 const LOG_FILE: &str = "trials.jsonl";
 
 /// The metadata filename inside a store directory.
@@ -161,7 +160,7 @@ fn fold_str(coin: PublicCoin, s: &str) -> PublicCoin {
 /// chained over the record payload bytes, so corruption of *either*
 /// the identity fields or the record is detected at load (and the
 /// record dropped as part of the salvage), never served as a cached
-/// result. Shared by the v1 line and v2 frame formats.
+/// result.
 pub(crate) fn line_hash(key: &TrialKey, record_json: &str) -> u64 {
     fold_str(PublicCoin::new(key.content_hash()), record_json).seed()
 }
@@ -179,7 +178,9 @@ pub enum StoreError {
         /// The version this build supports ([`FORMAT_VERSION`]).
         expected: u64,
     },
-    /// `meta.json` exists but is not a valid store header.
+    /// The directory is not a store this build opens: `meta.json` is
+    /// missing or not a valid store header, or a pre-segment
+    /// `trials.jsonl` log sits next to it.
     BadMeta(String),
     /// [`Store::merge`] found two different payloads stored for the
     /// same trial identity — the stores disagree on a computation
@@ -200,7 +201,7 @@ impl fmt::Display for StoreError {
                 "store format version {found} is not the supported version {expected} \
                  (refusing to reinterpret old data)"
             ),
-            StoreError::BadMeta(msg) => write!(f, "store meta.json is invalid: {msg}"),
+            StoreError::BadMeta(msg) => write!(f, "invalid store: {msg}"),
             StoreError::MergeConflict { key } => write!(
                 f,
                 "merge conflict: the stores hold different records for {key} \
@@ -213,9 +214,8 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// What corrupt store data was reduced to at load time, aggregated
-/// over the v1 log and every v2 segment (damage is detected and
-/// truncated *per segment*, so one torn file never discards records
-/// in another).
+/// over every segment (damage is detected and truncated *per
+/// segment*, so one torn file never discards records in another).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Salvage {
     /// Live records kept across the whole store.
@@ -370,10 +370,13 @@ pub struct Store {
 impl Store {
     /// Opens the store at `dir` with default tuning, creating the
     /// directory and an empty store if nothing is there yet. Loads
-    /// the v1 log and every v2 segment (segments in parallel),
-    /// truncating each damaged file (atomically) at its first
-    /// malformed record — see [`Store::salvage`] for what, if
-    /// anything, was dropped.
+    /// every segment (in parallel), truncating each damaged file
+    /// (atomically) at its first malformed record — see
+    /// [`Store::salvage`] for what, if anything, was dropped.
+    ///
+    /// A directory whose `meta.json` exists but that still holds a
+    /// pre-segment `trials.jsonl` log is refused with
+    /// [`StoreError::BadMeta`] naming the file.
     pub fn open_or_create(dir: impl Into<PathBuf>) -> Result<Store, StoreError> {
         Store::open_or_create_with(dir, StoreConfig::default())
     }
@@ -388,6 +391,14 @@ impl Store {
         let meta_path = dir.join(META_FILE);
         if meta_path.exists() {
             check_meta(&meta_path)?;
+            let log = dir.join(LOG_FILE);
+            if log.exists() {
+                return Err(StoreError::BadMeta(format!(
+                    "{} is a pre-segment trial log, which this build no longer reads \
+                     (refusing to open the store without its records)",
+                    log.display()
+                )));
+            }
         } else {
             let mut w = json::Writer::object();
             w.field_str("magic", MAGIC);
@@ -673,10 +684,10 @@ impl Store {
 
     /// Rewrites the store to exactly its live records: fresh v2
     /// segments are staged in `segments.tmp/` and installed with an
-    /// atomic rename dance, after which the v1 log and dead records
-    /// are gone. Crash-safe: opening a store repairs any interrupted
-    /// window of the dance (see `recover_compaction` internals),
-    /// ending with either the old data or the complete new data.
+    /// atomic rename dance, after which dead records are gone.
+    /// Crash-safe: opening a store repairs any interrupted window of
+    /// the dance (see `recover_compaction` internals), ending with
+    /// either the old data or the complete new data.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         self.roll()?;
         let err = |p: &Path| {
@@ -735,12 +746,6 @@ impl Store {
         }
         fs::rename(&segments, &old).map_err(err(&segments))?;
         fs::rename(&tmp, &segments).map_err(err(&tmp))?;
-        let log = self.dir.join(LOG_FILE);
-        match fs::remove_file(&log) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(StoreError::Io(log, e)),
-        }
         fs::remove_dir_all(&old).map_err(err(&old))?;
 
         // The in-memory state now mirrors the compacted disk.
@@ -822,35 +827,14 @@ impl Store {
         Ok(self.active.as_mut().expect("active just ensured"))
     }
 
-    /// Loads the v1 log and every v2 segment. Damage is truncated
-    /// away per file (atomically) and aggregated into one
-    /// [`Salvage`] report.
+    /// Loads every segment. Damage is truncated away per file
+    /// (atomically) and aggregated into one [`Salvage`] report.
     fn load(&mut self) -> Result<(), StoreError> {
         let mut dropped_bytes = 0usize;
         let mut first_error: Option<String> = None;
 
-        // The v1 JSON-lines log, if this store predates segments (or
-        // hasn't been compacted since).
-        let log = self.dir.join(LOG_FILE);
-        match fs::read_to_string(&log) {
-            Ok(text) => {
-                let (entries, good_bytes, error) = load_v1(&text);
-                for entry in entries {
-                    self.index.insert(entry.key.clone(), self.entries.len());
-                    self.entries.push(entry);
-                }
-                if let Some(e) = error {
-                    dropped_bytes += text.len() - good_bytes;
-                    first_error.get_or_insert(e);
-                    atomic_write(&log, &text.as_bytes()[..good_bytes])?;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(StoreError::Io(log, e)),
-        }
-
-        // The v2 segments, oldest first; decoded in parallel, applied
-        // in order.
+        // The segments, oldest first; decoded in parallel, applied in
+        // order.
         let paths = list_segments(&self.dir.join(SEGMENTS_DIR))?;
         self.metrics.segments_loaded.add(paths.len() as u64);
         for (path, read, load) in load_segments(&paths) {
@@ -907,37 +891,6 @@ impl Drop for Store {
         // explicit and ignores errors in one place.)
         let _ = self.flush();
     }
-}
-
-/// Parses a v1 log's text, returning the good-prefix entries, the
-/// byte length of that prefix, and the failure that ended it (if
-/// any).
-fn load_v1(text: &str) -> (Vec<Entry>, usize, Option<String>) {
-    let mut entries = Vec::new();
-    let mut good_bytes = 0usize;
-    for line in text.split_inclusive('\n') {
-        let complete = line.ends_with('\n');
-        let body = line.trim_end_matches(['\n', '\r']);
-        if body.is_empty() && complete {
-            good_bytes += line.len();
-            continue;
-        }
-        match v1::decode_line(body) {
-            Ok(entry) if complete => {
-                entries.push(entry);
-                good_bytes += line.len();
-            }
-            Ok(_) => {
-                return (
-                    entries,
-                    good_bytes,
-                    Some("final line is missing its newline (torn append)".to_string()),
-                );
-            }
-            Err(e) => return (entries, good_bytes, Some(e)),
-        }
-    }
-    (entries, good_bytes, None)
 }
 
 /// Reads and decodes every segment, fanning the (I/O + decode) work
@@ -1018,8 +971,8 @@ fn list_segments(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
 /// Repairs a compaction interrupted by a crash. The dance in
 /// [`Store::compact`] is: stage `segments.tmp`, rename `segments` →
 /// `segments.old`, rename `segments.tmp` → `segments`, delete
-/// `trials.jsonl`, delete `segments.old`. Each window leaves a
-/// distinct directory shape, so recovery is unambiguous:
+/// `segments.old`. Each window leaves a distinct directory shape, so
+/// recovery is unambiguous:
 ///
 /// * `tmp` + `segments` (no `old`): crashed before the commit point —
 ///   the staging dir may be incomplete, discard it.
@@ -1046,12 +999,6 @@ fn recover_compaction(dir: &Path) -> Result<(), StoreError> {
     }
     if old.exists() {
         if segments.exists() {
-            let log = dir.join(LOG_FILE);
-            match fs::remove_file(&log) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(StoreError::Io(log, e)),
-            }
             fs::remove_dir_all(&old).map_err(err(&old))?;
         } else {
             // No promoted segments at all: restore the superseded
@@ -1065,7 +1012,8 @@ fn recover_compaction(dir: &Path) -> Result<(), StoreError> {
 /// Verifies an existing `meta.json`.
 fn check_meta(path: &Path) -> Result<(), StoreError> {
     let text = fs::read_to_string(path).map_err(|e| StoreError::Io(path.to_path_buf(), e))?;
-    let v = json::Value::parse(&text).map_err(StoreError::BadMeta)?;
+    let v = json::Value::parse(&text)
+        .map_err(|e| StoreError::BadMeta(format!("meta.json does not parse: {e}")))?;
     let obj = v
         .as_object()
         .ok_or_else(|| StoreError::BadMeta("meta.json is not an object".to_string()))?;
@@ -1073,14 +1021,14 @@ fn check_meta(path: &Path) -> Result<(), StoreError> {
         Some(MAGIC) => {}
         other => {
             return Err(StoreError::BadMeta(format!(
-                "magic is {other:?}, expected {MAGIC:?}"
+                "meta.json magic is {other:?}, expected {MAGIC:?}"
             )))
         }
     }
     let found = obj
         .get("format_version")
         .and_then(json::Value::as_u64)
-        .ok_or_else(|| StoreError::BadMeta("missing format_version".to_string()))?;
+        .ok_or_else(|| StoreError::BadMeta("meta.json has no format_version".to_string()))?;
     if found != FORMAT_VERSION {
         return Err(StoreError::VersionMismatch {
             found,
@@ -1147,22 +1095,6 @@ mod tests {
             .last()
             .cloned()
             .expect("at least one segment")
-    }
-
-    /// Writes a v1-format store (meta + trials.jsonl) directly, as a
-    /// pre-segment build would have left it.
-    fn write_v1_store(dir: &Path, records: &[(TrialKey, &str)]) {
-        fs::create_dir_all(dir).expect("mkdir");
-        fs::write(
-            dir.join(META_FILE),
-            format!("{{\"magic\":\"{MAGIC}\",\"format_version\":{FORMAT_VERSION}}}\n"),
-        )
-        .expect("meta");
-        let mut log = String::new();
-        for (k, r) in records {
-            log.push_str(&v1::encode_line(k, r));
-        }
-        fs::write(dir.join(LOG_FILE), log).expect("log");
     }
 
     #[test]
@@ -1379,65 +1311,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_store_still_opens_and_upgrades_on_write() {
-        let tmp = TempDir::new("v1compat");
-        write_v1_store(
-            &tmp.0,
-            &[(key(0), r#"{"bits":12}"#), (key(1), r#"{"bits":9}"#)],
-        );
-
-        let mut store = Store::open_or_create(&tmp.0).expect("open v1");
-        assert_eq!(store.len(), 2);
-        assert!(store.salvage().is_none());
-        assert_eq!(store.get(&key(0)), Some(r#"{"bits":12}"#));
-
-        // New writes go to v2 segments; the v1 log is untouched.
-        store
-            .append(key(2), r#"{"bits":7}"#.to_string())
-            .expect("append");
-        drop(store);
-        assert!(
-            tmp.0.join(LOG_FILE).exists(),
-            "v1 log kept until compaction"
-        );
-        assert_eq!(
-            list_segments(&tmp.0.join(SEGMENTS_DIR))
-                .expect("list")
-                .len(),
-            1,
-            "the append landed in a v2 segment"
-        );
-        let store = Store::open_or_create(&tmp.0).expect("reopen mixed");
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.get(&key(2)), Some(r#"{"bits":7}"#));
-    }
-
-    #[test]
-    fn v1_corruption_still_salvages() {
-        let tmp = TempDir::new("v1salvage");
-        write_v1_store(
-            &tmp.0,
-            &[
-                (key(0), r#"{"seed":0}"#),
-                (key(1), r#"{"seed":1}"#),
-                (key(2), r#"{"seed":2}"#),
-            ],
-        );
-        let log = tmp.0.join(LOG_FILE);
-        let text = fs::read_to_string(&log).expect("read");
-        fs::write(&log, &text[..text.len() - 17]).expect("truncate");
-
-        let store = Store::open_or_create(&tmp.0).expect("open");
-        assert_eq!(store.len(), 2);
-        let salvage = store.salvage().expect("reported");
-        assert_eq!(salvage.kept, 2);
-        assert!(salvage.dropped_bytes > 0);
-        drop(store);
-        let store = Store::open_or_create(&tmp.0).expect("repaired");
-        assert!(store.salvage().is_none());
-    }
-
-    #[test]
     fn garbage_segment_tail_ends_its_prefix_and_is_dropped() {
         let tmp = TempDir::new("garbage");
         let mut store = Store::open_or_create(&tmp.0).expect("create");
@@ -1494,6 +1367,25 @@ mod tests {
                 assert_eq!(expected, FORMAT_VERSION);
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_leftover_pre_segment_log_is_refused_not_ignored() {
+        let tmp = TempDir::new("oldlog");
+        let mut store = Store::open_or_create(&tmp.0).expect("create");
+        store
+            .append(key(0), r#"{"seed":0}"#.to_string())
+            .expect("append");
+        drop(store);
+        fs::write(tmp.0.join(LOG_FILE), "{}\n").expect("write log");
+        let opens: [fn(PathBuf) -> Result<Store, StoreError>; 2] =
+            [Store::open_or_create, Store::open_existing];
+        for open in opens {
+            match open(tmp.0.clone()) {
+                Err(StoreError::BadMeta(msg)) => assert!(msg.contains(LOG_FILE), "{msg}"),
+                other => panic!("expected BadMeta naming {LOG_FILE}, got {other:?}"),
+            }
         }
     }
 
@@ -1668,11 +1560,15 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_dead_records_and_the_v1_log() {
+    fn compaction_drops_dead_records() {
         let tmp = TempDir::new("compact");
-        write_v1_store(&tmp.0, &[(key(0), r#"{"v":"old"}"#)]);
-        let mut store = Store::open_or_create(&tmp.0).expect("open");
-        // Supersede the v1 record and add fresh ones.
+        let mut store = Store::open_or_create(&tmp.0).expect("create");
+        store
+            .append(key(0), r#"{"v":"old"}"#.to_string())
+            .expect("append");
+        drop(store);
+        let mut store = Store::open_or_create(&tmp.0).expect("reopen");
+        // Supersede the stored record and add a fresh one.
         store
             .append(key(0), r#"{"v":"new"}"#.to_string())
             .expect("append");
@@ -1685,7 +1581,6 @@ mod tests {
         assert_eq!(store.dead_records(), 0);
         assert_eq!(store.len(), 2);
         assert_eq!(store.get(&key(0)), Some(r#"{"v":"new"}"#));
-        assert!(!tmp.0.join(LOG_FILE).exists(), "v1 log folded in");
         assert!(!tmp.0.join(SEGMENTS_OLD).exists());
         assert!(!tmp.0.join(SEGMENTS_TMP).exists());
         drop(store);
@@ -1814,26 +1709,5 @@ mod tests {
             Err(StoreError::MergeConflict { key: k }) => assert_eq!(k, key(0)),
             other => panic!("expected MergeConflict, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn v1_and_v2_hold_the_same_integrity_hash() {
-        // The property that lets both formats share FORMAT_VERSION:
-        // a record's hash is identical however it is framed, so a
-        // compaction (v1 → v2 rewrite) preserves the hash chain.
-        let k = key(42);
-        let record = r#"{"bits":12,"metrics":{"x":0.25}}"#;
-        let line = v1::encode_line(&k, record);
-        let decoded = v1::decode_line(line.trim_end()).expect("v1 decodes");
-        assert_eq!(decoded.key, k);
-        assert_eq!(decoded.record_json, record);
-        // The v2 frame embeds line_hash directly; decoding checks it.
-        let frame = segment::encode(&k, record).expect("v2 encodes");
-        let mut seg_bytes = segment::SEGMENT_MAGIC.to_vec();
-        seg_bytes.extend_from_slice(&frame);
-        let load = segment::decode_all(&seg_bytes);
-        assert!(load.error.is_none());
-        assert_eq!(load.entries[0].key, k);
-        assert_eq!(load.entries[0].record_json, record);
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! u32  frame_len          bytes after this field
-//! u64  hash               the same integrity chain as v1 lines
-//!                         (key content hash folded over the payload)
+//! u64  hash               the record's integrity chain (key
+//!                         content hash folded over the payload)
 //! u64  seed               the trial seed, exact (never via f64)
 //! u16  protocol_len
 //! u16  graph_len
@@ -14,18 +14,16 @@
 //! [protocol][graph][partitioner][record_json]   UTF-8 bytes
 //! ```
 //!
-//! The payload stays the producer's opaque single-line JSON — v2
-//! changes the *framing*, not the record contents, so a record
-//! round-trips bit-exactly between formats and the v1 integrity hash
-//! keeps covering identity and payload alike. Compared to the v1
-//! JSON lines, decoding is a bounds check and a hash instead of a
-//! recursive-descent parse, which is what makes opening a
-//! 10⁵–10⁶-record store fast (see `bench_serve`).
+//! The payload stays the producer's opaque single-line JSON, stored
+//! as raw bytes so it round-trips bit-exactly, and the integrity hash
+//! covers identity and payload alike. Decoding is a bounds check and
+//! a hash instead of a recursive-descent JSON parse, which is what
+//! makes opening a 10⁵–10⁶-record store fast (see `bench_serve`).
 //!
-//! Corruption handling mirrors v1: decoding keeps the longest
-//! well-formed prefix of a segment (bad magic, an oversized or torn
-//! frame, non-UTF-8 labels, or a hash mismatch all end the prefix)
-//! and reports how many bytes were dropped.
+//! Corruption handling: decoding keeps the longest well-formed prefix
+//! of a segment (bad magic, an oversized or torn frame, non-UTF-8
+//! labels, or a hash mismatch all end the prefix) and reports how
+//! many bytes were dropped.
 
 use crate::{line_hash, Entry, TrialKey};
 

@@ -2,7 +2,6 @@
 
 use bichrome_graph::coloring::{ColorId, EdgeColoring};
 use bichrome_graph::Edge;
-use serde::{Deserialize, Serialize};
 
 /// A W-streaming algorithm: processes an edge stream with bounded
 /// internal state, emitting `(edge, color)` outputs along the way.
@@ -32,7 +31,7 @@ pub trait WStreamingAlgorithm {
     /// Current internal state size in bits.
     fn state_bits(&self) -> u64;
 
-    /// Serializes the internal state (used by the two-party
+    /// Encodes the internal state (used by the two-party
     /// simulation of [`crate::reduction`]). The byte length must be
     /// consistent with [`WStreamingAlgorithm::state_bits`] up to
     /// byte-rounding.
@@ -44,7 +43,7 @@ pub trait WStreamingAlgorithm {
 }
 
 /// Space and pass statistics from a W-streaming run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpaceStats {
     /// Maximum state size observed after any edge, in bits.
     pub max_state_bits: u64,

@@ -7,7 +7,7 @@
 
 use bichrome_graph::gen;
 use bichrome_graph::partition::Partitioner;
-use bichrome_runner::{registry, GraphSpec, Instance, TrialPlan};
+use bichrome_runner::{registry, Campaign, GraphSpec, Instance};
 
 fn main() {
     // An input graph: n = 300, m ≈ 1200, Δ capped at 12 — think of it
@@ -45,17 +45,18 @@ fn main() {
         );
     }
 
-    // Repeated, seed-parallel trials are one builder chain; the
-    // report aggregates mean/stddev/max and serializes to JSON.
-    let report = TrialPlan::new(reg.get("vertex/theorem1").expect("registered"))
-        .graphs(GraphSpec::GnmMaxDegree {
+    // Repeated, seed-parallel trials are a one-cell campaign; the
+    // report aggregates mean/stddev/percentiles and encodes to JSON.
+    let report = Campaign::new()
+        .protocol_keys(["vertex/theorem1"])
+        .graphs([GraphSpec::GnmMaxDegree {
             n: 300,
             m: 1200,
             dmax: 12,
-        })
+        }])
         .seeds(0..8)
-        .parallel(true)
         .run();
+    assert!(report.all_valid(), "vertex/theorem1 must validate");
     println!(
         "\n8 seeded trials of vertex/theorem1:\n{}",
         report.render_table()

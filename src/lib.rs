@@ -11,15 +11,14 @@
 //! The unified execution API lives in [`runner`]:
 //!
 //! ```
-//! use bichrome::runner::{registry, GraphSpec, TrialPlan};
+//! use bichrome::runner::{Campaign, GraphSpec};
 //!
-//! let proto = registry().get("vertex/theorem1").expect("registered");
-//! let report = TrialPlan::new(proto)
-//!     .graphs(GraphSpec::NearRegular { n: 64, d: 6 })
+//! let report = Campaign::new()
+//!     .protocol_keys(["vertex/theorem1"])
+//!     .graphs([GraphSpec::NearRegular { n: 64, d: 6 }])
 //!     .seeds(0..4)
-//!     .parallel(true)
 //!     .run();
-//! assert_eq!(report.trials.len(), 4);
+//! assert_eq!(report.total_trials(), 4);
 //! assert!(report.all_valid());
 //! ```
 

@@ -7,7 +7,7 @@
 use bichrome_graph::coloring::validate_edge_coloring_with_palette;
 use bichrome_graph::partition::Partitioner;
 use bichrome_graph::{gen, Graph};
-use bichrome_runner::{registry, Instance, TrialPlan};
+use bichrome_runner::{registry, Instance};
 
 #[test]
 fn theorem2_zoo_sweep() {
@@ -26,17 +26,17 @@ fn theorem2_zoo_sweep() {
         gen::independent_max_degree(70, 9, 7, 6),
         gen::c4_gadget_union(&[false, true, false]),
     ];
-    // Whole zoo × whole partitioner family as one parallel plan.
-    let instances = zoo.iter().flat_map(|g| {
-        Partitioner::family(7)
-            .into_iter()
-            .map(move |part| Instance::new(format!("{g} under {part}"), part.split(g), 0))
-    });
-    let report = TrialPlan::new(registry().get("edge/theorem2").expect("registered"))
-        .instances(instances)
-        .run();
-    for t in &report.trials {
-        assert!(t.valid, "{}: {:?}", t.label, t.error);
+    // Whole zoo × whole partitioner family.
+    let proto = registry().get("edge/theorem2").expect("registered");
+    for g in &zoo {
+        for part in Partitioner::family(7) {
+            let out = proto.run(&Instance::new("zoo", part.split(g), 0));
+            assert!(
+                out.verdict.is_valid(),
+                "{g} under {part}: {:?}",
+                out.verdict
+            );
+        }
     }
 }
 
@@ -100,27 +100,24 @@ fn theorem3_zero_communication_everywhere() {
         gen::gnm_max_degree(50, 180, 8, 3),
         gen::near_regular(48, 6, 9),
     ];
-    let instances = zoo.iter().flat_map(|g| {
-        Partitioner::family(13)
-            .into_iter()
-            .map(move |part| Instance::new(format!("{g} under {part}"), part.split(g), 0))
-    });
-    let report = TrialPlan::new(
-        registry()
-            .get("edge/theorem3-zero-comm")
-            .expect("registered"),
-    )
-    .instances(instances)
-    .run();
-    for t in &report.trials {
-        assert!(t.valid, "{}: {:?}", t.label, t.error);
-        assert_eq!(
-            t.total_bits(),
-            0,
-            "{}: Theorem 3 never communicates",
-            t.label
-        );
-        assert_eq!(t.rounds, 0, "{}", t.label);
+    let proto = registry()
+        .get("edge/theorem3-zero-comm")
+        .expect("registered");
+    for g in &zoo {
+        for part in Partitioner::family(13) {
+            let out = proto.run(&Instance::new("zoo", part.split(g), 0));
+            assert!(
+                out.verdict.is_valid(),
+                "{g} under {part}: {:?}",
+                out.verdict
+            );
+            assert_eq!(
+                out.stats.total_bits(),
+                0,
+                "{g} under {part}: Theorem 3 never communicates"
+            );
+            assert_eq!(out.stats.rounds, 0, "{g} under {part}");
+        }
     }
 }
 

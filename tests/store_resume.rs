@@ -100,9 +100,7 @@ fn truncated_log_salvages_and_recomputes_only_the_tail() {
     let (_, stats) = grid(77, 0..4).with_store(&tmp.0).run_with_stats();
     assert_eq!(stats.trials_computed, total);
 
-    // Tear the newest segment mid-frame, as a crash mid-append would
-    // (writes land in v2 binary segments; `trials.jsonl` is the
-    // legacy read path).
+    // Tear the newest segment mid-frame, as a crash mid-append would.
     let store = Store::open_existing(&tmp.0).expect("open for tear");
     let seg = store
         .segments()

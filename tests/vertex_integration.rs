@@ -5,7 +5,7 @@
 use bichrome_core::rct::paper_iterations;
 use bichrome_graph::partition::Partitioner;
 use bichrome_graph::{gen, Graph};
-use bichrome_runner::{registry, Instance, Registry, TrialPlan};
+use bichrome_runner::{registry, Instance, Registry};
 
 fn graph_zoo(seed: u64) -> Vec<(String, Graph)> {
     vec![
@@ -39,32 +39,30 @@ fn theorem1(reg: &Registry) -> std::sync::Arc<dyn bichrome_runner::Protocol> {
 
 #[test]
 fn theorem1_valid_on_the_whole_zoo() {
-    // The zoo as one parallel TrialPlan: every family, one report.
-    let instances = graph_zoo(5)
-        .into_iter()
-        .map(|(name, g)| Instance::new(name, Partitioner::Random(3).split(&g), 17));
-    let report = TrialPlan::new(theorem1(&registry()))
-        .instances(instances)
-        .run();
-    for t in &report.trials {
-        assert!(t.valid, "{}: {:?}", t.label, t.error);
+    let proto = theorem1(&registry());
+    for (name, g) in graph_zoo(5) {
+        let out = proto.run(&Instance::new(
+            name.as_str(),
+            Partitioner::Random(3).split(&g),
+            17,
+        ));
+        assert!(out.verdict.is_valid(), "{name}: {:?}", out.verdict);
     }
 }
 
 #[test]
 fn theorem1_valid_under_every_partitioner() {
+    let proto = theorem1(&registry());
     let g = gen::gnm_max_degree(70, 220, 8, 2);
-    let g = &g;
-    let instances = Partitioner::family(11).into_iter().flat_map(|part| {
-        [0u64, 1, 2]
-            .into_iter()
-            .map(move |seed| Instance::new(part.to_string(), part.split(g), seed))
-    });
-    let report = TrialPlan::new(theorem1(&registry()))
-        .instances(instances)
-        .run();
-    for t in &report.trials {
-        assert!(t.valid, "{}/seed{}: {:?}", t.label, t.seed, t.error);
+    for part in Partitioner::family(11) {
+        for seed in 0..3 {
+            let out = proto.run(&Instance::new(part.to_string(), part.split(&g), seed));
+            assert!(
+                out.verdict.is_valid(),
+                "{part}/seed{seed}: {:?}",
+                out.verdict
+            );
+        }
     }
 }
 
@@ -179,17 +177,11 @@ fn theorem1_under_newman_private_coins() {
 
 #[test]
 fn repeated_runs_with_distinct_seeds_all_valid() {
+    let proto = theorem1(&registry());
     let g = gen::gnm_max_degree(60, 200, 10, 3);
-    let instances =
-        (0..10).map(|seed| Instance::new("paritysum", Partitioner::ParitySum.split(&g), seed));
-    let report = TrialPlan::new(theorem1(&registry()))
-        .instances(instances)
-        .parallel(true)
-        .run();
-    assert!(
-        report.all_valid(),
-        "{:?}",
-        report.trials.iter().find(|t| !t.valid)
-    );
-    assert_eq!(report.summary.trials, 10);
+    let partition = std::sync::Arc::new(Partitioner::ParitySum.split(&g));
+    for seed in 0..10 {
+        let out = proto.run(&Instance::new("paritysum", partition.clone(), seed));
+        assert!(out.verdict.is_valid(), "seed {seed}: {:?}", out.verdict);
+    }
 }
