@@ -17,12 +17,10 @@ use crate::color_sample::ColorSample;
 use crate::input::PartyInput;
 use crate::slack_int::{DetSlackInt, SetMembership};
 use bichrome_comm::machine::drive_single;
-use bichrome_comm::session::{run_two_party_ctx, PartyCtx};
+use bichrome_comm::session::PartyCtx;
 use bichrome_comm::wire::{width_for, BitWriter};
-use bichrome_comm::CommStats;
 use bichrome_graph::coloring::{ColorId, VertexColoring};
 use bichrome_graph::greedy::greedy_vertex_coloring;
-use bichrome_graph::partition::EdgePartition;
 use bichrome_graph::{Edge, GraphBuilder, VertexId};
 use rand::seq::SliceRandom;
 
@@ -40,6 +38,17 @@ pub enum Baseline {
     GreedyBinarySearch,
     /// One-round exchange of the entire input.
     SendEverything,
+}
+
+impl Baseline {
+    /// One party's script for this baseline.
+    pub fn party(self, input: &PartyInput, ctx: &PartyCtx) -> VertexColoring {
+        match self {
+            Baseline::FlinMittal => flin_mittal(input, ctx),
+            Baseline::GreedyBinarySearch => greedy_binary_search(input, ctx),
+            Baseline::SendEverything => send_everything(input, ctx),
+        }
+    }
 }
 
 impl std::fmt::Display for Baseline {
@@ -140,43 +149,22 @@ fn dedup(mut colors: Vec<ColorId>) -> Vec<ColorId> {
     colors
 }
 
-/// Runs a baseline over a two-thread session.
-///
-/// # Panics
-///
-/// Panics if the parties disagree on the coloring.
-#[deprecated(
-    since = "0.1.0",
-    note = "use bichrome_runner: registry().get(\"baseline/flin-mittal\") (or the other \
-            baseline keys) and Protocol::run, or Campaign for repeated trials"
-)]
-pub fn run_baseline(
-    partition: &EdgePartition,
-    baseline: Baseline,
-    seed: u64,
-) -> (VertexColoring, CommStats) {
-    let a = PartyInput::alice(partition);
-    let b = PartyInput::bob(partition);
-    let script = move |input: PartyInput| {
-        move |ctx: PartyCtx| match baseline {
-            Baseline::FlinMittal => flin_mittal(&input, &ctx),
-            Baseline::GreedyBinarySearch => greedy_binary_search(&input, &ctx),
-            Baseline::SendEverything => send_everything(&input, &ctx),
-        }
-    };
-    let (ca, cb, stats) = run_two_party_ctx(seed, script(a), script(b));
-    assert_eq!(ca, cb, "baseline parties must agree");
-    (ca, stats)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim stays covered until it is removed
-
     use super::*;
+    use crate::run_parties;
+    use bichrome_comm::CommStats;
     use bichrome_graph::coloring::validate_vertex_coloring_with_palette;
     use bichrome_graph::gen;
-    use bichrome_graph::partition::Partitioner;
+    use bichrome_graph::partition::{EdgePartition, Partitioner};
+
+    /// Runs `baseline` on `p`: the coloring both parties output, and
+    /// the session's statistics.
+    fn solve(p: &EdgePartition, baseline: Baseline, seed: u64) -> (VertexColoring, CommStats) {
+        let (ca, cb, stats) = run_parties(p, seed, |input, ctx| baseline.party(input, ctx));
+        assert_eq!(ca, cb, "baseline parties must agree");
+        (ca, stats)
+    }
 
     #[test]
     fn all_baselines_color_correctly() {
@@ -187,7 +175,7 @@ mod tests {
             Baseline::GreedyBinarySearch,
             Baseline::SendEverything,
         ] {
-            let (c, _) = run_baseline(&p, baseline, 11);
+            let (c, _) = solve(&p, baseline, 11);
             assert!(
                 validate_vertex_coloring_with_palette(&g, &c, g.max_degree() + 1).is_ok(),
                 "{baseline} produced an invalid coloring"
@@ -199,7 +187,7 @@ mod tests {
     fn send_everything_is_one_round() {
         let g = gen::gnp(30, 0.2, 3);
         let p = Partitioner::Alternating.split(&g);
-        let (_, stats) = run_baseline(&p, Baseline::SendEverything, 0);
+        let (_, stats) = solve(&p, Baseline::SendEverything, 0);
         assert_eq!(stats.rounds, 1);
         assert!(stats.total_bits() > 0);
     }
@@ -211,7 +199,7 @@ mod tests {
         let rounds = |n: usize| {
             let g = gen::near_regular(n, 6, 5);
             let p = Partitioner::Random(1).split(&g);
-            let (_, stats) = run_baseline(&p, Baseline::FlinMittal, 3);
+            let (_, stats) = solve(&p, Baseline::FlinMittal, 3);
             stats.rounds
         };
         let r30 = rounds(30);
@@ -227,8 +215,8 @@ mod tests {
     fn greedy_binary_search_is_deterministic() {
         let g = gen::gnp(25, 0.3, 9);
         let p = Partitioner::ParitySum.split(&g);
-        let (c1, s1) = run_baseline(&p, Baseline::GreedyBinarySearch, 1);
-        let (c2, s2) = run_baseline(&p, Baseline::GreedyBinarySearch, 999);
+        let (c1, s1) = solve(&p, Baseline::GreedyBinarySearch, 1);
+        let (c2, s2) = solve(&p, Baseline::GreedyBinarySearch, 999);
         // Different seeds: identical output and cost (no randomness).
         assert_eq!(c1, c2);
         assert_eq!(s1.total_bits(), s2.total_bits());
@@ -245,7 +233,7 @@ mod tests {
                     Baseline::GreedyBinarySearch,
                     Baseline::SendEverything,
                 ] {
-                    let (c, _) = run_baseline(&p, baseline, 4);
+                    let (c, _) = solve(&p, baseline, 4);
                     assert!(
                         validate_vertex_coloring_with_palette(&g, &c, g.max_degree() + 1).is_ok()
                     );

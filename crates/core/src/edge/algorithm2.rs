@@ -374,19 +374,17 @@ fn max_degree_of_edges(edges: &[Edge], n: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim stays covered until it is removed
-
     use super::*;
-    use crate::edge::solve_edge_coloring;
+    use crate::edge::tests::theorem2_merged;
     use bichrome_graph::coloring::validate_edge_coloring_with_palette;
     use bichrome_graph::gen;
     use bichrome_graph::partition::Partitioner;
 
     fn check(g: &Graph, part: Partitioner, seed: u64) {
         let p = part.split(g);
-        let out = solve_edge_coloring(&p, seed);
+        let (merged, _) = theorem2_merged(&p, seed);
         let budget = 2 * g.max_degree() - 1;
-        if let Err(e) = validate_edge_coloring_with_palette(g, &out.merged(), budget) {
+        if let Err(e) = validate_edge_coloring_with_palette(g, &merged, budget) {
             panic!("invalid coloring on {g} under {part}: {e}");
         }
     }
@@ -435,8 +433,8 @@ mod tests {
         for &n in &[40usize, 80, 160] {
             let g = gen::gnm_max_degree(n, n * 5, 10, 3);
             let p = Partitioner::Random(1).split(&g);
-            let out = solve_edge_coloring(&p, 0);
-            assert_eq!(out.stats.rounds, 3, "Algorithm 2 uses exactly 3 rounds");
+            let (_, stats) = theorem2_merged(&p, 0);
+            assert_eq!(stats.rounds, 3, "Algorithm 2 uses exactly 3 rounds");
         }
     }
 
@@ -447,8 +445,8 @@ mod tests {
         for &n in &[64usize, 128, 256] {
             let g = gen::gnm_max_degree(n, n * 5, 12, 9);
             let p = Partitioner::Random(2).split(&g);
-            let out = solve_edge_coloring(&p, 0);
-            per_n.push(out.stats.total_bits() as f64 / n as f64);
+            let (_, stats) = theorem2_merged(&p, 0);
+            per_n.push(stats.total_bits() as f64 / n as f64);
         }
         let min = per_n.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = per_n.iter().cloned().fold(0.0f64, f64::max);

@@ -97,9 +97,7 @@ pub fn bounded_delta_party(input: &PartyInput, ctx: &PartyCtx) -> EdgeColoring {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim stays covered until it is removed
-
-    use crate::edge::solve_edge_coloring;
+    use crate::edge::tests::theorem2_merged;
     use bichrome_graph::coloring::validate_edge_coloring_with_palette;
     use bichrome_graph::gen;
     use bichrome_graph::partition::Partitioner;
@@ -110,10 +108,10 @@ mod tests {
             let g = gen::gnm_max_degree(30, 30 * delta / 2, delta, delta as u64);
             for part in Partitioner::family(5) {
                 let p = part.split(&g);
-                let out = solve_edge_coloring(&p, 0);
+                let (merged, _) = theorem2_merged(&p, 0);
                 let budget = (2 * g.max_degree()).saturating_sub(1).max(1);
                 assert!(
-                    validate_edge_coloring_with_palette(&g, &out.merged(), budget).is_ok(),
+                    validate_edge_coloring_with_palette(&g, &merged, budget).is_ok(),
                     "Δ={delta} {part}: invalid coloring"
                 );
             }
@@ -124,11 +122,11 @@ mod tests {
     fn bounded_protocol_is_one_round_linear_bits() {
         let g = gen::gnm_max_degree(50, 100, 5, 1);
         let p = Partitioner::Random(2).split(&g);
-        let out = solve_edge_coloring(&p, 0);
-        assert_eq!(out.stats.rounds, 1, "Lemma 5.1 is a one-round protocol");
+        let (_, stats) = theorem2_merged(&p, 0);
+        assert_eq!(stats.rounds, 1, "Lemma 5.1 is a one-round protocol");
         // (2Δ−1)·n = 9·50 bits from Alice, nothing from Bob.
-        assert_eq!(out.stats.bits_alice_to_bob, 9 * 50);
-        assert_eq!(out.stats.bits_bob_to_alice, 0);
+        assert_eq!(stats.bits_alice_to_bob, 9 * 50);
+        assert_eq!(stats.bits_bob_to_alice, 0);
     }
 
     #[test]
@@ -142,8 +140,8 @@ mod tests {
         }
         let g = b.build();
         let p = Partitioner::Alternating.split(&g);
-        let out = solve_edge_coloring(&p, 0);
-        assert_eq!(out.stats.total_bits(), 0);
-        assert!(validate_edge_coloring_with_palette(&g, &out.merged(), 1).is_ok());
+        let (merged, stats) = theorem2_merged(&p, 0);
+        assert_eq!(stats.total_bits(), 0);
+        assert!(validate_edge_coloring_with_palette(&g, &merged, 1).is_ok());
     }
 }

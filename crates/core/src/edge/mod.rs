@@ -1,6 +1,6 @@
 //! Two-party edge-coloring protocols (§5 and Theorem 3).
 //!
-//! * [`solve_edge_coloring`] — **Theorem 2**: deterministic
+//! * [`theorem2_party`] — **Theorem 2**: deterministic
 //!   `(2Δ−1)`-edge coloring with `O(n)` bits and `O(1)` rounds,
 //!   dispatching between Lemma 5.1's constant-Δ protocol
 //!   ([`bounded`]) and Algorithm 2 ([`algorithm2`]).
@@ -8,16 +8,14 @@
 //!   coloring with *zero* communication.
 //!
 //! Unlike the vertex problem, each party outputs colors only for its
-//! own edges; [`EdgeOutcome::merged`] recombines them for validation.
+//! own edges; [`EdgeColoring::merge`] recombines the two outputs of
+//! [`run_parties`](crate::run_parties) for validation.
 
 pub mod algorithm2;
 pub mod bounded;
 pub mod two_delta;
 
-use bichrome_comm::session::run_two_party_ctx;
-use bichrome_comm::CommStats;
 use bichrome_graph::coloring::{ColorId, EdgeColoring};
-use bichrome_graph::partition::EdgePartition;
 
 use crate::input::PartyInput;
 
@@ -67,40 +65,14 @@ impl PaletteLayout {
     }
 }
 
-/// Result of a two-party edge-coloring run.
-#[derive(Debug, Clone)]
-pub struct EdgeOutcome {
-    /// Colors of Alice's edges (her required output).
-    pub alice: EdgeColoring,
-    /// Colors of Bob's edges.
-    pub bob: EdgeColoring,
-    /// Session communication statistics.
-    pub stats: CommStats,
-}
-
-impl EdgeOutcome {
-    /// The union coloring over the whole graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sides colored the same edge differently
-    /// (impossible for a correct protocol: edge sets are disjoint).
-    pub fn merged(&self) -> EdgeColoring {
-        let mut all = self.alice.clone();
-        all.merge(&self.bob)
-            .expect("parties color disjoint edge sets");
-        all
-    }
-}
-
 /// One party's script for **Theorem 2**, with the canonical dispatch:
 /// `Δ = 0` needs nothing; `Δ ≤ 7` uses the one-round constant-Δ
 /// protocol of Lemma 5.1; `Δ ≥ 8` runs Algorithm 2. (`Δ` is the whole
 /// graph's maximum degree, carried in [`PartyInput::delta`].)
 ///
-/// Every entry point — the deprecated [`solve_edge_coloring`] shim
-/// and the `bichrome-runner` registry's `edge/theorem2` — routes
-/// through this one function, so the dispatch cannot diverge.
+/// The `bichrome-runner` registry's `edge/theorem2` and every test
+/// run this one function through [`run_parties`](crate::run_parties),
+/// so the dispatch cannot diverge.
 pub fn theorem2_party(input: &PartyInput, ctx: &bichrome_comm::session::PartyCtx) -> EdgeColoring {
     match input.delta {
         0 => EdgeColoring::new(),
@@ -109,35 +81,22 @@ pub fn theorem2_party(input: &PartyInput, ctx: &bichrome_comm::session::PartyCtx
     }
 }
 
-/// Runs **Theorem 2**: deterministic `(2Δ−1)`-edge coloring in `O(n)`
-/// bits and `O(1)` rounds (dispatch described at [`theorem2_party`]).
-///
-/// The protocol is deterministic; the `seed` only feeds the session
-/// plumbing and does not affect the output.
-#[deprecated(
-    since = "0.1.0",
-    note = "use bichrome_runner: registry().get(\"edge/theorem2\") and Protocol::run, \
-            or Campaign for repeated trials"
-)]
-pub fn solve_edge_coloring(partition: &EdgePartition, seed: u64) -> EdgeOutcome {
-    let a = PartyInput::alice(partition);
-    let b = PartyInput::bob(partition);
-    let script = move |input: PartyInput| {
-        move |ctx: bichrome_comm::session::PartyCtx| theorem2_party(&input, &ctx)
-    };
-    let (alice, bob, stats) = run_two_party_ctx(seed, script(a), script(b));
-    EdgeOutcome { alice, bob, stats }
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim stays covered until it is removed
-
     use super::*;
-    use bichrome_comm::Side;
+    use crate::run_parties;
+    use bichrome_comm::{CommStats, Side};
     use bichrome_graph::coloring::validate_edge_coloring_with_palette;
     use bichrome_graph::gen;
-    use bichrome_graph::partition::Partitioner;
+    use bichrome_graph::partition::{EdgePartition, Partitioner};
+
+    /// Theorem 2 on `p`: both parties' colorings merged, and the
+    /// session's statistics.
+    pub(crate) fn theorem2_merged(p: &EdgePartition, seed: u64) -> (EdgeColoring, CommStats) {
+        let (mut all, bob, stats) = run_parties(p, seed, theorem2_party);
+        all.merge(&bob).expect("parties color disjoint edge sets");
+        (all, stats)
+    }
 
     #[test]
     fn palette_layout_partitions_colors() {
@@ -171,10 +130,10 @@ mod tests {
             (gen::gnm_max_degree(60, 280, 12, 2), "Δ=12"),
         ] {
             let p = Partitioner::Random(3).split(&g);
-            let out = solve_edge_coloring(&p, 1);
+            let (merged, _) = theorem2_merged(&p, 1);
             let budget = (2 * g.max_degree()).saturating_sub(1).max(1);
             assert!(
-                validate_edge_coloring_with_palette(&g, &out.merged(), budget).is_ok(),
+                validate_edge_coloring_with_palette(&g, &merged, budget).is_ok(),
                 "invalid (2Δ−1) coloring on {label}"
             );
         }
@@ -184,14 +143,14 @@ mod tests {
     fn each_party_colors_exactly_its_edges() {
         let g = gen::gnm_max_degree(50, 150, 10, 7);
         let p = Partitioner::Alternating.split(&g);
-        let out = solve_edge_coloring(&p, 0);
-        assert_eq!(out.alice.len(), p.alice().num_edges());
-        assert_eq!(out.bob.len(), p.bob().num_edges());
+        let (alice, bob, _) = run_parties(&p, 0, theorem2_party);
+        assert_eq!(alice.len(), p.alice().num_edges());
+        assert_eq!(bob.len(), p.bob().num_edges());
         for &e in p.alice().edges() {
-            assert!(out.alice.get(e).is_some(), "Alice must output {e}");
+            assert!(alice.get(e).is_some(), "Alice must output {e}");
         }
         for &e in p.bob().edges() {
-            assert!(out.bob.get(e).is_some(), "Bob must output {e}");
+            assert!(bob.get(e).is_some(), "Bob must output {e}");
         }
     }
 }

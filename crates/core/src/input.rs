@@ -1,6 +1,8 @@
-//! Per-party protocol inputs.
+//! Per-party protocol inputs, and [`run_parties`], which runs one
+//! script for both parties.
 
-use bichrome_comm::Side;
+use bichrome_comm::session::{run_two_party_ctx, PartyCtx};
+use bichrome_comm::{CommStats, Side};
 use bichrome_graph::partition::EdgePartition;
 use bichrome_graph::Graph;
 
@@ -40,6 +42,32 @@ impl PartyInput {
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
     }
+}
+
+/// Runs one protocol script for both parties (§3.1): Alice and Bob
+/// each call `party` on their own edge set of `partition`, over one
+/// session with public coins drawn from `seed`. Returns Alice's
+/// output, Bob's output and the session's communication statistics.
+///
+/// The session uses the calling thread's ambient transport and fault
+/// plan (see [`run_two_party_ctx`]), so a
+/// campaign's wire settings apply to every protocol driven here.
+///
+/// # Panics
+///
+/// Propagates a panic from either party.
+pub fn run_parties<R: Send>(
+    partition: &EdgePartition,
+    seed: u64,
+    party: impl Fn(&PartyInput, &PartyCtx) -> R + Sync,
+) -> (R, R, CommStats) {
+    let (alice, bob) = (PartyInput::alice(partition), PartyInput::bob(partition));
+    let party = &party;
+    run_two_party_ctx(
+        seed,
+        move |ctx| party(&alice, &ctx),
+        move |ctx| party(&bob, &ctx),
+    )
 }
 
 #[cfg(test)]

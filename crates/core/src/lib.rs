@@ -43,10 +43,20 @@
 //! ```
 //!
 //! Party scripts compose directly when you need custom sessions:
-//! [`vertex::vertex_coloring_party`], [`baselines::flin_mittal`],
-//! [`edge::algorithm2::algorithm2_party`], ... each take a
-//! [`PartyInput`] and a `PartyCtx` and can be driven by
-//! `bichrome_comm::session::run_two_party_ctx`.
+//! [`vertex::vertex_coloring_party`], [`baselines::Baseline::party`],
+//! [`edge::theorem2_party`], ... each take a [`PartyInput`] and a
+//! `PartyCtx`, and [`run_parties`] runs one of them for both parties
+//! over a partition (the registry's protocols use it too):
+//!
+//! ```
+//! use bichrome_core::{edge, run_parties};
+//! use bichrome_graph::{gen, partition::Partitioner};
+//!
+//! let p = Partitioner::Random(1).split(&gen::cycle(12));
+//! let (alice, bob, stats) = run_parties(&p, 0, edge::theorem2_party);
+//! assert_eq!(alice.len() + bob.len(), 12);
+//! println!("{} bits", stats.total_bits());
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,6 +71,4 @@ pub mod sample_batch;
 pub mod slack_int;
 pub mod vertex;
 
-pub use input::PartyInput;
-#[allow(deprecated)]
-pub use vertex::{solve_vertex_coloring, VertexOutcome};
+pub use input::{run_parties, PartyInput};

@@ -169,7 +169,7 @@ pub fn run_random_color_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bichrome_comm::session::run_two_party_ctx;
+    use crate::run_parties;
     use bichrome_graph::coloring::validate_partial_vertex_coloring;
     use bichrome_graph::partition::Partitioner;
     use bichrome_graph::{gen, Graph};
@@ -180,22 +180,11 @@ mod tests {
         seed: u64,
         config: RctConfig,
     ) -> (VertexColoring, RctReport, bichrome_comm::CommStats) {
-        let p = part.split(g);
-        let a = PartyInput::alice(&p);
-        let b = PartyInput::bob(&p);
-        let ((ca, ra), (cb, rb), stats) = run_two_party_ctx(
-            seed,
-            move |ctx| {
-                let mut coloring = VertexColoring::new(a.num_vertices());
-                let rep = run_random_color_trial(&a, &ctx, &mut coloring, &config);
-                (coloring, rep)
-            },
-            move |ctx| {
-                let mut coloring = VertexColoring::new(b.num_vertices());
-                let rep = run_random_color_trial(&b, &ctx, &mut coloring, &config);
-                (coloring, rep)
-            },
-        );
+        let ((ca, ra), (cb, rb), stats) = run_parties(&part.split(g), seed, |input, ctx| {
+            let mut coloring = VertexColoring::new(input.num_vertices());
+            let rep = run_random_color_trial(input, ctx, &mut coloring, &config);
+            (coloring, rep)
+        });
         assert_eq!(ca, cb, "parties must agree on the partial coloring");
         assert_eq!(ra, rb, "reports are public state");
         (ca, ra, stats)

@@ -8,21 +8,8 @@
 use crate::d1lc::{solve_d1lc, D1lcInput};
 use crate::input::PartyInput;
 use crate::rct::{run_random_color_trial, RctConfig, RctReport};
-use bichrome_comm::session::{run_two_party_ctx, PartyCtx};
-use bichrome_comm::CommStats;
+use bichrome_comm::session::PartyCtx;
 use bichrome_graph::coloring::{ColorId, VertexColoring};
-use bichrome_graph::partition::EdgePartition;
-
-/// Result of a full vertex-coloring protocol run.
-#[derive(Debug, Clone)]
-pub struct VertexOutcome {
-    /// The complete `(Δ+1)`-coloring (identical on both sides).
-    pub coloring: VertexColoring,
-    /// Communication statistics of the session.
-    pub stats: CommStats,
-    /// `Random-Color-Trial` instrumentation.
-    pub rct: RctReport,
-}
 
 /// One party's protocol script for Theorem 1.
 ///
@@ -75,58 +62,34 @@ pub fn vertex_coloring_party(
     (coloring, report)
 }
 
-/// Runs the full Theorem 1 protocol over a two-thread session.
-///
-/// # Panics
-///
-/// Panics if the two parties disagree on the output (a protocol bug,
-/// checked defensively) or a party thread panics.
-#[deprecated(
-    since = "0.1.0",
-    note = "use bichrome_runner: registry().get(\"vertex/theorem1\") and Protocol::run, \
-            or Campaign for repeated trials"
-)]
-pub fn solve_vertex_coloring(
-    partition: &EdgePartition,
-    seed: u64,
-    config: &RctConfig,
-) -> VertexOutcome {
-    let a = PartyInput::alice(partition);
-    let b = PartyInput::bob(partition);
-    let cfg_a = *config;
-    let cfg_b = *config;
-    let ((ca, ra), (cb, rb), stats) = run_two_party_ctx(
-        seed,
-        move |ctx| vertex_coloring_party(&a, &ctx, &cfg_a),
-        move |ctx| vertex_coloring_party(&b, &ctx, &cfg_b),
-    );
-    assert_eq!(ca, cb, "both parties must output the same coloring");
-    assert_eq!(ra, rb, "RCT reports are public state");
-    VertexOutcome {
-        coloring: ca,
-        stats,
-        rct: ra,
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim stays covered until it is removed
-
     use super::*;
+    use crate::run_parties;
+    use bichrome_comm::CommStats;
     use bichrome_graph::coloring::validate_vertex_coloring_with_palette;
     use bichrome_graph::gen;
-    use bichrome_graph::partition::Partitioner;
+    use bichrome_graph::partition::{EdgePartition, Partitioner};
+
+    /// Theorem 1 on `p`: the coloring both parties output, and the
+    /// session's statistics.
+    fn solve(p: &EdgePartition, seed: u64) -> (VertexColoring, CommStats) {
+        let ((ca, ra), (cb, rb), stats) = run_parties(p, seed, |input, ctx| {
+            vertex_coloring_party(input, ctx, &RctConfig::default())
+        });
+        assert_eq!(ca, cb, "both parties must output the same coloring");
+        assert_eq!(ra, rb, "RCT reports are public state");
+        (ca, stats)
+    }
 
     #[test]
     fn theorem1_on_random_graphs() {
         for seed in 0..4 {
             let g = gen::gnp(50, 0.12, seed);
             let p = Partitioner::Random(seed).split(&g);
-            let out = solve_vertex_coloring(&p, seed, &RctConfig::default());
+            let (coloring, _) = solve(&p, seed);
             assert!(
-                validate_vertex_coloring_with_palette(&g, &out.coloring, g.max_degree() + 1)
-                    .is_ok(),
+                validate_vertex_coloring_with_palette(&g, &coloring, g.max_degree() + 1).is_ok(),
                 "invalid coloring at seed {seed}"
             );
         }
@@ -137,9 +100,9 @@ mod tests {
         let g = gen::near_regular(60, 6, 3);
         for part in Partitioner::family(5) {
             let p = part.split(&g);
-            let out = solve_vertex_coloring(&p, 9, &RctConfig::default());
+            let (coloring, _) = solve(&p, 9);
             assert!(
-                validate_vertex_coloring_with_palette(&g, &out.coloring, 7).is_ok(),
+                validate_vertex_coloring_with_palette(&g, &coloring, 7).is_ok(),
                 "invalid under partitioner {part}"
             );
         }
@@ -154,10 +117,9 @@ mod tests {
             gen::path(13),
         ] {
             let p = Partitioner::Alternating.split(&g);
-            let out = solve_vertex_coloring(&p, 4, &RctConfig::default());
+            let (coloring, _) = solve(&p, 4);
             assert!(
-                validate_vertex_coloring_with_palette(&g, &out.coloring, g.max_degree() + 1)
-                    .is_ok(),
+                validate_vertex_coloring_with_palette(&g, &coloring, g.max_degree() + 1).is_ok(),
                 "invalid coloring on {g}"
             );
         }
@@ -167,22 +129,22 @@ mod tests {
     fn theorem1_handles_empty_and_tiny() {
         let g = gen::empty(7);
         let p = Partitioner::AllToBob.split(&g);
-        let out = solve_vertex_coloring(&p, 0, &RctConfig::default());
-        assert!(out.coloring.is_complete());
+        let (coloring, _) = solve(&p, 0);
+        assert!(coloring.is_complete());
         let g = gen::path(2);
         let p = Partitioner::AllToAlice.split(&g);
-        let out = solve_vertex_coloring(&p, 0, &RctConfig::default());
-        assert!(validate_vertex_coloring_with_palette(&g, &out.coloring, 2).is_ok());
+        let (coloring, _) = solve(&p, 0);
+        assert!(validate_vertex_coloring_with_palette(&g, &coloring, 2).is_ok());
     }
 
     #[test]
     fn theorem1_deterministic_per_seed() {
         let g = gen::gnp(40, 0.2, 6);
         let p = Partitioner::Random(1).split(&g);
-        let o1 = solve_vertex_coloring(&p, 33, &RctConfig::default());
-        let o2 = solve_vertex_coloring(&p, 33, &RctConfig::default());
-        assert_eq!(o1.coloring, o2.coloring);
-        assert_eq!(o1.stats.total_bits(), o2.stats.total_bits());
+        let (c1, s1) = solve(&p, 33);
+        let (c2, s2) = solve(&p, 33);
+        assert_eq!(c1, c2);
+        assert_eq!(s1.total_bits(), s2.total_bits());
     }
 
     #[test]
@@ -193,11 +155,11 @@ mod tests {
         // blow through.
         let g = gen::near_regular(200, 8, 1);
         let p = Partitioner::Random(2).split(&g);
-        let out = solve_vertex_coloring(&p, 5, &RctConfig::default());
+        let (_, stats) = solve(&p, 5);
         assert!(
-            out.stats.rounds < 2_000,
+            stats.rounds < 2_000,
             "rounds {} out of line for n=200",
-            out.stats.rounds
+            stats.rounds
         );
     }
 }

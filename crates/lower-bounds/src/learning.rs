@@ -12,8 +12,8 @@
 //! have cost `Ω(n)` communication.
 
 use bichrome_core::rct::RctConfig;
-#[allow(deprecated)] // this crate sits below bichrome-runner; see run_learning_reduction
-use bichrome_core::vertex::solve_vertex_coloring;
+use bichrome_core::run_parties;
+use bichrome_core::vertex::vertex_coloring_party;
 use bichrome_graph::coloring::VertexColoring;
 use bichrome_graph::partition::Partitioner;
 use bichrome_graph::{gen, VertexId};
@@ -71,12 +71,15 @@ pub fn recover_bits(coloring: &VertexColoring, n_bits: usize) -> Vec<bool> {
 pub fn run_learning_reduction(bits: &[bool], seed: u64) -> (Vec<bool>, u64) {
     let g = gadget_graph(bits);
     let partition = Partitioner::AllToAlice.split(&g);
-    // This crate sits below bichrome-runner in the dependency graph,
-    // so it drives the session through the core shim directly.
-    #[allow(deprecated)]
-    let out = solve_vertex_coloring(&partition, seed, &RctConfig::default());
-    let recovered = recover_bits(&out.coloring, bits.len());
-    (recovered, out.stats.total_bits())
+    let ((ca, ra), (cb, rb), stats) = run_parties(&partition, seed, |input, ctx| {
+        vertex_coloring_party(input, ctx, &RctConfig::default())
+    });
+    assert!(
+        ca == cb && ra == rb,
+        "both parties must end in the same public state"
+    );
+    // Bob holds no edges, yet his own output reveals x.
+    (recover_bits(&cb, bits.len()), stats.total_bits())
 }
 
 #[cfg(test)]

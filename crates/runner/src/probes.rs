@@ -16,10 +16,9 @@
 
 use crate::instance::Instance;
 use crate::protocol::{Outcome, Protocol};
-use bichrome_comm::session::run_two_party_ctx;
 use bichrome_comm::CommStats;
-use bichrome_core::input::PartyInput;
 use bichrome_core::rct::{run_random_color_trial, RctConfig};
+use bichrome_core::run_parties;
 use bichrome_core::slack_int::{run_slack_int_session, run_slack_int_session_with_constant};
 use bichrome_graph::coloring::VertexColoring;
 use bichrome_lb::best_response::optimized_strategy;
@@ -494,8 +493,8 @@ impl Protocol for WStreamingSpaceProbe {
 /// [`MAX_ITER_METRICS`] keys, zero-padded past its own termination,
 /// so cross-seed aggregation counts finished trials as 0 active
 /// vertices instead of silently conditioning the mean on survivors.
-/// The verdict checks the two parties' public partial colorings
-/// agree.
+/// The verdict checks the two parties' public partial colorings and
+/// RCT reports agree.
 #[derive(Debug, Clone, Default)]
 pub struct RctDecayProbe {
     /// RCT tuning (`None` iterations = the paper's budget).
@@ -524,29 +523,26 @@ impl Protocol for RctDecayProbe {
 
     fn run(&self, inst: &Instance) -> Outcome {
         let n = inst.n();
-        let a = PartyInput::alice(&inst.partition);
-        let b = PartyInput::bob(&inst.partition);
-        let (cfg_a, cfg_b) = (self.config, self.config);
-        let party = |input: PartyInput, cfg: RctConfig| {
-            move |ctx: bichrome_comm::session::PartyCtx| {
-                let mut coloring = VertexColoring::new(n);
-                let report = run_random_color_trial(&input, &ctx, &mut coloring, &cfg);
-                (report, coloring)
-            }
-        };
-        let ((rep_a, ca), (_rep_b, cb), stats) =
-            run_two_party_ctx(inst.seed, party(a, cfg_a), party(b, cfg_b));
-        let mut outcome = if ca == cb {
+        let (alice, bob, stats) = run_parties(&inst.partition, inst.seed, |input, ctx| {
+            let mut coloring = VertexColoring::new(n);
+            let report = run_random_color_trial(input, ctx, &mut coloring, &self.config);
+            (report, coloring)
+        });
+        let mut outcome = if alice == bob {
             Outcome::measured(stats)
         } else {
-            Outcome::failed("parties disagree on the partial RCT coloring", stats)
+            Outcome::failed(
+                "parties disagree on the partial RCT coloring or report",
+                stats,
+            )
         };
+        let (report, coloring) = alice;
         outcome = outcome
-            .with_metric("remaining", rep_a.remaining as f64)
-            .with_metric("iterations_run", rep_a.iterations_run as f64)
-            .with_metric("colored", ca.num_colored() as f64);
+            .with_metric("remaining", report.remaining as f64)
+            .with_metric("iterations_run", report.iterations_run as f64)
+            .with_metric("colored", coloring.num_colored() as f64);
         for i in 0..MAX_ITER_METRICS {
-            let active = rep_a.active_per_iteration.get(i).copied().unwrap_or(0);
+            let active = report.active_per_iteration.get(i).copied().unwrap_or(0);
             outcome = outcome.with_metric(format!("active_iter_{:02}", i + 1), active as f64);
         }
         outcome

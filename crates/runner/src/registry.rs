@@ -17,12 +17,11 @@
 
 use crate::instance::Instance;
 use crate::protocol::{Outcome, Protocol};
-use bichrome_comm::session::run_two_party_ctx;
 use bichrome_comm::CommStats;
-use bichrome_core::baselines::{flin_mittal, greedy_binary_search, send_everything, Baseline};
+use bichrome_core::baselines::Baseline;
 use bichrome_core::edge::{self, bounded, two_delta};
-use bichrome_core::input::PartyInput;
 use bichrome_core::rct::RctConfig;
+use bichrome_core::run_parties;
 use bichrome_core::vertex::vertex_coloring_party;
 use bichrome_graph::coloring::EdgeColoring;
 use bichrome_streaming::algorithms::{ChunkedWStreaming, GreedyWStreaming};
@@ -47,20 +46,19 @@ impl Protocol for VertexTheorem1 {
     }
 
     fn run(&self, inst: &Instance) -> Outcome {
-        let a = PartyInput::alice(&inst.partition);
-        let b = PartyInput::bob(&inst.partition);
-        let (cfg_a, cfg_b) = (self.config, self.config);
-        let ((ca, rct), (cb, _), stats) = run_two_party_ctx(
-            inst.seed,
-            move |ctx| vertex_coloring_party(&a, &ctx, &cfg_a),
-            move |ctx| vertex_coloring_party(&b, &ctx, &cfg_b),
-        );
-        if ca != cb {
-            return Outcome::failed("parties disagree on the vertex coloring", stats);
-        }
+        let (alice, bob, stats) = run_parties(&inst.partition, inst.seed, |input, ctx| {
+            vertex_coloring_party(input, ctx, &self.config)
+        });
+        // The RCT report is public state too, so it must agree.
+        let Some((coloring, rct)) = agreed(alice, bob) else {
+            return Outcome::failed(
+                "parties disagree on the vertex coloring or RCT report",
+                stats,
+            );
+        };
         // RCT-stage instrumentation rides along as metrics so
         // iteration-budget ablations (a1) are plain campaigns.
-        Outcome::vertex(inst.graph(), ca, stats, inst.delta() + 1)
+        Outcome::vertex(inst.graph(), coloring, stats, inst.delta() + 1)
             .with_metric("rct_remaining", rct.remaining as f64)
             .with_metric("rct_iterations", rct.iterations_run as f64)
     }
@@ -81,12 +79,7 @@ impl Protocol for EdgeTheorem2 {
     }
 
     fn run(&self, inst: &Instance) -> Outcome {
-        let a = PartyInput::alice(&inst.partition);
-        let b = PartyInput::bob(&inst.partition);
-        let script = move |input: PartyInput| {
-            move |ctx: bichrome_comm::session::PartyCtx| edge::theorem2_party(&input, &ctx)
-        };
-        let (alice, bob, stats) = run_two_party_ctx(inst.seed, script(a), script(b));
+        let (alice, bob, stats) = run_parties(&inst.partition, inst.seed, edge::theorem2_party);
         let budget = (2 * inst.delta()).saturating_sub(1).max(1);
         merge_edge_outcome(inst, alice, bob, stats, budget)
     }
@@ -136,12 +129,8 @@ impl Protocol for EdgeLemma51Bounded {
                 1,
             );
         }
-        let a = PartyInput::alice(&inst.partition);
-        let b = PartyInput::bob(&inst.partition);
-        let script = move |input: PartyInput| {
-            move |ctx: bichrome_comm::session::PartyCtx| bounded::bounded_delta_party(&input, &ctx)
-        };
-        let (alice, bob, stats) = run_two_party_ctx(inst.seed, script(a), script(b));
+        let (alice, bob, stats) =
+            run_parties(&inst.partition, inst.seed, bounded::bounded_delta_party);
         merge_edge_outcome(
             inst,
             alice,
@@ -196,21 +185,13 @@ impl Protocol for BaselineProtocol {
     }
 
     fn run(&self, inst: &Instance) -> Outcome {
-        let a = PartyInput::alice(&inst.partition);
-        let b = PartyInput::bob(&inst.partition);
-        let which = self.which;
-        let script = move |input: PartyInput| {
-            move |ctx: bichrome_comm::session::PartyCtx| match which {
-                Baseline::FlinMittal => flin_mittal(&input, &ctx),
-                Baseline::GreedyBinarySearch => greedy_binary_search(&input, &ctx),
-                Baseline::SendEverything => send_everything(&input, &ctx),
-            }
-        };
-        let (ca, cb, stats) = run_two_party_ctx(inst.seed, script(a), script(b));
-        if ca != cb {
+        let (alice, bob, stats) = run_parties(&inst.partition, inst.seed, |input, ctx| {
+            self.which.party(input, ctx)
+        });
+        let Some(coloring) = agreed(alice, bob) else {
             return Outcome::failed("baseline parties disagree", stats);
-        }
-        Outcome::vertex(inst.graph(), ca, stats, inst.delta() + 1)
+        };
+        Outcome::vertex(inst.graph(), coloring, stats, inst.delta() + 1)
     }
 }
 
@@ -283,6 +264,12 @@ impl Protocol for StreamingReduction {
             Err(e) => Outcome::failed(format!("conflicting color reports on {e}"), stats),
         }
     }
+}
+
+/// The output both parties reached, or `None` when they disagree: a
+/// protocol bug that must fail the trial.
+fn agreed<T: PartialEq>(alice: T, bob: T) -> Option<T> {
+    (alice == bob).then_some(alice)
 }
 
 fn merge_edge_outcome(

@@ -4,8 +4,10 @@
 //! `bichrome_runner` API, with party-level output-discipline checks
 //! kept on the lower-level entry points they exercise.
 
-use bichrome_graph::coloring::validate_edge_coloring_with_palette;
-use bichrome_graph::partition::Partitioner;
+use bichrome_core::edge::{self, bounded, two_delta};
+use bichrome_core::run_parties;
+use bichrome_graph::coloring::{validate_edge_coloring_with_palette, EdgeColoring};
+use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::{gen, Graph};
 use bichrome_runner::{registry, Instance};
 
@@ -184,15 +186,24 @@ fn adversarial_single_sided_inputs() {
 #[test]
 fn each_party_colors_exactly_its_edges() {
     // Output discipline lives below the runner's merged Artifact: each
-    // party must output colors for exactly its own edge set — on every
-    // graph family, under every partitioner (covering the Lemma 5.1,
-    // Algorithm 2, and deferral/matching paths). The deprecated shim
-    // is the entry point that exposes per-party outputs, so it stays
-    // under test here.
-    #[allow(deprecated)]
-    let run = |p: &bichrome_graph::partition::EdgePartition| {
-        bichrome_core::edge::solve_edge_coloring(p, 0)
+    // party must color exactly its own edge set — for every edge
+    // protocol, on every graph family, under every partitioner
+    // (covering the Lemma 5.1, Algorithm 2, and deferral/matching
+    // paths). Lemma 5.1 runs here at every Δ, as its registry key
+    // does.
+    type Run = fn(&EdgePartition) -> (EdgeColoring, EdgeColoring);
+    let theorem2: Run = |p| {
+        let (alice, bob, _) = run_parties(p, 0, edge::theorem2_party);
+        (alice, bob)
     };
+    let protocols: [(&str, Run); 3] = [
+        ("theorem2", theorem2),
+        ("lemma5.1-bounded", |p| {
+            let (alice, bob, _) = run_parties(p, 0, bounded::bounded_delta_party);
+            (alice, bob)
+        }),
+        ("theorem3", two_delta::solve_two_delta),
+    ];
     let zoo: Vec<Graph> = vec![
         gen::path(30),
         gen::cycle(25),
@@ -201,29 +212,33 @@ fn each_party_colors_exactly_its_edges() {
         gen::gnm_max_degree(60, 260, 9, 2),
         gen::gnm_max_degree(50, 150, 10, 7),
     ];
-    for g in &zoo {
-        for part in Partitioner::family(7) {
-            let p = part.split(g);
-            let out = run(&p);
-            assert_eq!(
-                out.alice.len(),
-                p.alice().num_edges(),
-                "{g} under {part}: Alice must color exactly her edges"
-            );
-            assert_eq!(
-                out.bob.len(),
-                p.bob().num_edges(),
-                "{g} under {part}: Bob must color exactly his edges"
-            );
+    for (name, run) in protocols {
+        for g in &zoo {
+            for part in Partitioner::family(7) {
+                let p = part.split(g);
+                let (alice, bob) = run(&p);
+                for (who, out, own) in [("Alice", &alice, p.alice()), ("Bob", &bob, p.bob())] {
+                    assert_eq!(
+                        out.len(),
+                        own.num_edges(),
+                        "{name} on {g} under {part}: {who} must color exactly the edges it holds"
+                    );
+                    for &e in own.edges() {
+                        assert!(
+                            out.get(e).is_some(),
+                            "{name} on {g} under {part}: {who} must color its edge {e}"
+                        );
+                    }
+                }
+            }
         }
     }
     // The deferral path (K10, everything at Alice): Bob outputs
     // nothing even though his thread participates.
     let g = gen::complete(10);
-    let p = Partitioner::AllToAlice.split(&g);
-    let out = run(&p);
-    assert_eq!(out.alice.len(), 45);
-    assert!(out.bob.is_empty());
+    let (alice, bob) = theorem2(&Partitioner::AllToAlice.split(&g));
+    assert_eq!(alice.len(), 45);
+    assert!(bob.is_empty());
 }
 
 #[test]
