@@ -162,14 +162,13 @@ fn campaign_toml() -> String {
 }
 
 /// One worker thread: pull leases over the socket, compute, complete,
-/// until the daemon goes idle-with-nothing-left (the watcher below
-/// ends the measurement; `stop` only fires on drain).
-fn worker_loop(addr: &Addr, done: &std::sync::atomic::AtomicBool) -> u64 {
-    use std::sync::atomic::Ordering;
+/// until the daemon says stop (the watcher below ends the measurement,
+/// then shuts the daemon down).
+fn worker_loop(addr: &Addr) -> u64 {
     let client = Client::new(addr.clone());
     let cache = InstanceCache::new();
     let mut computed = 0;
-    while !done.load(Ordering::SeqCst) {
+    loop {
         match client.lease().expect("lease") {
             LeaseGrant::Trial(t) => {
                 let key = TrialKey {
@@ -186,7 +185,7 @@ fn worker_loop(addr: &Addr, done: &std::sync::atomic::AtomicBool) -> u64 {
                     .expect("complete");
                 computed += 1;
             }
-            LeaseGrant::Idle => std::thread::sleep(std::time::Duration::from_millis(1)),
+            LeaseGrant::Idle => {}
             LeaseGrant::Stop => break,
         }
     }
@@ -198,7 +197,6 @@ fn worker_loop(addr: &Addr, done: &std::sync::atomic::AtomicBool) -> u64 {
 /// the daemon is a pure scheduler and `remote_workers` threads pull
 /// trials over a real TCP socket.
 fn time_workers(remote_workers: usize) -> f64 {
-    use std::sync::atomic::{AtomicBool, Ordering};
     let dir = scratch(&format!("workers-{remote_workers}"));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let daemon = Daemon::start(
@@ -217,13 +215,11 @@ fn time_workers(remote_workers: usize) -> f64 {
     };
 
     let client = Client::new(addr.clone());
-    let done = AtomicBool::new(false);
     let started = Instant::now();
     let wall = std::thread::scope(|scope| {
         for _ in 0..remote_workers {
             let addr = addr.clone();
-            let done = &done;
-            scope.spawn(move || worker_loop(&addr, done));
+            scope.spawn(move || worker_loop(&addr));
         }
         let job = client.submit(&campaign_toml()).expect("submit");
         let end = client.watch(job, |_trial| {}).expect("watch");
@@ -233,11 +229,10 @@ fn time_workers(remote_workers: usize) -> f64 {
             "job must finish"
         );
         let wall = started.elapsed().as_secs_f64();
-        done.store(true, Ordering::SeqCst);
+        // Held leases answer `stop`, so the workers exit.
+        client.shutdown().expect("shutdown");
         wall
     });
-
-    client.shutdown().expect("shutdown");
     server.join().expect("serve thread").expect("serve exits");
     let _ = std::fs::remove_dir_all(&dir);
     wall

@@ -512,7 +512,9 @@ impl Reconnector {
 
 /// `bichrome work`: a remote worker — pull leases from a daemon,
 /// compute them with the ordinary prepared-run machinery, stream the
-/// records back. Exits when the daemon says stop (drain), immediately
+/// records back, all on one kept connection. A lease waits at the
+/// daemon until work arrives, so the worker never sleeps between
+/// trials. Exits when the daemon says stop (drain), immediately
 /// on a fatal protocol error, or once the daemon has stayed
 /// unreachable through `--max-retries` consecutive backoffs.
 ///
@@ -577,10 +579,9 @@ fn work(args: &[&str]) -> Result<String, String> {
                     }
                 }
             }
-            Ok(LeaseGrant::Idle) => {
-                retry.on_lease_accepted();
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            // The daemon held the lease for a while before saying
+            // idle, so asking again at once is not a busy loop.
+            Ok(LeaseGrant::Idle) => retry.on_lease_accepted(),
             Ok(LeaseGrant::Stop) => break,
             Err(e) => retry.on_error(&addr, &e)?,
         }

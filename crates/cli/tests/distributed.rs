@@ -129,7 +129,8 @@ fn a_daemon_and_two_worker_processes_reproduce_the_in_process_report() {
     call(&["shutdown", "--addr", &addr]).expect("shutdown");
     let status = daemon.0.wait().expect("daemon exit");
     assert!(status.success(), "daemon exited {status}");
-    // The workers are idle pollers now; Reap reclaims them.
+    // The drain answered the workers' held leases with `stop`, so
+    // they exit; Reap reclaims any that has not yet.
     drop(workers);
 
     // Acceptance: the distributed store reports bit-identically to a

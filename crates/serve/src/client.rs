@@ -1,5 +1,6 @@
-//! A blocking client for the daemon's wire protocol: one connection,
-//! one request, line-delimited JSON back.
+//! A blocking client for the daemon's wire protocol: line-delimited
+//! JSON requests, each answered by one line (or, for `watch`, a stream
+//! of lines).
 //!
 //! Every method returns [`ProtoError`], which splits failures by what
 //! the caller should do: [`ProtoError::is_retryable`] is true for a
@@ -7,37 +8,74 @@
 //! and false for malformed traffic or refused requests (give up).
 //! `bichrome work`'s reconnect loop is built directly on this split.
 
-use crate::net::{Addr, Stream};
+use crate::net::{write_line, Addr, Stream};
 use crate::proto::{Format, ProtoError, Request};
 use bichrome_store::json::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
+use std::sync::Mutex;
 
-/// A handle on a daemon address. Stateless — every call dials a
-/// fresh connection, so one `Client` may be shared freely.
-#[derive(Debug, Clone)]
+/// A handle on a daemon address. [`Client::lease`] and
+/// [`Client::complete`] share one kept connection, so a worker does
+/// not dial per trial; every other call dials a fresh connection. A
+/// clone starts with no kept connection of its own.
+#[derive(Debug)]
 pub struct Client {
     addr: Addr,
+    /// The connection `lease` and `complete` reuse, once dialed.
+    kept: Mutex<Option<BufReader<Stream>>>,
+}
+
+impl Clone for Client {
+    fn clone(&self) -> Client {
+        Client::new(self.addr.clone())
+    }
 }
 
 impl Client {
     /// A client for the daemon at `addr`.
     pub fn new(addr: Addr) -> Client {
-        Client { addr }
+        Client {
+            addr,
+            kept: Mutex::new(None),
+        }
     }
 
-    /// Sends one request and returns the reader positioned after it,
-    /// plus the first (decoded) response line.
+    fn dial(&self) -> Result<BufReader<Stream>, ProtoError> {
+        Stream::connect(&self.addr)
+            .map(BufReader::new)
+            .map_err(|e| ProtoError::Unreachable(format!("connecting {}: {e}", self.addr)))
+    }
+
+    /// Sends one request on a fresh connection and returns the reader
+    /// positioned after it, plus the first (decoded) response line.
     fn request(&self, req: &Request) -> Result<(BufReader<Stream>, Value), ProtoError> {
-        let mut conn = Stream::connect(&self.addr)
-            .map_err(|e| ProtoError::Unreachable(format!("connecting {}: {e}", self.addr)))?;
-        writeln!(conn, "{}", req.encode())
-            .and_then(|()| conn.flush())
-            .map_err(|e| ProtoError::Unreachable(format!("send: {e}")))?;
-        let mut reader = BufReader::new(conn);
-        let first = read_value(&mut reader)?.ok_or(ProtoError::Unreachable(
-            "daemon closed the connection".into(),
-        ))?;
-        Ok((reader, first))
+        let mut conn = self.dial()?;
+        let first = exchange(&mut conn, req)?;
+        Ok((conn, first))
+    }
+
+    /// [`Client::roundtrip`] on the kept connection. A kept connection
+    /// the daemon has closed since (its io timeout, or a restart)
+    /// fails at once, and the request goes again on one fresh dial
+    /// without backoff: only `lease` and `complete` come here, and the
+    /// daemon's token arbiter makes both safe to resend. A failure on
+    /// the fresh dial is the caller's to retry.
+    fn kept_roundtrip(&self, req: &Request) -> Result<Value, ProtoError> {
+        let mut kept = self.kept.lock().expect("kept connection poisoned");
+        let reused = kept
+            .take()
+            .map(|mut conn| exchange(&mut conn, req).map(|v| (conn, v)));
+        let (conn, v) = match reused {
+            Some(Ok(answered)) => answered,
+            None | Some(Err(ProtoError::Unreachable(_))) => {
+                let mut conn = self.dial()?;
+                let v = exchange(&mut conn, req)?;
+                (conn, v)
+            }
+            Some(Err(e)) => return Err(e),
+        };
+        *kept = Some(conn);
+        check_ok(v)
     }
 
     /// Sends one request expecting a single `{"ok":...}` line.
@@ -201,7 +239,7 @@ impl Client {
         reconnects: u64,
         backoff_ns: u64,
     ) -> Result<LeaseGrant, ProtoError> {
-        let v = self.roundtrip(&Request::Lease {
+        let v = self.kept_roundtrip(&Request::Lease {
             reconnects,
             backoff_ns,
         })?;
@@ -242,7 +280,7 @@ impl Client {
     ///
     /// Transport failures and rejected (re-queued) records.
     pub fn complete(&self, lease: u64, record_json: &str) -> Result<bool, ProtoError> {
-        let v = self.roundtrip(&Request::Complete {
+        let v = self.kept_roundtrip(&Request::Complete {
             lease,
             record: record_json.to_string(),
         })?;
@@ -258,7 +296,9 @@ impl Client {
 pub enum LeaseGrant {
     /// A trial to compute (return it via [`Client::complete`]).
     Trial(TrialLease),
-    /// Nothing queued right now — poll again shortly.
+    /// Nothing was queued during the daemon's hold; ask again (the
+    /// next `lease` waits for work in turn, so there is no need to
+    /// sleep first).
     Idle,
     /// The daemon is draining; the worker should exit.
     Stop,
@@ -289,6 +329,15 @@ pub struct TrialLease {
     /// this field makes the worker reproduce the daemon's exact
     /// execution, chaos included.
     pub fault: String,
+}
+
+/// Sends `req` on `conn` and reads the first response line.
+fn exchange(conn: &mut BufReader<Stream>, req: &Request) -> Result<Value, ProtoError> {
+    write_line(conn.get_mut(), &req.encode())
+        .map_err(|e| ProtoError::Unreachable(format!("send: {e}")))?;
+    read_value(conn)?.ok_or(ProtoError::Unreachable(
+        "daemon closed the connection".into(),
+    ))
 }
 
 /// Reads and parses one response line (`None` on clean EOF).

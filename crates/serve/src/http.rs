@@ -11,9 +11,15 @@
 //! socket, and the two front-ends read the same process-wide
 //! registry.
 
-use std::io::{self, BufRead, BufReader, Write};
+use crate::net::{read_line_capped, Line};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
+
+/// The longest request or header line read, CRLF excluded. A scrape
+/// is a short request line plus a few short headers; 8 KiB is the
+/// customary server limit and far above either.
+const MAX_HTTP_LINE: usize = 8 << 10;
 
 /// Binds `addr` (e.g. `"127.0.0.1:0"`) and serves `GET /metrics` from
 /// a detached background thread for the life of the process. Returns
@@ -37,28 +43,34 @@ pub fn spawn_metrics_http(addr: &str) -> io::Result<SocketAddr> {
     Ok(local)
 }
 
-/// Answers one request on `stream` and closes it.
+/// Answers one request on `stream` and closes it. A request or header
+/// line over [`MAX_HTTP_LINE`] gets `400 Bad Request`.
 fn handle(stream: TcpStream) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut header = String::new();
+    let mut too_long =
+        read_line_capped(&mut reader, MAX_HTTP_LINE, &mut request_line)? == Line::TooLong;
     // Drain the headers; nothing in them changes the answer.
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
+    while !too_long {
+        match read_line_capped(&mut reader, MAX_HTTP_LINE, &mut header)? {
+            Line::Eof => break,
+            Line::TooLong => too_long = true,
+            Line::Complete if header.trim().is_empty() => break,
+            Line::Complete => {}
         }
     }
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
-    let (status, body) = if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?"))
-    {
+    let (status, body) = if too_long {
+        ("400 Bad Request", "line too long\n".to_string())
+    } else if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?")) {
         ("200 OK", bichrome_obs::render_prometheus())
     } else {
         ("404 Not Found", "not found\n".to_string())
     };
-    let mut writer = stream;
     write!(
         writer,
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -116,6 +128,22 @@ mod tests {
             body.contains("bichrome_http_endpoint_test_total 7"),
             "{body}"
         );
+    }
+
+    #[test]
+    fn over_long_lines_get_a_400_and_a_close() {
+        let addr = spawn_metrics_http("127.0.0.1:0").expect("bind");
+        // An over-long request line, then an over-long header line.
+        for head in ["", "GET /metrics HTTP/1.1\r\n"] {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            conn.write_all(head.as_bytes()).expect("send head");
+            conn.write_all(&[b'a'; MAX_HTTP_LINE + 1])
+                .expect("send line");
+            // `read_to_string` returns only once the server closes.
+            let mut raw = String::new();
+            conn.read_to_string(&mut raw).expect("recv");
+            assert!(raw.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{raw}");
+        }
     }
 
     #[test]

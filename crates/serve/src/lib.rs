@@ -11,14 +11,17 @@
 //! the shared cache.
 //!
 //! The wire protocol is line-delimited JSON over a Unix-domain or TCP
-//! socket ([`proto`]): `submit` (inline campaign TOML → job id),
-//! `status` / `jobs`, `watch` (streams per-trial progress), `report`
-//! / `diff`, `cancel`, graceful `shutdown` (drain, then checkpoint
-//! the store), and the remote-worker pair `lease` / `complete` —
-//! `bichrome work --connect` pulls trial descriptors with `lease`,
-//! computes them locally, and streams records back with `complete`;
-//! leases that outlive their timeout are re-queued by the daemon's
-//! reaper, so a worker dying mid-trial costs nothing but time.
+//! socket ([`proto`]), with connections kept open across requests:
+//! `submit` (inline campaign TOML → job id), `status` / `jobs`,
+//! `watch` (streams per-trial progress), `report` / `diff`, `cancel`,
+//! graceful `shutdown` (drain, then checkpoint the store), and the
+//! remote-worker pair `lease` / `complete` — `bichrome work
+//! --connect` pulls trial descriptors with `lease`, computes them
+//! locally, and streams records back with `complete`, both on one
+//! kept connection. A `lease` that finds the queue empty waits at the
+//! daemon until work arrives, so idle workers never sleep; leases
+//! that outlive their timeout are re-queued by the daemon's reaper,
+//! so a worker dying mid-trial costs nothing but time.
 //!
 //! Observability rides along on both front-ends: the `metrics` verb
 //! returns the process-wide [`bichrome_obs`] registry as JSON, and

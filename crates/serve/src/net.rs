@@ -4,7 +4,7 @@
 //! a thread per connection are all the machinery required.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -178,6 +178,56 @@ impl Stream {
             }
         }
     }
+
+    /// Switches the connection between blocking and non-blocking
+    /// mode. The daemon flips it for one read to check whether a
+    /// held `lease`'s peer is still there.
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_nonblocking(nonblocking),
+            Stream::Tcp(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+}
+
+/// Writes `line` and its terminating newline in one `write_all`.
+/// Sent as two writes, the newline leaves as a second small segment
+/// that Nagle's algorithm holds until the peer's delayed ACK — on a
+/// kept connection, a stall of tens of milliseconds per message.
+pub(crate) fn write_line(stream: &mut impl Write, line: &str) -> io::Result<()> {
+    stream.write_all(format!("{line}\n").as_bytes())
+}
+
+/// What [`read_line_capped`] read.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Line {
+    /// The peer closed the connection before sending a byte.
+    Eof,
+    /// One line, its newline included (or a last line cut by EOF).
+    Complete,
+    /// More than `cap` bytes arrived without a newline; the rest of
+    /// the line is still unread.
+    TooLong,
+}
+
+/// Reads one line of at most `cap` bytes, newline excluded, into
+/// `line` (cleared first). The read goes through [`Read::take`], so a
+/// peer that never sends a newline grows `line` to `cap + 1` bytes
+/// and no further.
+pub(crate) fn read_line_capped(
+    reader: &mut impl BufRead,
+    cap: usize,
+    line: &mut String,
+) -> io::Result<Line> {
+    line.clear();
+    let n = reader.by_ref().take(cap as u64 + 1).read_line(line)?;
+    Ok(if n == 0 {
+        Line::Eof
+    } else if n <= cap || line.ends_with('\n') {
+        Line::Complete
+    } else {
+        Line::TooLong
+    })
 }
 
 impl Read for Stream {
@@ -247,6 +297,20 @@ mod tests {
         std::fs::write(&path, b"stale").expect("plant stale file");
         let l = Listener::bind(&addr).expect("rebind over stale");
         drop(l);
+    }
+
+    #[test]
+    fn capped_lines_stop_at_the_cap() {
+        let read = |input: &[u8]| {
+            let mut reader = io::BufReader::new(input);
+            let mut line = String::new();
+            let got = read_line_capped(&mut reader, 4, &mut line).expect("read");
+            (got, line)
+        };
+        assert_eq!(read(b""), (Line::Eof, String::new()));
+        assert_eq!(read(b"abcd\nz"), (Line::Complete, "abcd\n".to_string()));
+        assert_eq!(read(b"ab"), (Line::Complete, "ab".to_string()));
+        assert_eq!(read(b"abcde\n"), (Line::TooLong, "abcde".to_string()));
     }
 
     #[test]

@@ -1,17 +1,29 @@
-//! The wire protocol: one JSON object per line, one request per
-//! connection, reusing the workspace's hand-written codec
-//! ([`bichrome_store::json`]).
+//! The wire protocol: one JSON object per line, reusing the
+//! workspace's hand-written codec ([`bichrome_store::json`]). A
+//! connection stays open for any number of requests, answered in
+//! order, until the client closes it, it sits idle past the daemon's
+//! io timeout, or it carries `shutdown`.
 //!
 //! Requests are `{"op": "...", ...}`; responses are
 //! `{"ok": true, ...}` or `{"ok": false, "error": "..."}`. The
 //! `watch` request is the one streaming case: after the `ok` line the
-//! daemon keeps the connection open and emits `{"event": "trial",
-//! ...}` lines, closing with `{"event": "end", ...}`.
+//! daemon emits `{"event": "trial", ...}` lines, ending with
+//! `{"event": "end", ...}`. A request line longer than
+//! [`MAX_REQUEST_LINE`] is refused with an error line and the
+//! connection closes.
 //!
 //! Trial seeds cross the wire as *strings*: the JSON parser holds
 //! numbers as `f64`, which would corrupt seeds above 2⁵³.
 
 use bichrome_store::json::{self, Value};
+
+/// The longest request line the daemon reads, newline excluded. A
+/// campaign declaration lists axes, not data, and a trial record is a
+/// fixed set of counters, so the largest `submit` and `complete` lines
+/// the test suites send stay under a kilobyte; 1 MiB leaves three
+/// orders of magnitude of headroom and still bounds what one peer can
+/// make a connection handler buffer.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Output format asked of `report`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -145,13 +157,14 @@ pub enum Request {
     /// Drain in-flight jobs, checkpoint the store, and exit.
     Shutdown,
     /// A remote worker asks for one trial to compute. The daemon
-    /// answers with a trial descriptor plus a lease token, with
-    /// `{"idle": true}` when the queue is empty, or with
-    /// `{"stop": true}` when it is draining with an empty queue and
-    /// workers should exit. The request piggybacks the worker's
-    /// self-healing telemetry since its last successful contact, so
-    /// the daemon's registry aggregates reconnect behaviour across
-    /// the whole fleet without a separate reporting channel.
+    /// answers with a trial descriptor plus a lease token as soon as
+    /// one is queued, with `{"idle": true}` when the queue stayed
+    /// empty for its one-second hold, or with `{"stop": true}` when it
+    /// is draining with an empty queue and workers should exit. The
+    /// request piggybacks the worker's self-healing telemetry since
+    /// its last successful contact, so the daemon's registry
+    /// aggregates reconnect behaviour across the whole fleet without
+    /// a separate reporting channel.
     Lease {
         /// Outages survived since the last accepted request (absent
         /// on the wire = 0).

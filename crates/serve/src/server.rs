@@ -32,8 +32,8 @@
 //! re-submit recomputes only what was lost (`tests/daemon.rs` kills a
 //! store mid-write at a random byte and proves resume convergence).
 
-use crate::net::{Addr, Listener, Stream};
-use crate::proto::{error_line, error_line_kind, Format, Request};
+use crate::net::{read_line_capped, write_line, Addr, Line, Listener, Stream};
+use crate::proto::{error_line, error_line_kind, Format, Request, MAX_REQUEST_LINE};
 use bichrome_runner::{
     diff_reports, CacheStats, CampaignFile, CampaignReport, ExecStats, InstanceCache, PreparedRun,
     TrialRecord,
@@ -41,7 +41,7 @@ use bichrome_runner::{
 use bichrome_store::json;
 use bichrome_store::{Store, StoreConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -66,8 +66,10 @@ pub struct DaemonConfig {
     /// Per-connection socket read/write timeout. A worker that dials
     /// in and then hangs (or a connection severed without a FIN)
     /// would otherwise pin its handler thread forever; with the
-    /// timeout the read errors out and the thread retires. Zero
-    /// disables the timeouts.
+    /// timeout the read errors out and the thread retires. A kept
+    /// connection idle this long closes the same way; the worker's
+    /// next `lease` or `complete` re-dials. Zero disables the
+    /// timeouts.
     pub io_timeout: Duration,
     /// Store tuning; the default batches appends (`flush_every: 64`)
     /// since the daemon re-flushes at every job boundary anyway.
@@ -92,6 +94,13 @@ impl Default for DaemonConfig {
 /// The drain-rejection message — compared against in the connection
 /// handler to tag the error line `kind:"draining"` (retryable).
 const DRAINING_MSG: &str = "daemon is shutting down";
+
+/// How long a `lease` that finds the queue empty waits for work
+/// before answering `idle`. Work queued during the hold goes out at
+/// once, so an idle worker never sleeps; the bound hands control back
+/// to the worker once a second, and lets the handler of a worker that
+/// died while held notice within that second.
+const LEASE_HOLD: Duration = Duration::from_secs(1);
 
 /// One schedulable unit: pending trial `idx` of `job`.
 struct Task {
@@ -121,6 +130,16 @@ struct Lease {
     /// When the lease was issued — service-latency histograms measure
     /// from here to the worker's `complete`.
     issued: Instant,
+}
+
+/// What a `lease` request found on the queue.
+enum Pop {
+    /// A trial to hand out.
+    Task(Task),
+    /// Nothing arrived within the hold, or the daemon is draining.
+    Empty,
+    /// The worker of a held lease hung up; the queue is untouched.
+    PeerGone,
 }
 
 /// Terminal and non-terminal job states.
@@ -271,6 +290,8 @@ pub struct Daemon {
     leases_issued: AtomicU64,
     leases_completed: AtomicU64,
     leases_expired: AtomicU64,
+    /// `lease` requests waiting on an empty queue right now.
+    leases_held: AtomicU64,
 }
 
 impl Daemon {
@@ -306,6 +327,7 @@ impl Daemon {
             leases_issued: AtomicU64::new(0),
             leases_completed: AtomicU64::new(0),
             leases_expired: AtomicU64::new(0),
+            leases_held: AtomicU64::new(0),
         });
         let n = match (config.local_pool, config.workers) {
             (false, _) => 0,
@@ -567,6 +589,7 @@ impl Daemon {
             self.leases_completed.load(Ordering::SeqCst),
         );
         w.field_u64("leases_expired", self.leases_expired.load(Ordering::SeqCst));
+        w.field_u64("leases_held", self.leases_held.load(Ordering::SeqCst));
         // The chaos ledger: how often trials bounced back to the
         // queue, how many late answers were dropped, and how hard the
         // worker fleet had to fight to stay connected.
@@ -617,6 +640,12 @@ impl Daemon {
     /// Propagates the checkpoint failure as its rendered message.
     pub fn shutdown(&self) -> Result<(), String> {
         self.draining.store(true, Ordering::SeqCst);
+        // Held leases answer `stop` now if the queue is empty. Taking
+        // the queue lock first means no held lease is between its
+        // `draining` check and its wait, where the wake-up would be
+        // lost.
+        drop(self.queue.lock().expect("queue poisoned"));
+        self.queue_cv.notify_all();
         let mut active = self.active.lock().expect("active poisoned");
         while *active > 0 {
             active = self.idle_cv.wait(active).expect("active poisoned");
@@ -720,29 +749,56 @@ impl Daemon {
 
     // ----- remote workers: lease / complete / reaper ----------------------
 
-    /// Non-blocking pop for the lease path: cancelled jobs' queued
-    /// tasks retire as no-ops on the way past, exactly as the local
-    /// pool would have drained them.
-    fn pop_task(&self) -> Option<Task> {
+    /// Pops the next task for a `lease`, waiting up to [`LEASE_HOLD`]
+    /// while the queue is empty. Cancelled jobs' queued tasks retire
+    /// as no-ops on the way past, exactly as the local pool would have
+    /// drained them. A lease that had to wait asks `peer_alive` before
+    /// it takes a task: a worker that hung up while held must not
+    /// strand a trial until its lease expires.
+    fn await_task(&self, peer_alive: &mut dyn FnMut() -> bool) -> Pop {
+        let deadline = Instant::now() + LEASE_HOLD;
+        let mut held = false;
         let mut q = self.queue.lock().expect("queue poisoned");
-        while let Some(t) = q.pop_front() {
-            if t.job.cancel.load(Ordering::SeqCst) {
-                drop(q);
-                self.retire(&t.job);
-                q = self.queue.lock().expect("queue poisoned");
-            } else {
-                return Some(t);
+        let pop = loop {
+            match q.front() {
+                Some(t) if t.job.cancel.load(Ordering::SeqCst) => {
+                    let t = q.pop_front().expect("front exists");
+                    drop(q);
+                    self.retire(&t.job);
+                    q = self.queue.lock().expect("queue poisoned");
+                }
+                Some(_) if held && !peer_alive() => break Pop::PeerGone,
+                Some(_) => break Pop::Task(q.pop_front().expect("front exists")),
+                None => {
+                    let now = Instant::now();
+                    if self.draining.load(Ordering::SeqCst) || now >= deadline {
+                        break Pop::Empty;
+                    }
+                    if !held {
+                        held = true;
+                        self.leases_held.fetch_add(1, Ordering::SeqCst);
+                    }
+                    q = self
+                        .queue_cv
+                        .wait_timeout(q, deadline - now)
+                        .expect("queue poisoned")
+                        .0;
+                }
             }
+        };
+        if held {
+            self.leases_held.fetch_sub(1, Ordering::SeqCst);
         }
-        None
+        pop
     }
 
     /// Answers a remote worker's `lease` request: a trial descriptor
-    /// plus token, `{"idle":true}` when nothing is queued, or
-    /// `{"stop":true}` once the daemon is draining *and* the queue is
-    /// empty (the worker's cue to exit). Queued trials are still
-    /// handed out during a drain — with no local pool they are the
-    /// only way the drain can finish.
+    /// plus token as soon as one is queued, `{"idle":true}` when the
+    /// queue stays empty for the whole hold, or `{"stop":true}` once
+    /// the daemon is draining *and* the queue is empty (the worker's
+    /// cue to exit). Queued trials are still handed out during a drain
+    /// — with no local pool they are the only way the drain can
+    /// finish.
     ///
     /// `reconnects` / `backoff_ns` are the worker's piggybacked
     /// self-healing telemetry (outages survived and backoff slept
@@ -750,21 +806,38 @@ impl Daemon {
     /// the process registry so `bichrome stats` sees the whole
     /// fleet's reconnect behaviour.
     pub fn lease_line(&self, reconnects: u64, backoff_ns: u64) -> String {
+        self.lease_reply(reconnects, backoff_ns, &mut || true)
+            .expect("an in-process caller never hangs up")
+    }
+
+    /// [`Daemon::lease_line`] for a socket peer: `None` when the
+    /// worker hung up while its lease was held, so the connection
+    /// should close.
+    fn lease_reply(
+        &self,
+        reconnects: u64,
+        backoff_ns: u64,
+        peer_alive: &mut dyn FnMut() -> bool,
+    ) -> Option<String> {
         if reconnects > 0 {
             bichrome_obs::counter("bichrome_worker_reconnects_total").add(reconnects);
         }
         if backoff_ns > 0 {
             bichrome_obs::histogram("bichrome_worker_backoff_nanos").observe(backoff_ns);
         }
-        let Some(task) = self.pop_task() else {
-            let mut w = json::Writer::object();
-            w.field_bool("ok", true);
-            if self.draining.load(Ordering::SeqCst) {
-                w.field_bool("stop", true);
-            } else {
-                w.field_bool("idle", true);
+        let task = match self.await_task(peer_alive) {
+            Pop::Task(task) => task,
+            Pop::PeerGone => return None,
+            Pop::Empty => {
+                let mut w = json::Writer::object();
+                w.field_bool("ok", true);
+                if self.draining.load(Ordering::SeqCst) {
+                    w.field_bool("stop", true);
+                } else {
+                    w.field_bool("idle", true);
+                }
+                return Some(w.finish());
             }
-            return w.finish();
         };
         let token = self.next_lease.fetch_add(1, Ordering::SeqCst) + 1;
         bichrome_obs::histogram("bichrome_lease_queue_nanos")
@@ -798,7 +871,7 @@ impl Daemon {
             },
         );
         self.leases_issued.fetch_add(1, Ordering::SeqCst);
-        line
+        Some(line)
     }
 
     /// Accepts a leased trial's computed record. The token removal is
@@ -920,8 +993,11 @@ impl Daemon {
     // ----- the socket front-end -------------------------------------------
 
     /// Serves connections on `listener` until a `shutdown` request
-    /// completes. One thread per connection; one request per
-    /// connection.
+    /// completes. One thread per connection; a connection carries
+    /// requests in turn until the client closes it, it sits idle past
+    /// [`DaemonConfig::io_timeout`], or it carries `shutdown`. A
+    /// remote worker keeps one connection for its `lease` and
+    /// `complete` requests.
     ///
     /// # Errors
     ///
@@ -947,23 +1023,52 @@ impl Daemon {
         }
     }
 
-    fn handle_connection(self: &Arc<Self>, conn: Stream, wake: &Addr) {
+    fn handle_connection(&self, conn: Stream, wake: &Addr) {
         let Ok(read_half) = conn.try_clone() else {
             return;
         };
         let mut reader = BufReader::new(read_half);
         let mut writer = conn;
         let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            return; // bare connect (liveness probe / shutdown wake)
+        loop {
+            match read_line_capped(&mut reader, MAX_REQUEST_LINE, &mut line) {
+                Ok(Line::Complete) => {}
+                // EOF (a bare connect included: liveness probe,
+                // shutdown wake), the io timeout, or a broken socket.
+                Ok(Line::Eof) | Err(_) => return,
+                Ok(Line::TooLong) => {
+                    // Skip the rest of the line without buffering it,
+                    // so a client still sending it reads the refusal
+                    // instead of a reset.
+                    let _ = reader.skip_until(b'\n');
+                    let msg = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+                    let _ = write_line(&mut writer, &error_line(&msg));
+                    return;
+                }
+            }
+            if !self.answer(&line, &mut reader, &mut writer, wake) {
+                return;
+            }
         }
+    }
+
+    /// Answers one request line; `false` closes the connection.
+    fn answer(
+        &self,
+        line: &str,
+        reader: &mut BufReader<Stream>,
+        writer: &mut Stream,
+        wake: &Addr,
+    ) -> bool {
         let reply = |writer: &mut Stream, line: &str| {
-            let _ = writeln!(writer, "{line}");
-            let _ = writer.flush();
+            let _ = write_line(writer, line);
         };
-        let req = match Request::parse(&line) {
+        let req = match Request::parse(line) {
             Ok(req) => req,
-            Err(e) => return reply(&mut writer, &error_line(&e)),
+            Err(e) => {
+                reply(writer, &error_line(&e));
+                return true;
+            }
         };
         let verb = req.verb();
         bichrome_obs::counter_labeled("bichrome_daemon_requests_total", &[("verb", verb)]).inc();
@@ -978,68 +1083,70 @@ impl Daemon {
                     let mut w = json::Writer::object();
                     w.field_bool("ok", true);
                     w.field_u64("job", id);
-                    reply(&mut writer, &w.finish());
+                    reply(writer, &w.finish());
                 }
                 // Tag the drain rejection so clients classify it as
                 // retryable without matching the human-readable text.
                 Err(e) if e == DRAINING_MSG => {
-                    reply(&mut writer, &error_line_kind(&e, "draining"));
+                    reply(writer, &error_line_kind(&e, "draining"));
                 }
-                Err(e) => reply(&mut writer, &error_line(&e)),
+                Err(e) => reply(writer, &error_line(&e)),
             },
             Request::Status { job } => match self.status(job) {
-                Ok(line) => reply(&mut writer, &line),
-                Err(e) => reply(&mut writer, &error_line(&e)),
+                Ok(line) => reply(writer, &line),
+                Err(e) => reply(writer, &error_line(&e)),
             },
-            Request::Jobs => reply(&mut writer, &self.jobs_line()),
+            Request::Jobs => reply(writer, &self.jobs_line()),
             Request::Watch { job } => match self.watch(job) {
                 Ok((ack, rx)) => {
-                    reply(&mut writer, &ack);
+                    reply(writer, &ack);
                     for event in rx {
-                        if writeln!(writer, "{event}").is_err() {
+                        if write_line(writer, &event).is_err() {
                             break; // client hung up; sender side prunes us
                         }
-                        let _ = writer.flush();
                     }
                 }
-                Err(e) => reply(&mut writer, &error_line(&e)),
+                Err(e) => reply(writer, &error_line(&e)),
             },
             Request::Report { job, format } => match self.report(job, format) {
                 Ok(output) => {
                     let mut w = json::Writer::object();
                     w.field_bool("ok", true);
                     w.field_str("output", &output);
-                    reply(&mut writer, &w.finish());
+                    reply(writer, &w.finish());
                 }
-                Err(e) => reply(&mut writer, &error_line(&e)),
+                Err(e) => reply(writer, &error_line(&e)),
             },
             Request::Diff { a, b } => match self.diff(a, b) {
                 Ok(output) => {
                     let mut w = json::Writer::object();
                     w.field_bool("ok", true);
                     w.field_str("output", &output);
-                    reply(&mut writer, &w.finish());
+                    reply(writer, &w.finish());
                 }
-                Err(e) => reply(&mut writer, &error_line(&e)),
+                Err(e) => reply(writer, &error_line(&e)),
             },
             Request::Cancel { job } => match self.cancel(job) {
-                Ok(line) => reply(&mut writer, &line),
-                Err(e) => reply(&mut writer, &error_line(&e)),
+                Ok(line) => reply(writer, &line),
+                Err(e) => reply(writer, &error_line(&e)),
             },
-            Request::Stats => reply(&mut writer, &self.stats_line()),
-            Request::Metrics => reply(&mut writer, &self.metrics_line()),
+            Request::Stats => reply(writer, &self.stats_line()),
+            Request::Metrics => reply(writer, &self.metrics_line()),
             Request::Lease {
                 reconnects,
                 backoff_ns,
-            } => reply(&mut writer, &self.lease_line(reconnects, backoff_ns)),
+            } => match self.lease_reply(reconnects, backoff_ns, &mut || peer_alive(reader)) {
+                Some(line) => reply(writer, &line),
+                None => return false,
+            },
             Request::Complete { lease, record } => {
-                reply(&mut writer, &self.complete_line(lease, &record));
+                reply(writer, &self.complete_line(lease, &record));
             }
             Request::Ping => {
                 let mut w = json::Writer::object();
                 w.field_bool("ok", true);
                 w.field_bool("pong", true);
-                reply(&mut writer, &w.finish());
+                reply(writer, &w.finish());
             }
             Request::Shutdown => {
                 match self.shutdown() {
@@ -1047,16 +1154,39 @@ impl Daemon {
                         let mut w = json::Writer::object();
                         w.field_bool("ok", true);
                         w.field_bool("drained", true);
-                        reply(&mut writer, &w.finish());
+                        reply(writer, &w.finish());
                     }
-                    Err(e) => reply(&mut writer, &error_line(&e)),
+                    Err(e) => reply(writer, &error_line(&e)),
                 }
                 self.done_serving.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so `serve` can return.
                 let _ = Stream::connect(wake);
+                return false;
             }
         }
+        true
     }
+}
+
+/// Whether the worker behind a held `lease` is still connected,
+/// consuming nothing: one non-blocking read into the handler's buffer.
+/// EOF or a reset means it hung up while held; `WouldBlock`, or bytes
+/// already buffered, mean it is still there.
+fn peer_alive(reader: &mut BufReader<Stream>) -> bool {
+    if !reader.buffer().is_empty() || reader.get_ref().set_nonblocking(true).is_err() {
+        return true;
+    }
+    let alive = match reader.fill_buf() {
+        Ok(bytes) => !bytes.is_empty(),
+        Err(e) => matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+        ),
+    };
+    // Should this fail, the next blocking read errors out and the
+    // connection closes, as for a peer that is gone.
+    let _ = reader.get_ref().set_nonblocking(false);
+    alive
 }
 
 /// Renders a caught panic payload.

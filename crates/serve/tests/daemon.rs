@@ -2,8 +2,10 @@
 //! re-submission, cancellation, graceful shutdown, and crash-resume
 //! convergence.
 
-use bichrome_serve::{Addr, Client, Daemon, DaemonConfig, Format, Listener};
+use bichrome_serve::proto::MAX_REQUEST_LINE;
+use bichrome_serve::{Addr, Client, Daemon, DaemonConfig, Format, Listener, ProtoError, Stream};
 use bichrome_store::{Store, StoreConfig};
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -408,4 +410,43 @@ fn batched_writes_survive_shutdown() {
     let store = Store::open_existing(&store_dir).expect("reopen");
     assert_eq!(store.len(), 5, "buffered appends flushed by shutdown");
     assert!(store.salvage().is_none());
+}
+
+/// A request line over the cap is refused with an error the client
+/// types as a rejection, its connection closes, and the daemon keeps
+/// answering everyone else.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_daemon_still_answers() {
+    let tmp = TempDir::new("overlong");
+    let daemon = Daemon::start(tmp.0.join("store"), config(1)).expect("start");
+    let addr = Addr::Unix(tmp.0.join("daemon.sock"));
+    let listener = Listener::bind(&addr).expect("bind");
+    let server = {
+        let daemon = daemon.clone();
+        std::thread::spawn(move || daemon.serve(listener))
+    };
+    let client = Client::new(addr.clone());
+
+    // A campaign padded past the cap by a TOML comment.
+    let padded = format!("[campaign]\n#{}\n", "x".repeat(MAX_REQUEST_LINE));
+    match client.submit(&padded) {
+        Err(ProtoError::Rejected(msg)) => assert!(msg.contains("longer than"), "{msg}"),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+
+    // On a raw connection: one error line, then the daemon hangs up.
+    let mut raw = Stream::connect(&addr).expect("dial");
+    let mut line = vec![b'x'; MAX_REQUEST_LINE + 1];
+    line.push(b'\n');
+    raw.write_all(&line).expect("send");
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error line");
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).expect("eof"), 0, "{reply}");
+
+    assert!(client.ping(), "the daemon must still answer");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread").expect("serve");
 }

@@ -2,14 +2,27 @@
 //! the queue through `lease`/`complete` and the daemon's report is
 //! bit-identical to an in-process run; a worker dying mid-trial loses
 //! nothing — its lease expires, the trial re-queues, and the stale
-//! completion is discarded.
+//! completion is discarded. An idle `lease` waits at the daemon for
+//! work, and `lease`/`complete` share one kept connection per client.
 
-use bichrome_runner::{compute_trial, CampaignFile, FaultPlan, InstanceCache, TransportKind};
-use bichrome_serve::{Addr, Client, Daemon, DaemonConfig, Format, LeaseGrant, Listener};
+use bichrome_runner::{
+    compute_trial, CampaignFile, FaultPlan, InstanceCache, TransportKind, TrialRecord,
+};
+use bichrome_serve::json::Value;
+use bichrome_serve::{
+    Addr, Client, Daemon, DaemonConfig, Format, LeaseGrant, Listener, Stream, TrialLease,
+};
 use bichrome_store::TrialKey;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+/// Held by every test that reads the process-wide
+/// `bichrome_worker_reconnects_total` counter or adds to it, so their
+/// readings do not race.
+static RECONNECT_COUNTER: Mutex<()> = Mutex::new(());
 
 /// A unique scratch directory (removed on drop).
 struct TempDir(PathBuf);
@@ -36,15 +49,22 @@ fn pure_scheduler(
     tmp: &TempDir,
     lease_timeout: Duration,
 ) -> (std::sync::Arc<Daemon>, Addr, std::thread::JoinHandle<()>) {
-    let daemon = Daemon::start(
-        tmp.0.join("store"),
+    scheduler_with(
+        tmp,
         DaemonConfig {
             local_pool: false,
             lease_timeout,
             ..DaemonConfig::default()
         },
     )
-    .expect("start");
+}
+
+/// [`pure_scheduler`] with the whole configuration given.
+fn scheduler_with(
+    tmp: &TempDir,
+    config: DaemonConfig,
+) -> (std::sync::Arc<Daemon>, Addr, std::thread::JoinHandle<()>) {
+    let daemon = Daemon::start(tmp.0.join("store"), config).expect("start");
     let addr = Addr::Unix(tmp.0.join("daemon.sock"));
     let listener = Listener::bind(&addr).expect("bind");
     let server = {
@@ -62,20 +82,25 @@ const CAMPAIGN: &str = r#"
     transport = "tcp"
 "#;
 
+/// Recomputes a leased trial from its key alone, as a worker does.
+fn compute(t: &TrialLease, cache: &InstanceCache) -> TrialRecord {
+    let key = TrialKey {
+        protocol: t.protocol.clone(),
+        graph: t.graph.clone(),
+        partitioner: t.partitioner.clone(),
+        seed: t.seed,
+    };
+    let kind: TransportKind = t.transport.parse().expect("transport name");
+    let fault: FaultPlan = t.fault.parse().expect("fault spec");
+    compute_trial(&key, kind, &fault, cache).expect("descriptor resolves")
+}
+
 /// What `bichrome work` does, minus the process boundary: pull a
 /// lease, recompute it from the key alone, send the record back.
 fn work_one(client: &Client, cache: &InstanceCache) -> Option<LeaseGrant> {
     match client.lease().expect("lease") {
         LeaseGrant::Trial(t) => {
-            let key = TrialKey {
-                protocol: t.protocol.clone(),
-                graph: t.graph.clone(),
-                partitioner: t.partitioner.clone(),
-                seed: t.seed,
-            };
-            let kind: TransportKind = t.transport.parse().expect("transport name");
-            let fault: FaultPlan = t.fault.parse().expect("fault spec");
-            let record = compute_trial(&key, kind, &fault, cache).expect("descriptor resolves");
+            let record = compute(&t, cache);
             assert!(
                 client
                     .complete(t.lease, &record.to_json())
@@ -85,6 +110,26 @@ fn work_one(client: &Client, cache: &InstanceCache) -> Option<LeaseGrant> {
             None
         }
         grant => Some(grant),
+    }
+}
+
+/// One counter from the daemon's `stats` line.
+fn stat(daemon: &Daemon, name: &str) -> u64 {
+    Value::parse(&daemon.stats_line())
+        .expect("stats parse")
+        .as_object()
+        .and_then(|o| o.get(name))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("stats has no counter {name:?}"))
+}
+
+/// Returns once `n` `lease` requests are waiting on the daemon's
+/// empty queue — the barrier the held-lease tests order events by.
+fn wait_until_held(daemon: &Daemon, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stat(daemon, "leases_held") != n {
+        assert!(Instant::now() < deadline, "{n} lease(s) never held");
+        std::thread::yield_now();
     }
 }
 
@@ -101,7 +146,7 @@ fn work_until_done(addr: &Addr, job: u64) -> u64 {
         match work_one(&client, &cache) {
             None => computed += 1,
             Some(LeaseGrant::Stop) => break,
-            Some(LeaseGrant::Idle) => std::thread::sleep(Duration::from_millis(5)),
+            Some(LeaseGrant::Idle) => {}
             Some(LeaseGrant::Trial(_)) => unreachable!(),
         }
     }
@@ -180,15 +225,7 @@ fn an_abandoned_lease_expires_requeues_and_the_late_complete_is_discarded() {
     assert_eq!(computed, 6, "the live worker computed all six trials");
 
     // The dead worker limps back with its answer: politely discarded.
-    let cache = InstanceCache::new();
-    let key = TrialKey {
-        protocol: stale.protocol.clone(),
-        graph: stale.graph.clone(),
-        partitioner: stale.partitioner.clone(),
-        seed: stale.seed,
-    };
-    let record =
-        compute_trial(&key, TransportKind::Tcp, &FaultPlan::new(), &cache).expect("recompute");
+    let record = compute(&stale, &InstanceCache::new());
     assert!(
         !client
             .complete(stale.lease, &record.to_json())
@@ -283,6 +320,9 @@ fn faulted_campaigns_ship_the_chaos_plan_with_every_lease() {
         transport = "tcp"
         fault     = "sever@2,corrupt@1"
     "#;
+    let _counter = RECONNECT_COUNTER
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let tmp = TempDir::new("chaos");
     let (_daemon, addr, server) = pure_scheduler(&tmp, Duration::from_secs(30));
     let client = Client::new(addr.clone());
@@ -298,16 +338,7 @@ fn faulted_campaigns_ship_the_chaos_plan_with_every_lease() {
         t.fault, "sever@2,corrupt@1",
         "the lease must carry the campaign's fault plan"
     );
-    let key = TrialKey {
-        protocol: t.protocol.clone(),
-        graph: t.graph.clone(),
-        partitioner: t.partitioner.clone(),
-        seed: t.seed,
-    };
-    let kind: TransportKind = t.transport.parse().expect("transport name");
-    let fault: FaultPlan = t.fault.parse().expect("fault spec");
-    let cache = InstanceCache::new();
-    let record = compute_trial(&key, kind, &fault, &cache).expect("compute under faults");
+    let record = compute(&t, &InstanceCache::new());
     assert!(client
         .complete(t.lease, &record.to_json())
         .expect("complete"));
@@ -330,6 +361,138 @@ fn faulted_campaigns_ship_the_chaos_plan_with_every_lease() {
     let stats = stats.as_object().expect("object");
     assert_eq!(stats["worker_reconnects"].as_u64(), Some(2), "{stats:?}");
 
+    client.shutdown().expect("shutdown");
+    server.join().expect("server");
+}
+
+/// A `lease` that finds the queue empty waits there: sent before any
+/// job exists, it returns a trial once one is submitted.
+#[test]
+fn a_lease_sent_before_any_job_returns_a_trial_once_one_is_submitted() {
+    let tmp = TempDir::new("held");
+    let (daemon, addr, server) = pure_scheduler(&tmp, Duration::from_secs(30));
+    let worker = Client::new(addr.clone());
+    let client = Client::new(addr.clone());
+    let job = std::thread::scope(|scope| {
+        let held = scope.spawn(|| worker.lease().expect("lease"));
+        wait_until_held(&daemon, 1);
+        let job = client.submit(CAMPAIGN).expect("submit");
+        let t = match held.join().expect("worker") {
+            LeaseGrant::Trial(t) => t,
+            other => panic!("the held lease must get the new trial, got {other:?}"),
+        };
+        let record = compute(&t, &InstanceCache::new());
+        assert!(worker
+            .complete(t.lease, &record.to_json())
+            .expect("complete"));
+        job
+    });
+    assert_eq!(work_until_done(&addr, job), 5);
+    client.shutdown().expect("shutdown");
+    server.join().expect("server");
+}
+
+/// `shutdown` wakes a held lease, which answers `stop` at once — not
+/// at the end of its hold, and not only once the drain is over: here
+/// the drain still waits on another worker's trial.
+#[test]
+fn shutdown_answers_a_held_lease_with_stop() {
+    const ONE_TRIAL: &str = r#"
+        [campaign]
+        protocols = ["edge/theorem2"]
+        graphs    = ["near-regular(n=24,d=4)"]
+        seeds     = "0..1"
+    "#;
+    let tmp = TempDir::new("stop");
+    let (daemon, addr, server) = pure_scheduler(&tmp, Duration::from_secs(30));
+    let busy = Client::new(addr.clone());
+    busy.submit(ONE_TRIAL).expect("submit");
+    let t = match busy.lease().expect("lease") {
+        LeaseGrant::Trial(t) => t,
+        other => panic!("expected a trial, got {other:?}"),
+    };
+    let idle = Client::new(addr.clone());
+    let (grant, waited) = std::thread::scope(|scope| {
+        let asked = Instant::now();
+        let held = scope.spawn(|| idle.lease().expect("lease"));
+        wait_until_held(&daemon, 1);
+        let drain = scope.spawn(|| Client::new(addr.clone()).shutdown());
+        let grant = held.join().expect("idle worker");
+        let waited = asked.elapsed();
+        // Finish the drain before asserting, so a failure cannot hang.
+        let record = compute(&t, &InstanceCache::new());
+        assert!(busy.complete(t.lease, &record.to_json()).expect("complete"));
+        drain.join().expect("drain").expect("shutdown");
+        (grant, waited)
+    });
+    server.join().expect("server");
+    assert_eq!(grant, LeaseGrant::Stop);
+    // Left to run out, the daemon's one-second hold would answer no
+    // sooner than a second after the ask.
+    assert!(waited < Duration::from_secs(1), "{waited:?}");
+}
+
+/// A held lease whose worker hung up takes no trial: the daemon checks
+/// the connection before handing the trial out, leaves it queued and
+/// closes the connection, so no lease has to expire before a live
+/// worker gets it.
+#[test]
+fn a_held_lease_whose_worker_hung_up_takes_no_trial() {
+    let tmp = TempDir::new("hungup");
+    // Short enough that a trial stranded on the dead connection would
+    // fail the assertions in seconds rather than hang the test.
+    let (daemon, addr, server) = pure_scheduler(&tmp, Duration::from_secs(2));
+    let mut dead = Stream::connect(&addr).expect("dial");
+    dead.write_all(b"{\"op\":\"lease\"}\n").expect("send lease");
+    wait_until_held(&daemon, 1);
+    drop(dead);
+
+    let client = Client::new(addr.clone());
+    let job = client.submit(CAMPAIGN).expect("submit");
+    assert_eq!(work_until_done(&addr, job), 6);
+    assert_eq!(stat(&daemon, "leases_expired"), 0);
+    assert_eq!(stat(&daemon, "leases_issued"), 6);
+    assert_eq!(stat(&daemon, "leases_held"), 0);
+    client.shutdown().expect("shutdown");
+    server.join().expect("server");
+}
+
+/// A worker that holds its trial past the daemon's io timeout finds
+/// its kept connection closed; `complete` re-dials once, lands, and
+/// counts as no reconnect.
+#[test]
+fn a_kept_connection_closed_by_the_io_timeout_is_redialed() {
+    let _counter = RECONNECT_COUNTER
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let tmp = TempDir::new("redial");
+    let (daemon, addr, server) = scheduler_with(
+        &tmp,
+        DaemonConfig {
+            local_pool: false,
+            io_timeout: Duration::from_millis(100),
+            ..DaemonConfig::default()
+        },
+    );
+    let reconnects = stat(&daemon, "worker_reconnects");
+    let client = Client::new(addr.clone());
+    let job = client.submit(CAMPAIGN).expect("submit");
+    let t = match client.lease().expect("lease") {
+        LeaseGrant::Trial(t) => t,
+        other => panic!("expected a trial, got {other:?}"),
+    };
+    let record = compute(&t, &InstanceCache::new());
+    // Past the io timeout, the daemon has closed the kept connection.
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        client
+            .complete(t.lease, &record.to_json())
+            .expect("complete on a re-dialed connection"),
+        "the lease is still live"
+    );
+    assert_eq!(work_until_done(&addr, job), 5);
+    assert_eq!(stat(&daemon, "leases_expired"), 0);
+    assert_eq!(stat(&daemon, "worker_reconnects"), reconnects);
     client.shutdown().expect("shutdown");
     server.join().expect("server");
 }
