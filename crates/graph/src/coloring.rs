@@ -411,6 +411,11 @@ impl EdgeColoring {
 
     /// Merges `other` into `self`.
     ///
+    /// Over a shared [`EdgeId`] index this is one elementwise pass;
+    /// across different indexes it walks `other` with a galloping
+    /// cursor into `self`'s index, and edges outside that index go to
+    /// the side map.
+    ///
     /// # Errors
     ///
     /// Returns the conflicting edge if `other` assigns a *different*
@@ -419,16 +424,8 @@ impl EdgeColoring {
         if Arc::ptr_eq(&self.index, &other.index) {
             // Same id space: elementwise, no edge lookups at all.
             for (i, &c) in other.dense.iter().enumerate() {
-                if c == UNCOLORED {
-                    continue;
-                }
-                match self.dense[i] {
-                    UNCOLORED => {
-                        self.dense[i] = c;
-                        self.dense_colored += 1;
-                    }
-                    existing if existing != c => return Err(self.index[i]),
-                    _ => {}
+                if c != UNCOLORED && !self.merge_slot(i, c) {
+                    return Err(self.index[i]);
                 }
             }
             for (&e, &c) in &other.extra {
@@ -441,15 +438,36 @@ impl EdgeColoring {
             }
             return Ok(());
         }
+        // Different id spaces: walk `other` in ascending edge order
+        // with a galloping cursor into `self.index`, so merging k
+        // edges into an index of m costs O(k log(m/k)) rather than a
+        // search over all m per merged edge.
+        let mut at = 0;
         for (e, c) in other.iter() {
-            match self.get(e) {
-                Some(existing) if existing != c => return Err(e),
-                _ => {
-                    self.set(e, c);
-                }
+            at += gallop(&self.index[at..], e);
+            let merged = if self.index.get(at) == Some(&e) {
+                self.merge_slot(at, c.0)
+            } else {
+                *self.extra.entry(e).or_insert(c) == c
+            };
+            if !merged {
+                return Err(e);
             }
         }
         Ok(())
+    }
+
+    /// Colors dense slot `i` with `c` unless it already holds another
+    /// color; returns whether the slot now holds `c`.
+    fn merge_slot(&mut self, i: usize, c: u32) -> bool {
+        match self.dense[i] {
+            UNCOLORED => {
+                self.dense[i] = c;
+                self.dense_colored += 1;
+                true
+            }
+            existing => existing == c,
+        }
     }
 
     /// A new coloring over the *same* edge index with every assigned
@@ -498,6 +516,19 @@ impl EdgeColoring {
         out.dedup();
         out
     }
+}
+
+/// The position of the first entry of the sorted `index` that is not
+/// below `e`: doubling steps from the front, then a binary search
+/// inside the last step, so the cost is logarithmic in the distance
+/// skipped rather than in `index.len()`.
+fn gallop(index: &[Edge], e: Edge) -> usize {
+    let mut hi = 1;
+    while hi < index.len() && index[hi] < e {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + index[lo..hi.min(index.len())].partition_point(|&f| f < e)
 }
 
 impl Default for EdgeColoring {

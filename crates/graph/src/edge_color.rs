@@ -15,8 +15,16 @@
 //!   on that vertex, whose neighbors all have degree `≤ Δ−1` by
 //!   independence and therefore always have a free color among `Δ`.
 //!
-//! Both algorithms run in `O(m · (n + Δ))` time and are validated by
-//! property tests against the checkers in [`crate::coloring`].
+//! Both give each edge the smallest color free at both of its ends
+//! when there is one, read from per-vertex free-color bitsets in
+//! `O(Δ/64)` words, and build a fan and invert a Kempe path only when
+//! there is none. That fallback costs `O(n + Δ² log Δ)` (a path of at
+//! most `n` edges, a fan of at most `Δ` vertices, and the search for
+//! its rotation point), so the worst case is `O(m · (n + Δ² log Δ))`;
+//! on sparse random graphs almost no edge needs the fan. Both are
+//! checked by property tests against the validators in
+//! [`crate::coloring`] and by exhaustive sweeps against
+//! [`crate::oracle`].
 
 use crate::coloring::{ColorId, EdgeColoring};
 use crate::graph::{Edge, EdgeId, Graph, VertexId};
@@ -76,8 +84,10 @@ impl FanScratch {
 /// `v` by color `c`" lookups, the workhorse of the fan algorithm.
 ///
 /// All bookkeeping is dense and edge-id-indexed: the color table is
-/// one flat `n × k` array and the coloring is a dense vector over the
-/// graph's [`EdgeId`] space.
+/// one flat `n × k` array, each vertex's free colors are a row of
+/// `ceil(k/64)` bitset words (so [`color_edge`] finds the smallest
+/// color free at both ends a word at a time), and the coloring is a
+/// dense vector over the graph's [`EdgeId`] space.
 struct FanState<'a> {
     g: &'a Graph,
     /// Palette size; colors are `0..k`.
@@ -85,15 +95,28 @@ struct FanState<'a> {
     /// `tbl[v·k + c]` = neighbor joined to `v` by an edge colored `c`,
     /// or [`NO_VERTEX`].
     tbl: Vec<u32>,
+    /// Bitset words per vertex: `ceil(k / 64)`.
+    words: usize,
+    /// Bit `c % 64` of `free[v·words + c / 64]` is set iff color `c`
+    /// is unused at `v` (`tbl` holds [`NO_VERTEX`] there). Bits at
+    /// and above `k` stay clear.
+    free: Vec<u64>,
     coloring: EdgeColoring,
 }
 
 impl<'a> FanState<'a> {
     fn new(g: &'a Graph, k: usize) -> Self {
+        let words = k.div_ceil(64);
+        let mut row = vec![u64::MAX; words];
+        if !k.is_multiple_of(64) {
+            row[words - 1] = (1 << (k % 64)) - 1;
+        }
         FanState {
             g,
             k,
             tbl: vec![NO_VERTEX; k * g.num_vertices()],
+            words,
+            free: row.repeat(g.num_vertices()),
             coloring: EdgeColoring::dense_for(g),
         }
     }
@@ -110,12 +133,28 @@ impl<'a> FanState<'a> {
         self.tbl_at(v, c) == NO_VERTEX
     }
 
+    /// The free-color bitset words of `v`.
+    #[inline]
+    fn free_row(&self, v: VertexId) -> &[u64] {
+        &self.free[v.index() * self.words..(v.index() + 1) * self.words]
+    }
+
+    /// Flips whether `c` is free at `v`: [`set`](Self::set) and
+    /// [`unset`](Self::unset) call it exactly when `c` changes state.
+    #[inline]
+    fn flip(&mut self, v: VertexId, c: ColorId) {
+        self.free[v.index() * self.words + c.index() / 64] ^= 1 << (c.index() % 64);
+    }
+
     /// Smallest color unused at `v`.
     fn some_free(&self, v: VertexId) -> Option<ColorId> {
-        let row = &self.tbl[v.index() * self.k..(v.index() + 1) * self.k];
-        row.iter()
-            .position(|&slot| slot == NO_VERTEX)
-            .map(|c| ColorId(c as u32))
+        first_set(self.free_row(v).iter().copied())
+    }
+
+    /// Smallest color unused at both `u` and `v`.
+    fn common_free(&self, u: VertexId, v: VertexId) -> Option<ColorId> {
+        let both = self.free_row(u).iter().zip(self.free_row(v));
+        first_set(both.map(|(a, b)| a & b))
     }
 
     #[inline]
@@ -131,6 +170,8 @@ impl<'a> FanState<'a> {
         );
         self.tbl[a.index() * self.k + c.index()] = b.0;
         self.tbl[b.index() * self.k + c.index()] = a.0;
+        self.flip(a, c);
+        self.flip(b, c);
         self.coloring.set_id(self.id_of(a, b), c);
     }
 
@@ -142,6 +183,8 @@ impl<'a> FanState<'a> {
             .expect("edge was colored");
         self.tbl[a.index() * self.k + c.index()] = NO_VERTEX;
         self.tbl[b.index() * self.k + c.index()] = NO_VERTEX;
+        self.flip(a, c);
+        self.flip(b, c);
         c
     }
 
@@ -149,6 +192,13 @@ impl<'a> FanState<'a> {
     fn color_of(&self, a: VertexId, b: VertexId) -> Option<ColorId> {
         self.coloring.get_id(self.id_of(a, b))
     }
+}
+
+/// The smallest color whose bit is set in `words` (bit `i` of word
+/// `w` is color `64·w + i`).
+fn first_set(words: impl Iterator<Item = u64>) -> Option<ColorId> {
+    let (w, bits) = words.enumerate().find(|&(_, bits)| bits != 0)?;
+    Some(ColorId(64 * w as u32 + bits.trailing_zeros()))
 }
 
 /// Inverts the maximal alternating `c/d` path starting at `u`.
@@ -210,16 +260,19 @@ fn take_maximal_fan(
     scratch.in_fan[v.index()] = scratch.fan_stamp;
     'grow: loop {
         let last = *fan.last().expect("fan nonempty");
-        for c in 0..st.k as u32 {
-            let c = ColorId(c);
-            if !st.is_free(last, c) {
-                continue;
-            }
-            let w = st.tbl_at(u, c);
-            if w != NO_VERTEX && scratch.in_fan[w as usize] != scratch.fan_stamp {
-                scratch.in_fan[w as usize] = scratch.fan_stamp;
-                fan.push(VertexId(w));
-                continue 'grow;
+        // Colors free at `last` but used at `u`, in ascending order.
+        let (at_last, at_u) = (st.free_row(last), st.free_row(u));
+        for (w, (&free_last, &free_u)) in at_last.iter().zip(at_u).enumerate() {
+            let mut bits = free_last & !free_u;
+            while bits != 0 {
+                let c = ColorId(64 * w as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                let next = st.tbl_at(u, c);
+                if scratch.in_fan[next as usize] != scratch.fan_stamp {
+                    scratch.in_fan[next as usize] = scratch.fan_stamp;
+                    fan.push(VertexId(next));
+                    continue 'grow;
+                }
             }
         }
         return fan;
@@ -234,19 +287,26 @@ fn prefix_is_fan(st: &FanState<'_>, u: VertexId, fan: &[VertexId], j: usize) -> 
     })
 }
 
-/// Colors the uncolored edge `(u, v)` by the Misra–Gries fan /
-/// Kempe-chain procedure with palette `[k]`, centering the fan at
-/// `u`.
+/// Colors the uncolored edge `(u, v)` with palette `[k]`: with the
+/// smallest color free at both ends when there is one, and otherwise
+/// by the Misra–Gries fan / Kempe-chain procedure, centering the fan
+/// at `u`.
 ///
-/// Requires that `u` and every neighbor of `u` reachable as a fan
-/// vertex have a free color; callers establish this via the
-/// preconditions documented on [`misra_gries`] and [`fournier`].
+/// The fan step needs a free color at `u` and at every neighbor of
+/// `u` reachable as a fan vertex, and works on any proper partial
+/// coloring. Callers establish those free colors from degrees alone
+/// (see the preconditions on [`misra_gries`] and [`fournier`]), so
+/// they hold whichever colors earlier greedy steps took.
 fn color_edge(
     st: &mut FanState<'_>,
     scratch: &mut FanScratch,
     u: VertexId,
     v: VertexId,
 ) -> Result<(), FournierError> {
+    if let Some(c) = st.common_free(u, v) {
+        st.set(u, v, c);
+        return Ok(());
+    }
     let fan = take_maximal_fan(st, scratch, u, v);
     let result = color_edge_with_fan(st, scratch, u, &fan);
     scratch.fan = fan; // hand the buffer back for the next edge
@@ -484,6 +544,36 @@ mod tests {
     #[test]
     fn fournier_empty() {
         assert_eq!(fournier(&gen::empty(3)), Ok(EdgeColoring::new()));
+    }
+
+    #[test]
+    fn free_color_bitsets_cross_word_boundaries() {
+        // Palettes of 64, 65 and 129 colors end a bitset row exactly at,
+        // one past, and one past two word boundaries.
+        for n in [64, 65, 129] {
+            let g = gen::complete(n);
+            let c = misra_gries(&g);
+            let k = g.max_degree() + 1;
+            assert!(
+                validate_edge_coloring_with_palette(&g, &c, k).is_ok(),
+                "K{n}"
+            );
+            assert!(crate::oracle::edge_coloring_ok(&g, &c, k), "K{n}");
+        }
+        for seed in 0..2 {
+            for g in [
+                gen::independent_max_degree(300, 64, 3, seed),
+                gen::independent_max_degree(400, 128, 2, seed),
+            ] {
+                let c = fournier(&g).expect("precondition holds by construction");
+                let k = g.max_degree();
+                assert!(
+                    validate_edge_coloring_with_palette(&g, &c, k).is_ok(),
+                    "{g}"
+                );
+                assert!(crate::oracle::edge_coloring_ok(&g, &c, k), "{g}");
+            }
+        }
     }
 
     #[test]

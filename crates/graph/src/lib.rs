@@ -15,6 +15,8 @@
 //! * [`coloring`] — vertex/edge coloring containers and *validators*;
 //!   the validators are the ground truth every protocol is tested
 //!   against.
+//! * [`oracle`] — a second, deliberately naive judge of colorings that
+//!   tests hold the validators' verdicts to.
 //! * [`matching`] — Hopcroft–Karp bipartite maximum matching, used to
 //!   realize the Δ-perfect matching of Lemma 5.3.
 //! * [`edge_color`] — constructive proofs of Vizing's theorem
@@ -45,6 +47,7 @@ pub mod gen;
 pub mod graph;
 pub mod greedy;
 pub mod matching;
+pub mod oracle;
 pub mod partition;
 
 pub use builder::GraphBuilder;

@@ -44,8 +44,10 @@ impl fmt::Display for Party {
 /// A partition of a graph's edges into Alice's part `E_A` and Bob's
 /// part `E_B`, each materialized as a subgraph on the full vertex set.
 ///
-/// Invariant: `alice.union(&bob) == whole` and the two edge sets are
-/// disjoint; [`EdgePartition::new`] checks this.
+/// Both sides are cut from one [`EdgeId`](crate::EdgeId)-indexed
+/// ownership mask over the whole graph's edge list, so
+/// [`Partitioner::split`] hashes and searches nothing. Invariant:
+/// `alice.union(&bob) == whole` and the two edge sets are disjoint.
 #[derive(Debug, Clone)]
 pub struct EdgePartition {
     whole: Graph,
@@ -62,16 +64,23 @@ impl EdgePartition {
     ///
     /// Panics if `alice_edges` contains an edge not in `whole`.
     pub fn new(whole: Graph, alice_edges: &[Edge]) -> Self {
-        let mut is_alice = std::collections::HashSet::new();
+        let mut is_alice = vec![false; whole.num_edges()];
         for &e in alice_edges {
-            assert!(
-                whole.edges().binary_search(&e).is_ok(),
-                "edge {e} assigned to Alice is not in the graph"
-            );
-            is_alice.insert(e);
+            let i = whole
+                .edges()
+                .binary_search(&e)
+                .unwrap_or_else(|_| panic!("edge {e} assigned to Alice is not in the graph"));
+            is_alice[i] = true;
         }
-        let alice = whole.edge_subgraph(|e| is_alice.contains(&e));
-        let bob = whole.edge_subgraph(|e| !is_alice.contains(&e));
+        EdgePartition::from_mask(whole, &is_alice)
+    }
+
+    /// Splits `whole` by an ownership mask: `is_alice[i]` says whether
+    /// [`EdgeId`](crate::EdgeId)`(i)` goes to Alice.
+    fn from_mask(whole: Graph, is_alice: &[bool]) -> Self {
+        debug_assert_eq!(is_alice.len(), whole.num_edges());
+        let alice = whole.edge_subgraph_where(|id, _| is_alice[id.index()]);
+        let bob = whole.edge_subgraph_where(|id, _| !is_alice[id.index()]);
         EdgePartition { whole, alice, bob }
     }
 
@@ -156,32 +165,19 @@ impl Partitioner {
     /// Applies the strategy to `g`.
     pub fn split(self, g: &Graph) -> EdgePartition {
         let n = g.num_vertices();
-        let alice: Vec<Edge> = match self {
-            Partitioner::AllToAlice => g.edges().to_vec(),
-            Partitioner::AllToBob => Vec::new(),
-            Partitioner::Alternating => g.edges().iter().copied().step_by(2).collect(),
+        let edges = g.edges().iter();
+        let is_alice: Vec<bool> = match self {
+            Partitioner::AllToAlice => vec![true; g.num_edges()],
+            Partitioner::AllToBob => vec![false; g.num_edges()],
+            Partitioner::Alternating => (0..g.num_edges()).map(|i| i % 2 == 0).collect(),
             Partitioner::Random(seed) => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                g.edges()
-                    .iter()
-                    .copied()
-                    .filter(|_| rng.gen_bool(0.5))
-                    .collect()
+                edges.map(|_| rng.gen_bool(0.5)).collect()
             }
-            Partitioner::ParitySum => g
-                .edges()
-                .iter()
-                .copied()
-                .filter(|e| (e.u().0 + e.v().0) % 2 == 0)
-                .collect(),
-            Partitioner::LowHalf => g
-                .edges()
-                .iter()
-                .copied()
-                .filter(|e| (e.u().index()) < n / 2)
-                .collect(),
+            Partitioner::ParitySum => edges.map(|e| (e.u().0 + e.v().0) % 2 == 0).collect(),
+            Partitioner::LowHalf => edges.map(|e| e.u().index() < n / 2).collect(),
         };
-        EdgePartition::new(g.clone(), &alice)
+        EdgePartition::from_mask(g.clone(), &is_alice)
     }
 
     /// The family of partitioners experiments sweep over, with `seed`
@@ -329,6 +325,22 @@ mod tests {
                 "N(v) = N_A(v) ⊔ N_B(v)"
             );
         }
+    }
+
+    #[test]
+    fn new_matches_split() {
+        let g = gen::gnp(30, 0.3, 4);
+        let alice: Vec<Edge> = g.edges().iter().copied().step_by(2).collect();
+        let p = EdgePartition::new(g.clone(), &alice);
+        assert_eq!(p.alice(), Partitioner::Alternating.split(&g).alice());
+        check_partition_invariants(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the graph")]
+    fn new_rejects_foreign_edges() {
+        let g = gen::path(4);
+        EdgePartition::new(g, &[Edge::new(VertexId(0), VertexId(9))]);
     }
 
     #[test]

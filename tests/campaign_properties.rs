@@ -189,7 +189,7 @@ fn campaign_csv_format_is_pinned() {
          rounds_mean,rounds_stddev,rounds_max,rounds_p50,rounds_p95,\
          bits_per_vertex_mean,colors_mean\n\
          edge/theorem3-zero-comm,complete(n=6),complete,alternating,6,2,2,\
-         0,0,0,0,0,0,0,0,0,0,0,0,9\n"
+         0,0,0,0,0,0,0,0,0,0,0,0,8\n"
     );
     // And the header constant matches the rendered header.
     assert_eq!(

@@ -82,8 +82,60 @@ fn random_colorings(
     (sparse, dense)
 }
 
+/// The per-edge reference merge: one `get` and one `set` per edge of
+/// `other`, in ascending edge order, stopping at the first conflict.
+fn ref_merge(target: &mut EdgeColoring, other: &EdgeColoring) -> Result<(), Edge> {
+    for (e, c) in other.iter() {
+        match target.get(e) {
+            Some(existing) if existing != c => return Err(e),
+            _ => {
+                target.set(e, c);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A coloring indexed by the subgraph of `g` that `mask` keeps (by
+/// nothing, like `EdgeColoring::new()`, when `mask` is empty): each
+/// edge of `g` whose pick is nonzero gets a color from `0..4`,
+/// spilling to the side map when it is outside the index, so two such
+/// colorings clash often.
+fn sub_coloring(g: &Graph, mask: &[u8], picks: &[(u8, u8)]) -> EdgeColoring {
+    let mut c = if mask.is_empty() {
+        EdgeColoring::new()
+    } else {
+        EdgeColoring::dense_for(&g.edge_subgraph_where(|id, _| mask[id.index() % mask.len()] != 0))
+    };
+    for (i, &e) in g.edges().iter().enumerate() {
+        let (keep, color) = picks[i % picks.len()];
+        if keep != 0 {
+            c.set(e, ColorId(u32::from(color)));
+        }
+    }
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn prop_cross_index_merge_matches_per_edge_reference(
+        g in arb_graph(),
+        target_mask in proptest::collection::vec(0u8..3, 0..8),
+        other_mask in proptest::collection::vec(0u8..3, 1..8),
+        target_picks in proptest::collection::vec((0u8..3, 0u8..4), 1..16),
+        other_picks in proptest::collection::vec((0u8..3, 0u8..4), 1..16),
+    ) {
+        let target = sub_coloring(&g, &target_mask, &target_picks);
+        let other = sub_coloring(&g, &other_mask, &other_picks);
+        let mut fast = target.clone();
+        let mut slow = target;
+        // Same verdict (the same first conflicting edge), and the same
+        // coloring afterwards, even when a conflict cut the walk short.
+        prop_assert_eq!(fast.merge(&other), ref_merge(&mut slow, &other));
+        prop_assert_eq!(&fast, &slow);
+    }
 
     #[test]
     fn prop_dense_validators_match_hashmap_semantics(

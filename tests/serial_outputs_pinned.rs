@@ -134,15 +134,15 @@ fn d1lc_pair(g: &Graph, part: Partitioner) -> (D1lcInput, D1lcInput) {
 #[test]
 fn misra_gries_colorings_are_pinned() {
     let cases = [
-        (gen::gnp(40, 0.2, 1), 0x1d49f15c),
-        (gen::gnp(80, 0.15, 2), 0x441bdf5f),
-        (gen::gnp(120, 0.05, 3), 0x2d132efd),
-        (gen::complete(20), 0x6d0df7f6),
-        (gen::complete_bipartite(9, 11), 0x14139c8a),
-        (gen::near_regular(150, 10, 4), 0xfdff1e35),
-        (gen::star(30), 0x6bcbecfc),
+        (gen::gnp(40, 0.2, 1), 0xa1bbf2b3),
+        (gen::gnp(80, 0.15, 2), 0x599768c5),
+        (gen::gnp(120, 0.05, 3), 0xe14e589e),
+        (gen::complete(20), 0x7f50fd06),
+        (gen::complete_bipartite(9, 11), 0x284f9115),
+        (gen::near_regular(150, 10, 4), 0x726f0688),
+        (gen::star(30), 0x3df2f954),
         (gen::path(3), 0xa79add11),
-        (gen::gnp(2000, 0.01, 5), 0x2d3fc42a),
+        (gen::gnp(2000, 0.01, 5), 0x8500a288),
     ];
     let mut pins = Pins::default();
     for (g, want) in &cases {
@@ -156,10 +156,10 @@ fn misra_gries_colorings_are_pinned() {
 #[test]
 fn fournier_colorings_are_pinned() {
     let cases = [
-        (gen::independent_max_degree(70, 6, 9, 0), 0xc43d443d),
-        (gen::independent_max_degree(70, 6, 9, 1), 0x647ff6d8),
-        (gen::independent_max_degree(200, 12, 20, 2), 0x2f0f699b),
-        (gen::independent_max_degree(500, 20, 40, 3), 0x441f4c34),
+        (gen::independent_max_degree(70, 6, 9, 0), 0x9ed775dd),
+        (gen::independent_max_degree(70, 6, 9, 1), 0xa17290dd),
+        (gen::independent_max_degree(200, 12, 20, 2), 0xa42d3104),
+        (gen::independent_max_degree(500, 20, 40, 3), 0xb7b81ac7),
     ];
     let mut pins = Pins::default();
     for (g, want) in &cases {
@@ -220,7 +220,7 @@ fn paper_protocol_trials_are_pinned() {
     // (protocol, [artifact, record JSON]).
     let cases = [
         ("vertex/theorem1", [0x15849a81, 0xef9a471c]),
-        ("edge/theorem2", [0xb6f8d8d6, 0x1ffdeb72]),
+        ("edge/theorem2", [0xa58df4f1, 0x6093d325]),
     ];
     let mut pins = Pins::default();
     for (key, [want_artifact, want_record]) in cases {
