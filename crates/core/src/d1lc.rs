@@ -480,7 +480,7 @@ mod tests {
             // Validate against the induced subgraph on Z with the true
             // lists.
             let zset: std::collections::HashSet<VertexId> = z.iter().copied().collect();
-            let gz = g.edge_subgraph(|e| zset.contains(&e.u()) && zset.contains(&e.v()));
+            let gz = g.edge_subgraph_where(|_, e| zset.contains(&e.u()) && zset.contains(&e.v()));
             for (i, &v) in z.iter().enumerate() {
                 let c = ca.get(v).expect("every z vertex colored");
                 assert!(lists[i].contains(&c), "color of {v} outside Ψ(v)");

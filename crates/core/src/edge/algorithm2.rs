@@ -5,12 +5,18 @@
 //!
 //! 1. **Defer** edges joining two vertices of current remaining-degree
 //!    `≥ Δ−1`; the deferred subgraph `DG` has maximum degree 2
-//!    (Lemma 5.2).
-//! 2. Find a **Δ-perfect matching** `M` in the remaining subgraph `R`
-//!    covering every degree-Δ vertex (Lemma 5.3, via Hopcroft–Karp).
+//!    (Lemma 5.2). The deferred set is a bitmap over the party
+//!    graph's edge ids, and the remaining subgraph `R` is that graph
+//!    minus the bitmap: its degrees are counted down in place.
+//! 2. Find a **Δ-perfect matching** `M` in `R` covering every
+//!    degree-Δ vertex (Lemma 5.3, via Hopcroft–Karp). Only this step
+//!    builds `R`'s adjacency, and only when some vertex keeps degree
+//!    Δ.
 //! 3. Color `R' = R − M` with the party's own `Δ−1` colors: its
 //!    maximum-degree vertices are independent, so constructive
-//!    Fournier (Proposition 3.5) applies.
+//!    Fournier (Proposition 3.5) applies. `R'` is never built: the
+//!    masked engines color the party graph's edges outside `DG` and
+//!    `M` in place, in its own edge-id space.
 //! 4. **Round 1**: exchange two n-bit masks — vertices covered by `M`,
 //!    and vertices of own-degree `> Δ/2`.
 //! 5. **Round 2**: the Lemma 5.4 exchange — each party publishes
@@ -32,7 +38,7 @@ use crate::input::PartyInput;
 use bichrome_comm::session::PartyCtx;
 use bichrome_comm::wire::{width_for, BitWriter};
 use bichrome_graph::coloring::{ColorId, EdgeColoring};
-use bichrome_graph::edge_color::{fournier, misra_gries, remap_colors};
+use bichrome_graph::edge_color::{fournier_where, misra_gries_where, remap_colors};
 use bichrome_graph::matching::matching_covering;
 use bichrome_graph::{Edge, EdgeId, Graph, VertexId};
 
@@ -79,7 +85,6 @@ pub fn algorithm2_party(input: &PartyInput, ctx: &PartyCtx) -> EdgeColoring {
         .filter(|&i| deferred[i])
         .map(|i| EdgeId(i as u32))
         .collect();
-    let r_graph = g.edge_subgraph_where(|id, _| !deferred[id.index()]);
     debug_assert!(
         {
             let dg_edges: Vec<Edge> = dg.iter().map(|&id| g.edge(id)).collect();
@@ -89,63 +94,62 @@ pub fn algorithm2_party(input: &PartyInput, ctx: &PartyCtx) -> EdgeColoring {
     );
 
     // ---- Step 2: Δ-perfect matching in R. ----
-    let matching: Vec<(VertexId, VertexId)> = if r_graph.max_degree() == delta {
-        let targets = r_graph.vertices_of_degree(delta);
+    // R's degrees are `deg`. Its adjacency is built only when some
+    // vertex keeps degree Δ, since Hopcroft–Karp walks it.
+    let matching: Vec<(VertexId, VertexId, EdgeId)> = if deg.contains(&delta) {
+        let r_graph = g.edge_subgraph_where(|id, _| !deferred[id.index()]);
+        let targets: Vec<VertexId> = g.vertices().filter(|v| deg[v.index()] == delta).collect();
         let edges =
             matching_covering(&r_graph, &targets).expect("Lemma 5.3: a covering matching exists");
         edges
             .iter()
             .map(|e| {
-                let hub = if r_graph.degree(e.u()) == delta {
+                let hub = if deg[e.u().index()] == delta {
                     e.u()
                 } else {
                     e.v()
                 };
-                (hub, e.other(hub))
+                let id = g
+                    .edge_id(e.u(), e.v())
+                    .expect("matching edges are graph edges");
+                (hub, e.other(hub), id)
             })
             .collect()
     } else {
         Vec::new()
     };
-    // Matched edges as a bitmap over g's edge ids.
+    // Matched edges as a bitmap over g's edge ids, matched vertices as
+    // a bitmap over V.
     let mut in_matching = vec![false; g.num_edges()];
-    for &(a, b) in &matching {
-        let id = g.edge_id(a, b).expect("matching edges are graph edges");
+    let mut my_matched = vec![false; n];
+    for &(hub, v, id) in &matching {
         in_matching[id.index()] = true;
+        my_matched[hub.index()] = true;
+        my_matched[v.index()] = true;
     }
 
     // ---- Step 3: color R' = R − M with my palette. ----
-    let r_prime = r_graph.edge_subgraph(|e| {
-        let id = g.edge_id(e.u(), e.v()).expect("R edges are graph edges");
-        !in_matching[id.index()]
-    });
-    let d = r_prime.max_degree();
-    // The party's output coloring is dense over its whole subgraph g:
-    // every later read and write on the round hot paths is an O(1)
+    // R' is colored in place over g's edge ids, never built: its
+    // degrees are R's, minus one at matched vertices. The party's
+    // output coloring is dense over its whole subgraph g, so every
+    // later read and write on the round hot paths is an O(1)
     // id-indexed slot access.
-    let mut coloring = EdgeColoring::dense_for(g);
-    if r_prime.num_edges() > 0 {
-        let raw = if d == delta - 1 {
-            fournier(&r_prime)
-                .expect("deferral + matching removal leave max-degree vertices independent")
-        } else {
-            debug_assert!(d < delta - 1, "Vizing fits in the palette");
-            misra_gries(&r_prime)
-        };
-        coloring
-            .merge(&remap_colors(&raw, &my_palette))
-            .expect("R' edges are colored once");
-    }
+    let d = g
+        .vertices()
+        .map(|v| deg[v.index()] - usize::from(my_matched[v.index()]))
+        .max()
+        .unwrap_or(0);
+    let in_r_prime = |id: EdgeId| !deferred[id.index()] && !in_matching[id.index()];
+    let raw = if d == delta - 1 {
+        fournier_where(g, in_r_prime)
+            .expect("deferral + matching removal leave max-degree vertices independent")
+    } else {
+        debug_assert!(d < delta - 1, "Vizing fits in the palette");
+        misra_gries_where(g, in_r_prime)
+    };
+    let mut coloring = remap_colors(&raw, &my_palette);
 
     // ---- Round 1: matched mask + over-half-degree mask. ----
-    let my_matched = {
-        let mut mask = vec![false; n];
-        for &(hub, v) in &matching {
-            mask[hub.index()] = true;
-            mask[v.index()] = true;
-        }
-        mask
-    };
     let my_over_half: Vec<bool> = g.vertices().map(|v| g.degree(v) > delta / 2).collect();
     let mut w = BitWriter::new();
     w.write_bools(&my_matched);
@@ -179,8 +183,7 @@ pub fn algorithm2_party(input: &PartyInput, ctx: &PartyCtx) -> EdgeColoring {
     let peer_assigned = decode_palette_covering(&mut incoming.reader(), &peer_k, &other_palette, n);
 
     // ---- Step 6: color the matching. ----
-    for &(hub, v) in &matching {
-        let id = g.edge_id(hub, v).expect("matching edges are graph edges");
+    for &(_, v, id) in &matching {
         let color = if !peer_matched[v.index()] || peer_over_half[v.index()] {
             special
         } else {
@@ -212,8 +215,7 @@ pub fn algorithm2_party(input: &PartyInput, ctx: &PartyCtx) -> EdgeColoring {
 
     // My matching color at each vertex (to avoid in DG).
     let mut my_match_color: Vec<Option<ColorId>> = vec![None; n];
-    for &(hub, v) in &matching {
-        let id = g.edge_id(hub, v).expect("matching edges are graph edges");
+    for &(hub, v, id) in &matching {
         let c = coloring.get_id(id).expect("just colored");
         my_match_color[hub.index()] = Some(c);
         my_match_color[v.index()] = Some(c);

@@ -4,7 +4,7 @@
 //!   `(2Δ−1)`-edge coloring with `O(n)` bits and `O(1)` rounds,
 //!   dispatching between Lemma 5.1's constant-Δ protocol
 //!   ([`bounded`]) and Algorithm 2 ([`algorithm2`]).
-//! * [`two_delta::solve_two_delta`] — **Theorem 3**: `(2Δ)`-edge
+//! * [`two_delta::two_delta_party`] — **Theorem 3**: `(2Δ)`-edge
 //!   coloring with *zero* communication.
 //!
 //! Unlike the vertex problem, each party outputs colors only for its

@@ -9,15 +9,25 @@
 //! remaining subgraph has its maximum-degree vertices independent, so
 //! Fournier's theorem (Proposition 3.5) colors it with the party's own
 //! Δ colors.
+//!
+//! The remaining subgraph is never built: the masked engines color the
+//! party graph's non-deferred edges in place, in its own edge-id
+//! space, and the deferred edges are written into the same dense
+//! coloring by id. [`run_parties`](crate::run_parties) runs the script
+//! for both parties like any other protocol, over a session that
+//! carries no frame, so its metered statistics are the claim: zero
+//! bits, zero rounds.
 
 use crate::input::PartyInput;
 use bichrome_comm::Side;
 use bichrome_graph::coloring::{ColorId, EdgeColoring};
-use bichrome_graph::edge_color::{fournier, misra_gries, remap_colors};
-use bichrome_graph::partition::EdgePartition;
+use bichrome_graph::edge_color::{fournier_where, misra_gries_where, remap_colors};
 use bichrome_graph::EdgeId;
 
-/// One party's (communication-free) script for Theorem 3.
+/// One party's (communication-free) script for Theorem 3. It takes
+/// no session context: pass it to
+/// [`run_parties`](crate::run_parties) as `|input, _|
+/// two_delta_party(input)`.
 pub fn two_delta_party(input: &PartyInput) -> EdgeColoring {
     let delta = input.delta;
     let g = &input.graph;
@@ -55,18 +65,15 @@ pub fn two_delta_party(input: &PartyInput) -> EdgeColoring {
         }
     }
 
-    let remaining = g.edge_subgraph_where(|id, _| !deferred[id.index()]);
-    let d = remaining.max_degree();
-    let mut coloring = if d == 0 {
-        EdgeColoring::new()
-    } else if d == delta {
-        let raw = fournier(&remaining).expect("deferral leaves the degree-Δ vertices independent");
-        remap_colors(&raw, &my_palette)
+    let d = deg.iter().copied().max().unwrap_or(0);
+    let kept = |id: EdgeId| !deferred[id.index()];
+    let raw = if d == delta {
+        fournier_where(g, kept).expect("deferral leaves the degree-Δ vertices independent")
     } else {
         // Max degree dropped below Δ: Vizing's Δ'+1 ≤ Δ colors.
-        let raw = misra_gries(&remaining);
-        remap_colors(&raw, &my_palette)
+        misra_gries_where(g, kept)
     };
+    let mut coloring = remap_colors(&raw, &my_palette);
 
     // Deferred edges form a matching between vertices that have no
     // edges on the other side: one color of the other party's palette
@@ -84,30 +91,30 @@ pub fn two_delta_party(input: &PartyInput) -> EdgeColoring {
     );
     for (i, &is_deferred) in deferred.iter().enumerate() {
         if is_deferred {
-            coloring.set(g.edge(EdgeId(i as u32)), other_first);
+            coloring.set_id(EdgeId(i as u32), other_first);
         }
     }
     coloring
 }
 
-/// Runs Theorem 3 for both parties — no session is needed because no
-/// bits flow; the "protocol" is two local computations.
-pub fn solve_two_delta(partition: &EdgePartition) -> (EdgeColoring, EdgeColoring) {
-    let a = two_delta_party(&PartyInput::alice(partition));
-    let b = two_delta_party(&PartyInput::bob(partition));
-    (a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_parties;
+    use bichrome_comm::CommStats;
     use bichrome_graph::coloring::validate_edge_coloring_with_palette;
     use bichrome_graph::gen;
-    use bichrome_graph::partition::Partitioner;
+    use bichrome_graph::partition::{EdgePartition, Partitioner};
+
+    /// Theorem 3 on `p` through a session: both parties' colorings and
+    /// the metered statistics.
+    fn solve(p: &EdgePartition) -> (EdgeColoring, EdgeColoring, CommStats) {
+        run_parties(p, 0, |input, _| two_delta_party(input))
+    }
 
     fn check(g: &bichrome_graph::Graph, part: Partitioner) {
         let p = part.split(g);
-        let (a, b) = solve_two_delta(&p);
+        let (a, b, _) = solve(&p);
         let mut merged = a;
         merged.merge(&b).expect("disjoint edges");
         let budget = (2 * g.max_degree()).max(1);
@@ -152,19 +159,21 @@ mod tests {
 
     #[test]
     fn two_delta_costs_zero_bits() {
-        // The solver never touches a channel; the API makes this
-        // structural (no endpoint parameter), which *is* the claim.
+        // The script never touches its channel, and the session's
+        // meter says so.
         let g = gen::gnm_max_degree(30, 80, 6, 3);
         let p = Partitioner::Random(1).split(&g);
-        let (a, b) = solve_two_delta(&p);
+        let (a, b, stats) = solve(&p);
         assert_eq!(a.len() + b.len(), g.num_edges());
+        assert_eq!(stats.total_bits(), 0);
+        assert_eq!(stats.rounds, 0);
     }
 
     #[test]
     fn two_delta_empty() {
         let g = gen::empty(4);
         let p = Partitioner::AllToBob.split(&g);
-        let (a, b) = solve_two_delta(&p);
+        let (a, b, _) = solve(&p);
         assert!(a.is_empty() && b.is_empty());
     }
 }

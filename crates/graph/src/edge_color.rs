@@ -18,10 +18,21 @@
 //! Both give each edge the smallest color free at both of its ends
 //! when there is one, read from per-vertex free-color bitsets in
 //! `O(Δ/64)` words, and build a fan and invert a Kempe path only when
-//! there is none. That fallback costs `O(n + Δ² log Δ)` (a path of at
-//! most `n` edges, a fan of at most `Δ` vertices, and the search for
-//! its rotation point), so the worst case is `O(m · (n + Δ² log Δ))`;
-//! on sparse random graphs almost no edge needs the fan. Both are
+//! there is none. The greedy step carries the id of the edge in hand;
+//! only the fallback looks edge ids up, by binary search. That
+//! fallback costs `O(n + Δ² log Δ)` (a path of at most `n` edges, a
+//! fan of at most `Δ` vertices, and the search for its rotation
+//! point), so the worst case is `O(m · (n + Δ² log Δ))`; on sparse
+//! random graphs almost no edge needs the fan.
+//!
+//! [`misra_gries_where`] and [`fournier_where`] color the subset of a
+//! graph's edges that a mask selects, in that graph's own [`EdgeId`]
+//! space, with the palette the kept degrees call for. The fan
+//! procedure reads only its color table and free-color bitsets, never
+//! adjacency, so the result equals coloring the built subgraph, edge
+//! for edge; [`misra_gries`] and [`fournier`] are the keep-all cases.
+//! The protocols color their party subgraph minus deferred and matched
+//! edges this way, without building that subgraph. All four are
 //! checked by property tests against the validators in
 //! [`crate::coloring`] and by exhaustive sweeps against
 //! [`crate::oracle`].
@@ -157,13 +168,16 @@ impl<'a> FanState<'a> {
         first_set(both.map(|(a, b)| a & b))
     }
 
+    /// The id of the colored or fan edge `(a, b)`: a binary search,
+    /// paid only on the fan / Kempe fallback.
     #[inline]
     fn id_of(&self, a: VertexId, b: VertexId) -> EdgeId {
         self.g.edge_id(a, b).expect("fan edges are graph edges")
     }
 
-    /// Colors the edge `(a, b)` with `c` (must be free at both ends).
-    fn set(&mut self, a: VertexId, b: VertexId, c: ColorId) {
+    /// Colors the edge `(a, b)`, whose id is `id`, with `c` (must be
+    /// free at both ends).
+    fn set_id(&mut self, id: EdgeId, a: VertexId, b: VertexId, c: ColorId) {
         debug_assert!(
             self.is_free(a, c) && self.is_free(b, c),
             "color {c} not free"
@@ -172,7 +186,12 @@ impl<'a> FanState<'a> {
         self.tbl[b.index() * self.k + c.index()] = a.0;
         self.flip(a, c);
         self.flip(b, c);
-        self.coloring.set_id(self.id_of(a, b), c);
+        self.coloring.set_id(id, c);
+    }
+
+    /// Colors the edge `(a, b)` with `c`, looking its id up.
+    fn set(&mut self, a: VertexId, b: VertexId, c: ColorId) {
+        self.set_id(self.id_of(a, b), a, b, c);
     }
 
     /// Uncolors the edge `(a, b)`, returning its color.
@@ -287,24 +306,28 @@ fn prefix_is_fan(st: &FanState<'_>, u: VertexId, fan: &[VertexId], j: usize) -> 
     })
 }
 
-/// Colors the uncolored edge `(u, v)` with palette `[k]`: with the
-/// smallest color free at both ends when there is one, and otherwise
-/// by the Misra–Gries fan / Kempe-chain procedure, centering the fan
-/// at `u`.
+/// Colors the uncolored edge `(u, v)`, whose id is `id`, with palette
+/// `[k]`: with the smallest color free at both ends when there is one,
+/// and otherwise by the Misra–Gries fan / Kempe-chain procedure,
+/// centering the fan at `u`.
 ///
 /// The fan step needs a free color at `u` and at every neighbor of
 /// `u` reachable as a fan vertex, and works on any proper partial
 /// coloring. Callers establish those free colors from degrees alone
-/// (see the preconditions on [`misra_gries`] and [`fournier`]), so
-/// they hold whichever colors earlier greedy steps took.
+/// (see the preconditions on [`misra_gries_where`] and
+/// [`fournier_where`]), so they hold whichever colors earlier greedy
+/// steps took. Neither step reads adjacency, only the color table and
+/// the free-color bitsets, so edges left out of a mask are invisible.
 fn color_edge(
     st: &mut FanState<'_>,
     scratch: &mut FanScratch,
+    id: EdgeId,
     u: VertexId,
     v: VertexId,
 ) -> Result<(), FournierError> {
+    debug_assert_eq!(st.g.edge(id), Edge::new(u, v), "edge id names ({u}, {v})");
     if let Some(c) = st.common_free(u, v) {
-        st.set(u, v, c);
+        st.set_id(id, u, v, c);
         return Ok(());
     }
     let fan = take_maximal_fan(st, scratch, u, v);
@@ -343,9 +366,31 @@ fn color_edge_with_fan(
     Ok(())
 }
 
+/// The kept edges of `g`, with their ids, in edge order.
+fn kept_edges<'g>(
+    g: &'g Graph,
+    keep: &'g impl Fn(EdgeId) -> bool,
+) -> impl Iterator<Item = (EdgeId, Edge)> + 'g {
+    let ids = (0..g.num_edges() as u32).map(EdgeId);
+    ids.zip(g.edges().iter().copied())
+        .filter(|&(id, _)| keep(id))
+}
+
+/// Each vertex's degree over the kept edges of `g`.
+fn kept_degrees(g: &Graph, keep: &impl Fn(EdgeId) -> bool) -> Vec<usize> {
+    let mut deg = vec![0; g.num_vertices()];
+    for (_, e) in kept_edges(g, keep) {
+        deg[e.u().index()] += 1;
+        deg[e.v().index()] += 1;
+    }
+    deg
+}
+
 /// Misra–Gries edge coloring: a proper edge coloring of `g` with the
 /// palette `{0, ..., Δ}` (`Δ+1` colors), constructively realizing
 /// Vizing's theorem (Proposition 3.4).
+///
+/// The keep-all case of [`misra_gries_where`].
 ///
 /// # Example
 ///
@@ -358,15 +403,25 @@ fn color_edge_with_fan(
 /// assert!(validate_edge_coloring_with_palette(&g, &c, g.max_degree() + 1).is_ok());
 /// ```
 pub fn misra_gries(g: &Graph) -> EdgeColoring {
-    if g.num_edges() == 0 {
-        return EdgeColoring::new();
-    }
-    let mut st = FanState::new(g, g.max_degree() + 1);
+    misra_gries_where(g, |_| true)
+}
+
+/// Misra–Gries on the edges of `g` that `keep` selects, in place: a
+/// proper coloring of exactly those edges with `Δ_keep + 1` colors,
+/// where `Δ_keep` is the maximum degree over kept edges.
+///
+/// The coloring is dense over `g`'s [`EdgeId`] space, and each kept
+/// edge gets the color [`misra_gries`] gives it on
+/// `g.edge_subgraph_where(|id, _| keep(id))`, without building that
+/// subgraph.
+pub fn misra_gries_where(g: &Graph, keep: impl Fn(EdgeId) -> bool) -> EdgeColoring {
+    let delta = kept_degrees(g, &keep).into_iter().max().unwrap_or(0);
+    let mut st = FanState::new(g, delta + 1);
     let mut scratch = FanScratch::new(g.num_vertices());
-    for &e in g.edges() {
+    for (id, e) in kept_edges(g, &keep) {
         // With k = Δ+1 every vertex always has a free color, so the
         // fan procedure cannot get stuck.
-        color_edge(&mut st, &mut scratch, e.u(), e.v())
+        color_edge(&mut st, &mut scratch, id, e.u(), e.v())
             .expect("Vizing: Δ+1 colors never get stuck");
     }
     st.coloring
@@ -376,6 +431,8 @@ pub fn misra_gries(g: &Graph) -> EdgeColoring {
 /// exactly `Δ` colors `{0, ..., Δ−1}`, valid whenever the
 /// maximum-degree vertices of `g` form an independent set
 /// (Proposition 3.5).
+///
+/// The keep-all case of [`fournier_where`].
 ///
 /// # Errors
 ///
@@ -393,35 +450,50 @@ pub fn misra_gries(g: &Graph) -> EdgeColoring {
 /// assert!(validate_edge_coloring_with_palette(&g, &c, g.max_degree()).is_ok());
 /// ```
 pub fn fournier(g: &Graph) -> Result<EdgeColoring, FournierError> {
-    let d = g.max_degree();
-    if g.num_edges() == 0 {
-        return Ok(EdgeColoring::new());
-    }
-    let top = g.vertices_of_degree(d);
-    if !g.is_independent_set(&top) {
+    fournier_where(g, |_| true)
+}
+
+/// Fournier on the edges of `g` that `keep` selects, in place: a
+/// proper coloring of exactly those edges with `Δ_keep` colors, where
+/// `Δ_keep` is the maximum degree over kept edges. The precondition
+/// reads the kept edges too: no kept edge may join two vertices of
+/// kept degree `Δ_keep`.
+///
+/// Like [`misra_gries_where`], the coloring is dense over `g`'s
+/// [`EdgeId`] space and equals [`fournier`] on the kept subgraph,
+/// edge for edge.
+///
+/// # Errors
+///
+/// As [`fournier`], judged on the kept edges.
+pub fn fournier_where(
+    g: &Graph,
+    keep: impl Fn(EdgeId) -> bool,
+) -> Result<EdgeColoring, FournierError> {
+    let deg = kept_degrees(g, &keep);
+    let d = deg.iter().copied().max().unwrap_or(0);
+    let is_top: Vec<bool> = deg.iter().map(|&x| x == d).collect();
+    let top = |v: VertexId| is_top[v.index()];
+    if kept_edges(g, &keep).any(|(_, e)| top(e.u()) && top(e.v())) {
         return Err(FournierError::MaxDegreeNotIndependent);
-    }
-    let mut is_top = vec![false; g.num_vertices()];
-    for &v in &top {
-        is_top[v.index()] = true;
     }
     let mut st = FanState::new(g, d);
     let mut scratch = FanScratch::new(g.num_vertices());
     // Phase 1: edges avoiding all degree-Δ vertices. Every vertex seen
     // by the fan has degree ≤ Δ−1, hence a free color among Δ.
-    for &e in g.edges() {
-        if !is_top[e.u().index()] && !is_top[e.v().index()] {
-            color_edge(&mut st, &mut scratch, e.u(), e.v())?;
+    for (id, e) in kept_edges(g, &keep) {
+        if !top(e.u()) && !top(e.v()) {
+            color_edge(&mut st, &mut scratch, id, e.u(), e.v())?;
         }
     }
     // Phase 2: edges incident to a degree-Δ vertex; center the fan
     // there. Independence makes all fan vertices degree ≤ Δ−1.
-    for &e in g.edges() {
+    for (id, e) in kept_edges(g, &keep) {
         let (u, v) = e.endpoints();
-        if is_top[u.index()] {
-            color_edge(&mut st, &mut scratch, u, v)?;
-        } else if is_top[v.index()] {
-            color_edge(&mut st, &mut scratch, v, u)?;
+        if top(u) {
+            color_edge(&mut st, &mut scratch, id, u, v)?;
+        } else if top(v) {
+            color_edge(&mut st, &mut scratch, id, v, u)?;
         }
     }
     Ok(st.coloring)
@@ -560,6 +632,17 @@ mod tests {
             );
             assert!(crate::oracle::edge_coloring_ok(&g, &c, k), "K{n}");
         }
+        // Masked: K₁₃₀ with every edge at vertex 0 left out. The kept
+        // Δ+1 = 129, not g's 130, sets the palette and its last word.
+        let g = gen::complete(130);
+        let keep = |id: EdgeId| !g.edge(id).is_incident_to(VertexId(0));
+        let c = misra_gries_where(&g, keep);
+        let kept = g.edge_subgraph_where(|id, _| keep(id));
+        assert_eq!(kept.max_degree() + 1, 129);
+        assert_eq!(c.len(), kept.num_edges(), "masked edges stay uncolored");
+        assert!(validate_edge_coloring_with_palette(&kept, &c, 129).is_ok());
+        assert!(crate::oracle::edge_coloring_ok(&kept, &c, 129));
+        assert_eq!(c, misra_gries(&kept));
         for seed in 0..2 {
             for g in [
                 gen::independent_max_degree(300, 64, 3, seed),

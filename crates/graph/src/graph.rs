@@ -409,14 +409,9 @@ impl Graph {
     }
 
     /// Returns the subgraph on the same vertex set containing exactly the
-    /// edges for which `keep` returns `true`.
-    pub fn edge_subgraph(&self, mut keep: impl FnMut(Edge) -> bool) -> Graph {
-        self.edge_subgraph_where(|_, e| keep(e))
-    }
-
-    /// Like [`edge_subgraph`](Graph::edge_subgraph), but `keep` also
-    /// receives each edge's [`EdgeId`] — the natural shape when the
-    /// kept set is an id-indexed bitmap rather than an `Edge` set.
+    /// edges for which `keep` returns `true`. `keep` receives each
+    /// edge's [`EdgeId`] and endpoints, so the kept set can be an
+    /// id-indexed bitmap or a predicate on the edge.
     pub fn edge_subgraph_where(&self, mut keep: impl FnMut(EdgeId, Edge) -> bool) -> Graph {
         let edges: Vec<Edge> = self
             .edges
@@ -562,7 +557,7 @@ mod tests {
     #[test]
     fn edge_subgraph_filters() {
         let g = triangle();
-        let h = g.edge_subgraph(|e| e.is_incident_to(VertexId(0)));
+        let h = g.edge_subgraph_where(|_, e| e.is_incident_to(VertexId(0)));
         assert_eq!(h.num_edges(), 2);
         assert_eq!(h.num_vertices(), 3);
         assert_eq!(h.degree(VertexId(0)), 2);

@@ -99,9 +99,11 @@ impl Protocol for EdgeTheorem3ZeroComm {
     }
 
     fn run(&self, inst: &Instance) -> Outcome {
-        let (alice, bob) = two_delta::solve_two_delta(&inst.partition);
+        let (alice, bob, stats) = run_parties(&inst.partition, inst.seed, |input, _| {
+            two_delta::two_delta_party(input)
+        });
         let budget = (2 * inst.delta()).max(1);
-        merge_edge_outcome(inst, alice, bob, CommStats::default(), budget)
+        merge_edge_outcome(inst, alice, bob, stats, budget)
     }
 }
 

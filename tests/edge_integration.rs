@@ -202,7 +202,14 @@ fn each_party_colors_exactly_its_edges() {
             let (alice, bob, _) = run_parties(p, 0, bounded::bounded_delta_party);
             (alice, bob)
         }),
-        ("theorem3", two_delta::solve_two_delta),
+        ("theorem3", |p| {
+            let (alice, bob, stats) =
+                run_parties(p, 0, |input, _| two_delta::two_delta_party(input));
+            // Theorem 3's zero communication, as the session meters it.
+            assert_eq!(stats.total_bits(), 0, "theorem3 sends no bits");
+            assert_eq!(stats.rounds, 0, "theorem3 takes no rounds");
+            (alice, bob)
+        }),
     ];
     let zoo: Vec<Graph> = vec![
         gen::path(30),

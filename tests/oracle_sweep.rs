@@ -3,7 +3,9 @@
 //! naive `bichrome_graph::oracle`.
 //!
 //! - Misra–Gries and Fournier run on every labelled graph on at most
-//!   five vertices.
+//!   five vertices, and their masked forms on every such graph with
+//!   every keep mask, where they must equal the plain engines on the
+//!   built subgraph.
 //! - Every registry protocol runs on every (graph, Alice/Bob split)
 //!   pair on at most four vertices, and on a Δ ≥ 8 family on which
 //!   Theorem 2 runs Algorithm 2 rather than Lemma 5.1.
@@ -19,10 +21,12 @@ use bichrome_graph::coloring::{
     validate_edge_coloring_with_palette, validate_vertex_coloring_with_palette, EdgeColoring,
     VertexColoring,
 };
-use bichrome_graph::edge_color::{fournier, misra_gries, FournierError};
+use bichrome_graph::edge_color::{
+    fournier, fournier_where, misra_gries, misra_gries_where, FournierError,
+};
 use bichrome_graph::oracle::{edge_coloring_ok, vertex_coloring_ok};
 use bichrome_graph::partition::{EdgePartition, Partitioner};
-use bichrome_graph::{gen, Edge, Graph, VertexId};
+use bichrome_graph::{gen, Edge, EdgeId, Graph, VertexId};
 use bichrome_runner::{registry, Artifact, Instance, Registry};
 use rand::prelude::*;
 
@@ -131,6 +135,32 @@ fn misra_gries_and_fournier_on_every_graph_up_to_five_vertices() {
                 Err(FournierError::MaxDegreeNotIndependent) if !holds => {}
                 other => panic!("fournier on {g} (precondition {holds}): {other:?}"),
             }
+        }
+    }
+}
+
+#[test]
+fn masked_engines_equal_the_built_subgraph_up_to_five_vertices() {
+    for n in 1..=5 {
+        let all = pairs(n);
+        // Each pair is absent (digit 0), kept (1) or masked out (2).
+        for code in 0..3u32.pow(all.len() as u32) {
+            let digit = |i: usize| code / 3u32.pow(i as u32) % 3;
+            let present: Vec<usize> = (0..all.len()).filter(|&i| digit(i) != 0).collect();
+            let g = from_edges(n as usize, present.iter().map(|&i| all[i]));
+            // Both lists ascend, so g's edge k is pair present[k].
+            let kept: Vec<bool> = present.iter().map(|&i| digit(i) == 1).collect();
+            let keep = |id: EdgeId| kept[id.index()];
+            let sub = g.edge_subgraph_where(|id, _| keep(id));
+            let what = format!("{g}, mask {code}");
+            let c = misra_gries_where(&g, keep);
+            assert!(c.is_indexed_for(&g), "misra_gries_where on {what}");
+            assert_eq!(c, misra_gries(&sub), "misra_gries_where on {what}");
+            let c = fournier_where(&g, keep);
+            if let Ok(c) = &c {
+                assert!(c.is_indexed_for(&g), "fournier_where on {what}");
+            }
+            assert_eq!(c, fournier(&sub), "fournier_where on {what}");
         }
     }
 }

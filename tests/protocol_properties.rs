@@ -3,7 +3,8 @@
 //! validators, and the classical substrates must satisfy their
 //! theorems.
 
-use bichrome_core::edge::two_delta::solve_two_delta;
+use bichrome_core::edge::two_delta::two_delta_party;
+use bichrome_core::run_parties;
 use bichrome_core::slack_int::run_slack_int_session;
 use bichrome_graph::coloring::validate_edge_coloring_with_palette;
 use bichrome_graph::edge_color::{fournier, misra_gries};
@@ -54,7 +55,10 @@ proptest! {
     #[test]
     fn prop_theorem3_always_valid(g in arb_graph(), part in arb_partitioner()) {
         let p = part.split(&g);
-        let (a, b) = solve_two_delta(&p);
+        let (a, b, stats) = run_parties(&p, 0, |input, _| two_delta_party(input));
+        // Theorem 3's zero communication, as the session meters it.
+        prop_assert_eq!(stats.total_bits(), 0);
+        prop_assert_eq!(stats.rounds, 0);
         let mut merged = a;
         prop_assert!(merged.merge(&b).is_ok());
         let budget = (2 * g.max_degree()).max(1);
