@@ -1,8 +1,9 @@
 //! **bench-hotpath** — microbenchmark of the dense edge-indexed hot
 //! path: the validator pass (`ColorMarks` + dense `EdgeColoring`),
-//! Misra–Gries fan coloring, and the D1LC finishing protocol, timed
-//! on gnp/gnm grids at n ∈ {1e3, 1e4, 1e5, 1e6}, and written to
-//! `BENCH_hotpath.json` (nanos per phase + edges/sec) so CI tracks
+//! Misra–Gries fan coloring, `Random-Color-Trial` (Algorithm 1) and
+//! the D1LC finishing protocol, timed on gnp/gnm grids at
+//! n ∈ {1e3, 1e4, 1e5, 1e6}, and written to `BENCH_hotpath.json`
+//! (nanos per phase + edges or vertices per second) so CI tracks
 //! hot-path throughput across PRs. A full run also times two
 //! end-to-end campaign shapes (few giant cells vs a 100+-cell small
 //! grid) through the real runner.
@@ -21,9 +22,11 @@
 
 use bichrome_comm::Side;
 use bichrome_core::d1lc::{solve_d1lc, D1lcInput};
-use bichrome_graph::coloring::{ColorId, ColorMarks};
+use bichrome_core::rct::{run_random_color_trial, RctConfig};
+use bichrome_core::run_parties;
+use bichrome_graph::coloring::{ColorId, ColorMarks, VertexColoring};
 use bichrome_graph::edge_color::misra_gries;
-use bichrome_graph::partition::Partitioner;
+use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::{gen, Graph, VertexId};
 use bichrome_runner::{Campaign, GraphSpec};
 use std::time::Instant;
@@ -56,6 +59,8 @@ struct Point {
     misra_gries_edges_per_sec: f64,
     d1lc_nanos: u64,
     d1lc_vertices_per_sec: f64,
+    rct_nanos: u64,
+    rct_vertices_per_sec: f64,
 }
 
 fn build(family: &'static str, n: usize, seed: u64) -> Graph {
@@ -72,7 +77,8 @@ fn measure(family: &'static str, n: usize, marks: &mut ColorMarks) -> Point {
     let m = g.num_edges();
     let delta = g.max_degree();
     let budget = delta + 1;
-    let (ia, ib, zlen) = d1lc_instance(&g);
+    let split = Partitioner::Alternating.split(&g);
+    let (ia, ib, zlen) = d1lc_instance(&g, &split);
     let per_sec = |nanos: u64, units: usize| units as f64 / (nanos as f64 / 1e9);
 
     // --- Misra–Gries (Proposition 3.4). ---
@@ -109,6 +115,16 @@ fn measure(family: &'static str, n: usize, marks: &mut ColorMarks) -> Point {
     let d1lc_nanos = started.elapsed().as_nanos() as u64;
     assert_eq!(ca, cb, "D1LC parties must agree");
 
+    // --- Random-Color-Trial alone, both parties on the split. ---
+    let started = Instant::now();
+    let (ca, cb, _) = run_parties(&split, 7, |input, ctx| {
+        let mut coloring = VertexColoring::new(input.num_vertices());
+        run_random_color_trial(input, ctx, &mut coloring, &RctConfig::default());
+        coloring
+    });
+    let rct_nanos = started.elapsed().as_nanos() as u64;
+    assert_eq!(ca, cb, "RCT parties must agree");
+
     Point {
         family,
         n,
@@ -123,15 +139,16 @@ fn measure(family: &'static str, n: usize, marks: &mut ColorMarks) -> Point {
         misra_gries_edges_per_sec: per_sec(misra_gries_nanos, m),
         d1lc_nanos,
         d1lc_vertices_per_sec: per_sec(d1lc_nanos, zlen),
+        rct_nanos,
+        rct_vertices_per_sec: per_sec(rct_nanos, n),
     }
 }
 
 /// Builds a realistic D1LC instance the way Theorem 1 does: greedily
 /// pre-color all but every [`KEEP_EVERY`]-th vertex publicly, take
-/// `Z` = the rest, and give each party the palette minus the colors
-/// of *its own* colored neighbors.
-fn d1lc_instance(g: &Graph) -> (D1lcInput, D1lcInput, usize) {
-    let p = Partitioner::Alternating.split(g);
+/// `Z` = the rest, and give each party (its edges from `p`) the
+/// palette minus the colors of *its own* colored neighbors.
+fn d1lc_instance<'a>(g: &Graph, p: &'a EdgePartition) -> (D1lcInput<'a>, D1lcInput<'a>, usize) {
     let palette = g.max_degree() + 1;
     let full = bichrome_graph::greedy::greedy_vertex_coloring(g);
     let z: Vec<VertexId> = g
@@ -168,14 +185,14 @@ fn d1lc_instance(g: &Graph) -> (D1lcInput, D1lcInput, usize) {
     let zlen = z.len();
     let ia = D1lcInput {
         side: Side::Alice,
-        graph: p.alice().clone(),
+        graph: p.alice(),
         z: z.clone(),
         psi: psi_a,
         palette,
     };
     let ib = D1lcInput {
         side: Side::Bob,
-        graph: p.bob().clone(),
+        graph: p.bob(),
         z,
         psi: psi_b,
         palette,
@@ -198,6 +215,8 @@ fn point_json(p: &Point) -> String {
     w.field_f64("misra_gries_edges_per_sec", p.misra_gries_edges_per_sec);
     w.field_u64("d1lc_nanos", p.d1lc_nanos);
     w.field_f64("d1lc_vertices_per_sec", p.d1lc_vertices_per_sec);
+    w.field_u64("rct_nanos", p.rct_nanos);
+    w.field_f64("rct_vertices_per_sec", p.rct_vertices_per_sec);
     w.finish()
 }
 
@@ -292,13 +311,14 @@ fn main() {
             let p = measure(family, n, &mut marks);
             println!(
                 "{family:4} n={n:7} m={:8} Δ={:3} · validate {:9} ns ({:.1}M edges/s) · \
-                 misra-gries {:10} ns · d1lc {:11} ns",
+                 misra-gries {:10} ns · d1lc {:11} ns · rct {:11} ns",
                 p.m,
                 p.delta,
                 p.validate_nanos,
                 p.validate_edges_per_sec / 1e6,
                 p.misra_gries_nanos,
                 p.d1lc_nanos,
+                p.rct_nanos,
             );
             points.push(p);
         }
@@ -329,7 +349,7 @@ fn main() {
     for p in &points {
         assert!(p.m > 0 && p.delta > 0, "graphs must be nonempty");
         assert!(
-            p.validate_nanos > 0 && p.misra_gries_nanos > 0 && p.d1lc_nanos > 0,
+            p.validate_nanos > 0 && p.misra_gries_nanos > 0 && p.d1lc_nanos > 0 && p.rct_nanos > 0,
             "all phase timings must be positive"
         );
         assert!(

@@ -48,12 +48,12 @@ const SPARSIFY_TAG: u64 = 0xD11C_0001;
 /// `deg(v) ≤ Δ = palette − 1`. Violations are detected and panic
 /// rather than loop.
 #[derive(Debug, Clone)]
-pub struct D1lcInput {
+pub struct D1lcInput<'a> {
     /// Which party.
     pub side: Side,
-    /// This party's subgraph over the *full* vertex set; only edges
-    /// with both endpoints in `z` participate.
-    pub graph: Graph,
+    /// This party's subgraph over the *full* vertex set, borrowed; only
+    /// edges with both endpoints in `z` participate.
+    pub graph: &'a Graph,
     /// The public list of vertices to color, sorted ascending.
     pub z: Vec<VertexId>,
     /// `psi[i]` = this party's color list `Ψ_P(z[i])`, each a subset of
@@ -259,7 +259,7 @@ fn fallback_exchange(input: &D1lcInput, ctx: &PartyCtx, zpos: &[usize]) -> Vec<C
     let cwidth = width_for(input.palette as u64 - 1);
     match input.side {
         Side::Bob => {
-            let mine = induced_edges(&input.graph, zpos);
+            let mine = induced_edges(input.graph, zpos);
             let mut w = BitWriter::new();
             w.write_gamma(mine.len() as u64);
             for e in &mine {
@@ -302,7 +302,7 @@ fn fallback_exchange(input: &D1lcInput, ctx: &PartyCtx, zpos: &[usize]) -> Vec<C
                 let b = r.read_uint(zwidth) as usize;
                 push(a, b, &mut adj);
             }
-            for e in induced_edges(&input.graph, zpos) {
+            for e in induced_edges(input.graph, zpos) {
                 push(zpos[e.u().index()], zpos[e.v().index()], &mut adj);
             }
             // Greedy D1LC: under |Ψ(v)| ≥ deg+1 a color always remains.
@@ -397,21 +397,25 @@ mod tests {
     use super::*;
     use bichrome_comm::session::run_two_party_ctx;
     use bichrome_graph::gen;
-    use bichrome_graph::partition::Partitioner;
+    use bichrome_graph::partition::{EdgePartition, Partitioner};
 
     /// Builds a realistic D1LC instance the way Theorem 1 does: color
     /// a prefix of the vertices greedily (publicly), take Z = the
-    /// rest, and give each party the lists induced by *its own*
-    /// colored neighbors. Returns `(g, partition, z, psi_a, psi_b,
-    /// palette, lists)` where `lists` are the true palettes
+    /// rest, and give each party (its edges from `p`) the lists
+    /// induced by *its own* colored neighbors. Returns `(input_a,
+    /// input_b, lists, z)` where `lists` are the true palettes
     /// `Ψ = Ψ_A ∩ Ψ_B` for validation.
     #[allow(clippy::type_complexity)]
-    fn coloring_induced_instance(
+    fn coloring_induced_instance<'a>(
         g: &Graph,
-        part: Partitioner,
+        p: &'a EdgePartition,
         keep_every: usize,
-    ) -> (D1lcInput, D1lcInput, Vec<Vec<ColorId>>, Vec<VertexId>) {
-        let p = part.split(g);
+    ) -> (
+        D1lcInput<'a>,
+        D1lcInput<'a>,
+        Vec<Vec<ColorId>>,
+        Vec<VertexId>,
+    ) {
         let palette = g.max_degree() + 1;
         // Publicly pre-color all vertices except every `keep_every`-th.
         let mut pre = VertexColoring::new(g.num_vertices());
@@ -451,14 +455,14 @@ mod tests {
             .collect();
         let ia = D1lcInput {
             side: Side::Alice,
-            graph: p.alice().clone(),
+            graph: p.alice(),
             z: z.clone(),
             psi: psi_a,
             palette,
         };
         let ib = D1lcInput {
             side: Side::Bob,
-            graph: p.bob().clone(),
+            graph: p.bob(),
             z: z.clone(),
             psi: psi_b,
             palette,
@@ -470,7 +474,8 @@ mod tests {
     fn d1lc_solves_coloring_induced_instances() {
         for seed in 0..5 {
             let g = gen::gnp(30, 0.15, seed);
-            let (ia, ib, lists, z) = coloring_induced_instance(&g, Partitioner::Random(seed), 3);
+            let split = Partitioner::Random(seed).split(&g);
+            let (ia, ib, lists, z) = coloring_induced_instance(&g, &split, 3);
             let (ca, cb, _) = run_two_party_ctx(
                 seed,
                 move |ctx| solve_d1lc(&ia, &ctx),
@@ -499,14 +504,14 @@ mod tests {
         let p = Partitioner::Alternating.split(&g);
         let ia = D1lcInput {
             side: Side::Alice,
-            graph: p.alice().clone(),
+            graph: p.alice(),
             z: vec![],
             psi: vec![],
             palette: 3,
         };
         let ib = D1lcInput {
             side: Side::Bob,
-            graph: p.bob().clone(),
+            graph: p.bob(),
             z: vec![],
             psi: vec![],
             palette: 3,
@@ -529,7 +534,7 @@ mod tests {
         let p = Partitioner::AllToAlice.split(&g);
         let mk = |side, psi: Vec<u32>| D1lcInput {
             side,
-            graph: p.alice().clone(),
+            graph: p.alice(),
             z: vec![VertexId(1)],
             psi: vec![psi.into_iter().map(ColorId).collect()],
             palette: 4,
@@ -565,14 +570,14 @@ mod tests {
         ];
         let ia = D1lcInput {
             side: Side::Alice,
-            graph: p.alice().clone(),
+            graph: p.alice(),
             z: z.clone(),
             psi: psi_a,
             palette: 3,
         };
         let ib = D1lcInput {
             side: Side::Bob,
-            graph: p.bob().clone(),
+            graph: p.bob(),
             z,
             psi: psi_b,
             palette: 3,

@@ -52,7 +52,7 @@ pub fn algorithm2_party(input: &PartyInput, ctx: &PartyCtx) -> EdgeColoring {
     let delta = input.delta;
     assert!(delta >= 8, "Algorithm 2 requires Δ ≥ 8, got {delta}");
     ctx.endpoint.meter().set_phase("edge-algorithm2");
-    let g = &input.graph;
+    let g = input.graph;
     let n = input.num_vertices();
     let layout = PaletteLayout::new(delta);
     let my_palette = layout.own_palette(input.side);

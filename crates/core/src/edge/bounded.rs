@@ -28,7 +28,7 @@ pub fn bounded_delta_party(input: &PartyInput, ctx: &PartyCtx) -> EdgeColoring {
     let n = input.num_vertices();
     let colors = (2 * delta).saturating_sub(1).max(1);
 
-    let g = &input.graph;
+    let g = input.graph;
     if delta == 1 {
         // A single color suffices: edges are pairwise non-adjacent.
         // Truly zero communication — but both parties must still agree

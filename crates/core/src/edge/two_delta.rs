@@ -30,7 +30,7 @@ use bichrome_graph::EdgeId;
 /// two_delta_party(input)`.
 pub fn two_delta_party(input: &PartyInput) -> EdgeColoring {
     let delta = input.delta;
-    let g = &input.graph;
+    let g = input.graph;
     if delta == 0 || g.num_edges() == 0 {
         return EdgeColoring::new();
     }

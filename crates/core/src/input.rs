@@ -8,32 +8,33 @@ use bichrome_graph::Graph;
 
 /// What one party knows at the start of a protocol (§3.1): its side,
 /// its own edge set (as a subgraph on the full vertex set), and the
-/// public parameters `n` and `Δ` of the *whole* graph.
-#[derive(Debug, Clone)]
-pub struct PartyInput {
+/// public parameters `n` and `Δ` of the *whole* graph. The subgraph is
+/// borrowed from the partition, so building an input copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct PartyInput<'a> {
     /// Which party this is.
     pub side: Side,
     /// This party's subgraph `G_P = (V, E_P)`.
-    pub graph: Graph,
+    pub graph: &'a Graph,
     /// Maximum degree Δ of the whole graph (a given of the model).
     pub delta: usize,
 }
 
-impl PartyInput {
-    /// Alice's input extracted from a partition.
-    pub fn alice(p: &EdgePartition) -> Self {
+impl<'a> PartyInput<'a> {
+    /// Alice's input, borrowed from a partition.
+    pub fn alice(p: &'a EdgePartition) -> Self {
         PartyInput {
             side: Side::Alice,
-            graph: p.alice().clone(),
+            graph: p.alice(),
             delta: p.max_degree(),
         }
     }
 
-    /// Bob's input extracted from a partition.
-    pub fn bob(p: &EdgePartition) -> Self {
+    /// Bob's input, borrowed from a partition.
+    pub fn bob(p: &'a EdgePartition) -> Self {
         PartyInput {
             side: Side::Bob,
-            graph: p.bob().clone(),
+            graph: p.bob(),
             delta: p.max_degree(),
         }
     }

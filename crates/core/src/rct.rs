@@ -9,6 +9,13 @@
 //! confirmation round (one bit per side per awake vertex) commits every
 //! vertex whose sampled color no neighbor picked simultaneously.
 //!
+//! The active list is built once and kept across iterations: after
+//! each confirmation it drops the committed vertices in place and
+//! keeps vertex order, so every wake coin, machine and message is the
+//! one an O(n) rescan would give. The per-vertex proposal table is
+//! likewise allocated once and cleared at the awake vertices after
+//! each confirmation.
+//!
 //! Guarantees (Lemma 4.1): after `⌈1 + 4·log_{24/23} log n⌉`
 //! iterations the expected number of uncolored vertices is
 //! `O(n / log⁴ n)`; expected communication is `O(n)` bits; worst-case
@@ -88,11 +95,12 @@ pub fn run_random_color_trial(
     ctx.endpoint.meter().set_phase("rct");
 
     let mut report = RctReport::default();
+    let mut active: Vec<VertexId> = (0..n as u32)
+        .map(VertexId)
+        .filter(|&v| !coloring.is_colored(v))
+        .collect();
+    let mut proposal_of: Vec<Option<ColorId>> = vec![None; n];
     for iter in 0..iterations {
-        let active: Vec<VertexId> = (0..n as u32)
-            .map(VertexId)
-            .filter(|&v| !coloring.is_colored(v))
-            .collect();
         if active.is_empty() && config.early_exit {
             break;
         }
@@ -133,7 +141,6 @@ pub fn run_random_color_trial(
 
         // Confirmation round: for each awake vertex, one bit saying "no
         // neighbor of mine picked the same color this iteration".
-        let mut proposal_of = vec![None; n];
         for (i, &v) in awake.iter().enumerate() {
             proposal_of[v.index()] = Some(proposals[i]);
         }
@@ -158,11 +165,11 @@ pub fn run_random_color_trial(
             if my_ok[i] && peer_ok[i] {
                 coloring.set(v, proposals[i]);
             }
+            proposal_of[v.index()] = None;
         }
+        active.retain(|&v| !coloring.is_colored(v));
     }
-    report.remaining = (0..n as u32)
-        .filter(|&v| !coloring.is_colored(VertexId(v)))
-        .count();
+    report.remaining = active.len();
     report
 }
 

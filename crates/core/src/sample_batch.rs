@@ -17,6 +17,25 @@
 //! identical to driving the equivalent `ColorSample`s with
 //! [`bichrome_comm::machine::drive_lockstep`] (asserted by the
 //! differential tests below).
+//!
+//! Work whose outcome is fixed in advance is skipped:
+//!
+//! * **Full probes draw nothing.** Algorithm 3 samples each colour
+//!   with probability `p = min(1, C·m/k̃²)`, and `k̃` only halves, so
+//!   `p` never falls. Once a machine's probe takes the whole palette,
+//!   every later probe would too, and the reference's draws from that
+//!   point all come out true: the engine sets the sample word by word
+//!   and never reads the stream again. The first probe (`k̃ = m`) is
+//!   already full for every palette of at most `C = 150` colours, so
+//!   such a batch creates no sampling streams at all.
+//! * **Positional rank windows.** On a full sample a candidate's rank
+//!   is its position, so the search's window count is a masked
+//!   popcount of the membership over positions `[lo, mid)`, and the
+//!   settled rank is the settled position. Partial samples walk ranks
+//!   bit by bit.
+//! * **One count per machine per round.** The count a machine announces
+//!   is stored at the write and reused at the read: the window only
+//!   moves at the read, so a recount could not differ.
 
 use crate::color_sample::{PERM_TAG, SAMPLE_TAG};
 use crate::slack_int::SAMPLE_CONSTANT;
@@ -83,7 +102,11 @@ pub struct ColorSampleBatch {
     sample_len: Vec<u32>,
     /// Probe width, or the search round's pending width.
     width: Vec<u8>,
-    /// Shared sampling stream, one per machine.
+    /// This side's count announced in the current round, kept for the
+    /// read.
+    mine: Vec<u32>,
+    /// Shared sampling stream, one per machine; empty when the first
+    /// probe is full (see [`sample_probability`]).
     rng: Vec<StdRng>,
     k_guess: Vec<u64>,
     /// Search window over candidate *ranks*; `hi == 0` means probe
@@ -92,6 +115,30 @@ pub struct ColorSampleBatch {
     hi: Vec<u32>,
     /// The settled color, or [`PENDING`].
     result: Vec<u32>,
+}
+
+/// Algorithm 3's sampling probability `min(1, C·m/k̃²)` for a palette
+/// of `m` colours at slack guess `k̃`, computed exactly as
+/// `RandSlackInt` does. Non-decreasing as `k̃` halves.
+fn sample_probability(m: usize, k_guess: u64) -> f64 {
+    (SAMPLE_CONSTANT * m as f64 / (k_guess as f64 * k_guess as f64)).min(1.0)
+}
+
+/// Count of set bits of `mem` at positions `[lo, hi_excl)` — the rank
+/// window count when the sample is a full prefix `0..m`, where rank
+/// equals position.
+fn position_window_count(mem: &[u64], lo: u32, hi_excl: u32) -> u64 {
+    // Set bits at positions below `end`.
+    let below = |end: u32| -> u64 {
+        let (words, bits) = ((end / 64) as usize, end % 64);
+        let whole: u32 = mem[..words].iter().map(|w| w.count_ones()).sum();
+        let part = match bits {
+            0 => 0,
+            _ => (mem[words] & ((1u64 << bits) - 1)).count_ones(),
+        };
+        u64::from(whole + part)
+    };
+    below(hi_excl) - below(lo)
 }
 
 /// Count of set bits of `mem` restricted to positions whose *rank
@@ -175,6 +222,9 @@ impl ColorSampleBatch {
         assert!(palette_size >= 1, "palette must be nonempty");
         let m = palette_size;
         let w = m.div_ceil(64);
+        // Every machine starts at k̃ = m; a full first probe means no
+        // machine of the batch ever reads a sampling stream.
+        let draws = sample_probability(m, m as u64) < 1.0;
         let mut b = ColorSampleBatch {
             count,
             m,
@@ -184,7 +234,8 @@ impl ColorSampleBatch {
             sample: vec![0u64; count * w],
             sample_len: vec![0u32; count],
             width: vec![0u8; count],
-            rng: Vec::with_capacity(count),
+            mine: vec![0u32; count],
+            rng: Vec::with_capacity(if draws { count } else { 0 }),
             k_guess: vec![m as u64; count],
             lo: vec![0u32; count],
             hi: vec![0u32; count],
@@ -216,10 +267,12 @@ impl ColorSampleBatch {
                 let j = pos_of[c as usize];
                 mem[(j / 64) as usize] |= 1u64 << (j % 64);
             }
-            ids.clear();
-            ids.push(SAMPLE_TAG);
-            ids.extend_from_slice(&spec.stream);
-            b.rng.push(coin.stream(&ids));
+            if draws {
+                ids.clear();
+                ids.push(SAMPLE_TAG);
+                ids.extend_from_slice(&spec.stream);
+                b.rng.push(coin.stream(&ids));
+            }
             // First probe is drawn at construction, as in
             // `RandSlackInt::with_constant`.
             b.draw_probe(i);
@@ -283,11 +336,23 @@ impl ColorSampleBatch {
     /// booleans from the shared stream, like
     /// `RandSlackInt::probe_phase`, so the streams stay aligned
     /// regardless of outcomes.
+    ///
+    /// At `p = 1` the sample is the whole palette and nothing is drawn:
+    /// `p` never falls, so this machine's later probes are full too and
+    /// its stream is never read again (the reference's draws from here
+    /// on all come out true).
     fn draw_probe(&mut self, i: usize) {
-        let p = (SAMPLE_CONSTANT * self.m as f64
-            / (self.k_guess[i] as f64 * self.k_guess[i] as f64))
-            .min(1.0);
+        let p = sample_probability(self.m, self.k_guess[i]);
         let sample = &mut self.sample[i * self.w..(i + 1) * self.w];
+        if p >= 1.0 {
+            sample.fill(!0);
+            if !self.m.is_multiple_of(64) {
+                sample[self.w - 1] = (1u64 << (self.m % 64)) - 1;
+            }
+            self.sample_len[i] = self.m as u32;
+            self.width[i] = width_for(self.m as u64) as u8;
+            return;
+        }
         sample.fill(0);
         let rng = &mut self.rng[i];
         for e in 0..self.m as u64 {
@@ -311,20 +376,23 @@ impl ColorSampleBatch {
             any = true;
             let sample = &self.sample[i * self.w..(i + 1) * self.w];
             let mem = &self.mem[i * self.w..(i + 1) * self.w];
-            if self.hi[i] == 0 {
+            let mine = if self.hi[i] == 0 {
                 // Probe: announce |S ∩ my| at the public sample width.
-                w.write_uint(masked_popcount(sample, mem), self.width[i] as usize);
+                masked_popcount(sample, mem)
             } else {
                 // Search: announce the left-half count; the width is a
                 // function of the public window, recorded for the read.
+                // On a full sample rank is position.
                 let mid = (self.lo[i] + self.hi[i]) / 2;
-                let left = mid - self.lo[i];
-                self.width[i] = width_for(left as u64) as u8;
-                w.write_uint(
-                    rank_window_count(sample, mem, self.lo[i], mid),
-                    self.width[i] as usize,
-                );
-            }
+                self.width[i] = width_for((mid - self.lo[i]) as u64) as u8;
+                if self.sample_len[i] as usize == self.m {
+                    position_window_count(mem, self.lo[i], mid)
+                } else {
+                    rank_window_count(sample, mem, self.lo[i], mid)
+                }
+            };
+            self.mine[i] = mine as u32;
+            w.write_uint(mine, self.width[i] as usize);
         }
         any
     }
@@ -338,10 +406,8 @@ impl ColorSampleBatch {
                 continue;
             }
             let peer = r.read_uint(self.width[i] as usize);
-            let sample = &self.sample[i * self.w..(i + 1) * self.w];
-            let mem = &self.mem[i * self.w..(i + 1) * self.w];
+            let mine = u64::from(self.mine[i]);
             if self.hi[i] == 0 {
-                let mine = masked_popcount(sample, mem);
                 let slen = self.sample_len[i] as u64;
                 if slen > 0 && mine + peer < slen {
                     // Deficit certified: search inside the sample.
@@ -363,7 +429,6 @@ impl ColorSampleBatch {
                 }
             } else {
                 let mid = (self.lo[i] + self.hi[i]) / 2;
-                let mine = rank_window_count(sample, mem, self.lo[i], mid);
                 let left = (mid - self.lo[i]) as u64;
                 if mine + peer < left {
                     self.hi[i] = mid;
@@ -380,8 +445,11 @@ impl ColorSampleBatch {
     /// Window narrowed to one candidate: map its permuted position
     /// back through the permutation.
     fn settle(&mut self, i: usize) {
-        let sample = &self.sample[i * self.w..(i + 1) * self.w];
-        let j = select_rank(sample, self.lo[i]);
+        let j = if self.sample_len[i] as usize == self.m {
+            self.lo[i]
+        } else {
+            select_rank(&self.sample[i * self.w..(i + 1) * self.w], self.lo[i])
+        };
         self.result[i] = self.perm[i * self.m + j as usize];
     }
 }
@@ -398,9 +466,21 @@ mod tests {
     #[test]
     fn rank_window_count_matches_naive() {
         let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..200 {
+        for trial in 0..400 {
             let words = rng.gen_range(1..4usize);
-            let sample: Vec<u64> = (0..words).map(|_| rng.gen()).collect();
+            // Every other trial is a full sample: a prefix `0..len`, as
+            // a full probe over a palette of `len` colours sets it.
+            let full_len = (trial % 2 == 1).then(|| rng.gen_range(1..=words * 64));
+            let sample: Vec<u64> = match full_len {
+                Some(len) => (0..words)
+                    .map(|wi| match len.saturating_sub(wi * 64) {
+                        0 => 0,
+                        bits if bits >= 64 => !0,
+                        bits => (1u64 << bits) - 1,
+                    })
+                    .collect(),
+                None => (0..words).map(|_| rng.gen()).collect(),
+            };
             let mem: Vec<u64> = (0..words).map(|_| rng.gen()).collect();
             let total = sample.iter().map(|w| w.count_ones()).sum::<u32>();
             if total == 0 {
@@ -420,6 +500,9 @@ mod tests {
                 }
             }
             assert_eq!(rank_window_count(&sample, &mem, lo, hi), naive);
+            if full_len.is_some() {
+                assert_eq!(position_window_count(&mem, lo, hi), naive);
+            }
         }
     }
 
@@ -440,12 +523,18 @@ mod tests {
 
     /// A randomized instance set: per machine, a palette and two
     /// occupied sets whose cardinalities sum to < palette (the
-    /// Problem 6 precondition, as the coloring protocols guarantee).
-    fn random_instances(seed: u64, count: usize, palette: usize) -> Vec<(Vec<u32>, Vec<u32>)> {
+    /// Problem 6 precondition, as the coloring protocols guarantee),
+    /// leaving at most `max_free` colours free.
+    fn random_instances(
+        seed: u64,
+        count: usize,
+        palette: usize,
+        max_free: usize,
+    ) -> Vec<(Vec<u32>, Vec<u32>)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..count)
             .map(|_| {
-                let total = rng.gen_range(0..palette);
+                let total = rng.gen_range(palette.saturating_sub(max_free)..palette);
                 let a_n = rng.gen_range(0..=total);
                 let mut colors: Vec<u32> = (0..palette as u32).collect();
                 colors.shuffle(&mut rng);
@@ -516,9 +605,21 @@ mod tests {
 
     #[test]
     fn batch_is_bit_identical_to_reference() {
-        for (seed, count, palette) in [(1u64, 37usize, 9usize), (2, 80, 17), (3, 5, 1), (4, 64, 70)]
-        {
-            let instances = random_instances(seed * 31, count, palette);
+        // Palettes up to 150 probe the whole palette from the start and
+        // draw nothing; 151 is the first whose first probe is partial.
+        // At 400 and 1500 a probe turns full after one and two failed
+        // ones, which few free colours make likely.
+        for (seed, count, palette, max_free) in [
+            (1u64, 37usize, 9usize, 9usize),
+            (2, 80, 17, 17),
+            (3, 5, 1, 1),
+            (4, 64, 70, 70),
+            (5, 40, 150, 150),
+            (6, 40, 151, 151),
+            (7, 40, 400, 3),
+            (8, 24, 1500, 3),
+        ] {
+            let instances = random_instances(seed * 31, count, palette, max_free);
             let (ra, rb, ref_stats) = run_reference(palette, &instances, seed);
             assert_eq!(ra, rb);
             let (ba, bb, stats) = run_batch(palette, &instances, seed);
@@ -550,7 +651,7 @@ mod tests {
     #[test]
     fn results_avoid_both_occupied_sets() {
         let palette = 12;
-        let instances = random_instances(99, 50, palette);
+        let instances = random_instances(99, 50, palette, palette);
         let (ra, _, _) = run_batch(palette, &instances, 5);
         for (i, c) in ra.iter().enumerate() {
             let (a, b) = &instances[i];

@@ -45,7 +45,7 @@ pub fn vertex_coloring_party(
         .collect();
     let d1lc_input = D1lcInput {
         side: input.side,
-        graph: input.graph.clone(),
+        graph: input.graph,
         z,
         psi,
         palette,

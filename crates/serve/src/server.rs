@@ -651,8 +651,14 @@ impl Daemon {
             active = self.idle_cv.wait(active).expect("active poisoned");
         }
         drop(active);
+        // The same for the pool and the reaper: with each one's lock
+        // taken after the store, no worker or reaper is between its
+        // `stopping` check and its wait. A worker's wait has no
+        // timeout, so a lost wake-up would hang the join below.
         self.stopping.store(true, Ordering::SeqCst);
+        drop(self.queue.lock().expect("queue poisoned"));
         self.queue_cv.notify_all();
+        drop(self.reaper_mx.lock().expect("reaper poisoned"));
         self.reaper_cv.notify_all();
         let handles = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
         for h in handles {

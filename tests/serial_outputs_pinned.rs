@@ -1,10 +1,12 @@
 //! Pins the outputs of the coloring engines as CRC-32 constants:
 //! Misra–Gries (Proposition 3.4) and Fournier (Proposition 3.5)
-//! colorings, both parties' D1LC colorings and meters (Lemma 3.3), and
+//! colorings, both parties' D1LC colorings and meters (Lemma 3.3),
 //! whole `vertex/theorem1` / `edge/theorem2` trials on an instance with
 //! Δ ≥ 16, large enough that Theorem 2 runs Algorithm 2 rather than
-//! Lemma 5.1. `ci/report_golden.csv` runs a Δ = 5 graph, so neither
-//! Algorithm 2's Misra–Gries nor the D1LC finish reaches it.
+//! Lemma 5.1, and a whole `vertex/theorem1` trial with Δ ≥ 150, where
+//! Color-Sample's first probe is partial. `ci/report_golden.csv` runs a
+//! Δ = 5 graph, so neither Algorithm 2's Misra–Gries nor the D1LC
+//! finish reaches it.
 //!
 //! A refactor of these engines must leave every constant unchanged. A
 //! deliberate output change updates them in the same commit, and says
@@ -18,7 +20,7 @@ use bichrome_graph::coloring::{
     validate_edge_coloring_with_palette, ColorId, EdgeColoring, VertexColoring,
 };
 use bichrome_graph::edge_color::{fournier, misra_gries};
-use bichrome_graph::partition::Partitioner;
+use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::{gen, Graph, VertexId};
 use bichrome_runner::{registry, Artifact, Instance, TrialRecord};
 
@@ -85,9 +87,9 @@ fn stats_crc(s: &CommStats) -> u32 {
 
 /// Builds a D1LC instance pair the way Theorem 1 does: greedily
 /// pre-color three quarters of the vertices, let `Z` be the rest, and
-/// give each party the palette minus its own colored neighbors.
-fn d1lc_pair(g: &Graph, part: Partitioner) -> (D1lcInput, D1lcInput) {
-    let p = part.split(g);
+/// give each party (its edges from `p`) the palette minus its own
+/// colored neighbors.
+fn d1lc_pair<'a>(g: &Graph, p: &'a EdgePartition) -> (D1lcInput<'a>, D1lcInput<'a>) {
     let palette = g.max_degree() + 1;
     let full = bichrome_graph::greedy::greedy_vertex_coloring(g);
     let z: Vec<VertexId> = g
@@ -116,14 +118,14 @@ fn d1lc_pair(g: &Graph, part: Partitioner) -> (D1lcInput, D1lcInput) {
     let (psi_a, psi_b) = (psi_of(p.alice()), psi_of(p.bob()));
     let ia = D1lcInput {
         side: Side::Alice,
-        graph: p.alice().clone(),
+        graph: p.alice(),
         z: z.clone(),
         psi: psi_a,
         palette,
     };
     let ib = D1lcInput {
         side: Side::Bob,
-        graph: p.bob().clone(),
+        graph: p.bob(),
         z,
         psi: psi_b,
         palette,
@@ -189,7 +191,8 @@ fn d1lc_colorings_and_meters_are_pinned() {
     ];
     let mut pins = Pins::default();
     for (g, part, seed, [want_a, want_b, want_stats]) in cases {
-        let (ia, ib) = d1lc_pair(&g, part);
+        let split = part.split(&g);
+        let (ia, ib) = d1lc_pair(&g, &split);
         let (ca, cb, stats) = run_two_party_ctx(
             seed,
             move |ctx| solve_d1lc(&ia, &ctx),
@@ -216,25 +219,36 @@ fn paper_protocol_trials_are_pinned() {
         "Δ = {} routes Theorem 2 to Lemma 5.1",
         g.max_degree()
     );
+    // Algorithm 3's first probe takes the whole palette up to 150
+    // colours, so only Δ ≥ 150 drives Color-Sample's partial probes.
+    let dense = gen::gnp(400, 0.45, 13);
+    assert!(
+        dense.max_degree() >= 150,
+        "Δ = {} keeps every probe full",
+        dense.max_degree()
+    );
     let inst = Instance::new("pinned", Partitioner::Random(7).split(&g), 2024);
-    // (protocol, [artifact, record JSON]).
+    let dense_inst = Instance::new("pinned-dense", Partitioner::Alternating.split(&dense), 2025);
+    // (instance, protocol, [artifact, record JSON]).
     let cases = [
-        ("vertex/theorem1", [0x15849a81, 0xef9a471c]),
-        ("edge/theorem2", [0xa58df4f1, 0x6093d325]),
+        (&inst, "vertex/theorem1", [0x15849a81, 0xef9a471c]),
+        (&inst, "edge/theorem2", [0xa58df4f1, 0x6093d325]),
+        (&dense_inst, "vertex/theorem1", [0xdcf97829, 0x98148f03]),
     ];
     let mut pins = Pins::default();
-    for (key, [want_artifact, want_record]) in cases {
-        let out = registry().get(key).expect("registered").run(&inst);
+    for (inst, key, [want_artifact, want_record]) in cases {
+        let out = registry().get(key).expect("registered").run(inst);
         assert!(out.verdict.is_valid(), "{key}: {:?}", out.verdict);
         let artifact = match &out.artifact {
             Artifact::Vertex(c) => vertex_crc(c),
             Artifact::Edge(c) => edge_crc(c),
             Artifact::None => panic!("{key} produced no artifact"),
         };
-        let record = TrialRecord::from_outcome(&inst, out).to_json();
-        pins.check(&format!("{key} artifact"), artifact, want_artifact);
+        let record = TrialRecord::from_outcome(inst, out).to_json();
+        let what = format!("{key} on {}", inst.label);
+        pins.check(&format!("{what} artifact"), artifact, want_artifact);
         pins.check(
-            &format!("{key} record"),
+            &format!("{what} record"),
             crc32(&[record.as_bytes()]),
             want_record,
         );
