@@ -4,9 +4,11 @@
 //! the D1LC finishing protocol, timed on gnp/gnm grids at
 //! n ∈ {1e3, 1e4, 1e5, 1e6}, and written to `BENCH_hotpath.json`
 //! (nanos per phase + edges or vertices per second) so CI tracks
-//! hot-path throughput across PRs. A full run also times two
-//! end-to-end campaign shapes (few giant cells vs a 100+-cell small
-//! grid) through the real runner.
+//! hot-path throughput across PRs. Each phase repeats until it has
+//! run for at least [`MIN_PHASE`] and [`MIN_REPS`] times; a point
+//! is the best repetition, with the spread (worst/best − 1) beside
+//! it. A full run also times two end-to-end campaign shapes (few
+//! giant cells vs a 100+-cell small grid) through the real runner.
 //!
 //! The bin asserts its own schema invariants (all timings > 0, every
 //! phase present) before writing, so a malformed benchmark fails the
@@ -29,7 +31,7 @@ use bichrome_graph::edge_color::misra_gries;
 use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::{gen, Graph, VertexId};
 use bichrome_runner::{Campaign, GraphSpec};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The benchmark's graph sizes.
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
@@ -40,9 +42,50 @@ const AVG_DEGREE: usize = 8;
 /// Keep every `KEEP_EVERY`-th vertex uncolored for the D1LC phase.
 const KEEP_EVERY: usize = 4;
 
-/// How many validator repetitions to time (the pass is fast; reps
-/// keep the measurement out of clock-granularity noise).
-const VALIDATE_REPS: u32 = 20;
+/// Each phase repeats until it has run at least this long in total…
+const MIN_PHASE: Duration = Duration::from_millis(100);
+
+/// …and at least this many times.
+const MIN_REPS: usize = 3;
+
+/// One phase's repetitions, in nanoseconds, ascending.
+struct Timing(Vec<f64>);
+
+impl Timing {
+    /// Runs `phase` until it has taken [`MIN_PHASE`] in total and run
+    /// [`MIN_REPS`] times, timing each repetition.
+    fn of<R>(mut phase: impl FnMut() -> R) -> Timing {
+        let started = Instant::now();
+        let mut reps = Vec::new();
+        while reps.len() < MIN_REPS || started.elapsed() < MIN_PHASE {
+            let rep = Instant::now();
+            std::hint::black_box(phase());
+            reps.push(rep.elapsed().as_nanos().max(1) as f64);
+        }
+        reps.sort_by(f64::total_cmp);
+        Timing(reps)
+    }
+
+    /// The best repetition.
+    fn best(&self) -> u64 {
+        self.0[0] as u64
+    }
+
+    /// Worst over best repetition, minus one.
+    fn spread(&self) -> f64 {
+        self.0[self.0.len() - 1] / self.0[0] - 1.0
+    }
+
+    /// The nearest-rank `p`-th percentile of the repetitions.
+    fn percentile(&self, p: f64) -> f64 {
+        bichrome_runner::percentile(&self.0, p)
+    }
+
+    /// Units per second at the best repetition.
+    fn per_sec(&self, units: usize) -> f64 {
+        units as f64 / (self.0[0] / 1e9)
+    }
+}
 
 /// One timed grid point.
 struct Point {
@@ -50,17 +93,12 @@ struct Point {
     n: usize,
     m: usize,
     delta: usize,
-    validate_nanos: u64,
-    validate_nanos_p50: f64,
-    validate_nanos_p95: f64,
-    validate_nanos_p99: f64,
-    validate_edges_per_sec: f64,
-    misra_gries_nanos: u64,
-    misra_gries_edges_per_sec: f64,
-    d1lc_nanos: u64,
-    d1lc_vertices_per_sec: f64,
-    rct_nanos: u64,
-    rct_vertices_per_sec: f64,
+    validate: Timing,
+    misra_gries: Timing,
+    d1lc: Timing,
+    /// Vertices D1LC colours.
+    zlen: usize,
+    rct: Timing,
 }
 
 fn build(family: &'static str, n: usize, seed: u64) -> Graph {
@@ -71,76 +109,63 @@ fn build(family: &'static str, n: usize, seed: u64) -> Graph {
     }
 }
 
-/// Times one `(family, n)` grid point.
+/// Times one `(family, n)` grid point. Every phase reads inputs built
+/// before its timer starts and leaves them as they were.
 fn measure(family: &'static str, n: usize, marks: &mut ColorMarks) -> Point {
     let g = build(family, n, 1);
-    let m = g.num_edges();
-    let delta = g.max_degree();
-    let budget = delta + 1;
+    let budget = g.max_degree() + 1;
     let split = Partitioner::Alternating.split(&g);
     let (ia, ib, zlen) = d1lc_instance(&g, &split);
-    let per_sec = |nanos: u64, units: usize| units as f64 / (nanos as f64 / 1e9);
 
     // --- Misra–Gries (Proposition 3.4). ---
-    let started = Instant::now();
     let coloring = misra_gries(&g);
-    let misra_gries_nanos = started.elapsed().as_nanos() as u64;
+    let misra_gries = Timing::of(|| misra_gries(&g));
 
     // --- Validator pass over the coloring, scratch reused. Each rep
-    // lands in an obs histogram so the trajectory carries tail
-    // latency, not just the mean. ---
+    // also lands in an obs histogram. ---
     let n_label = n.to_string();
     let validate_hist = bichrome_obs::histogram_labeled(
         "bench_validate_nanos",
         &[("family", family), ("n", &n_label)],
     );
-    let started = Instant::now();
-    for _ in 0..VALIDATE_REPS {
+    let validate = Timing::of(|| {
         let rep = Instant::now();
         marks
             .check_edge_coloring_with_palette(&g, &coloring, budget)
             .expect("Misra–Gries colorings are valid");
         validate_hist.observe(rep.elapsed().as_nanos() as u64);
-    }
-    let validate_nanos =
-        (started.elapsed().as_nanos() as u64 / u128::from(VALIDATE_REPS) as u64).max(1);
+    });
 
     // --- D1LC rounds. ---
-    let started = Instant::now();
-    let (ca, cb, _) = bichrome_comm::session::run_two_party_ctx(
-        7,
-        move |ctx| solve_d1lc(&ia, &ctx),
-        move |ctx| solve_d1lc(&ib, &ctx),
-    );
-    let d1lc_nanos = started.elapsed().as_nanos() as u64;
-    assert_eq!(ca, cb, "D1LC parties must agree");
+    let d1lc = Timing::of(|| {
+        let (ca, cb, _) = bichrome_comm::session::run_two_party_ctx(
+            7,
+            |ctx| solve_d1lc(&ia, &ctx),
+            |ctx| solve_d1lc(&ib, &ctx),
+        );
+        assert_eq!(ca, cb, "D1LC parties must agree");
+    });
 
     // --- Random-Color-Trial alone, both parties on the split. ---
-    let started = Instant::now();
-    let (ca, cb, _) = run_parties(&split, 7, |input, ctx| {
-        let mut coloring = VertexColoring::new(input.num_vertices());
-        run_random_color_trial(input, ctx, &mut coloring, &RctConfig::default());
-        coloring
+    let rct = Timing::of(|| {
+        let (ca, cb, _) = run_parties(&split, 7, |input, ctx| {
+            let mut coloring = VertexColoring::new(input.num_vertices());
+            run_random_color_trial(input, ctx, &mut coloring, &RctConfig::default());
+            coloring
+        });
+        assert_eq!(ca, cb, "RCT parties must agree");
     });
-    let rct_nanos = started.elapsed().as_nanos() as u64;
-    assert_eq!(ca, cb, "RCT parties must agree");
 
     Point {
         family,
         n,
-        m,
-        delta,
-        validate_nanos,
-        validate_nanos_p50: validate_hist.percentile(50.0),
-        validate_nanos_p95: validate_hist.percentile(95.0),
-        validate_nanos_p99: validate_hist.percentile(99.0),
-        validate_edges_per_sec: per_sec(validate_nanos, m),
-        misra_gries_nanos,
-        misra_gries_edges_per_sec: per_sec(misra_gries_nanos, m),
-        d1lc_nanos,
-        d1lc_vertices_per_sec: per_sec(d1lc_nanos, zlen),
-        rct_nanos,
-        rct_vertices_per_sec: per_sec(rct_nanos, n),
+        m: g.num_edges(),
+        delta: g.max_degree(),
+        validate,
+        misra_gries,
+        d1lc,
+        zlen,
+        rct,
     }
 }
 
@@ -206,17 +231,21 @@ fn point_json(p: &Point) -> String {
     w.field_u64("n", p.n as u64);
     w.field_u64("m", p.m as u64);
     w.field_u64("delta", p.delta as u64);
-    w.field_u64("validate_nanos", p.validate_nanos);
-    w.field_f64("validate_nanos_p50", p.validate_nanos_p50);
-    w.field_f64("validate_nanos_p95", p.validate_nanos_p95);
-    w.field_f64("validate_nanos_p99", p.validate_nanos_p99);
-    w.field_f64("validate_edges_per_sec", p.validate_edges_per_sec);
-    w.field_u64("misra_gries_nanos", p.misra_gries_nanos);
-    w.field_f64("misra_gries_edges_per_sec", p.misra_gries_edges_per_sec);
-    w.field_u64("d1lc_nanos", p.d1lc_nanos);
-    w.field_f64("d1lc_vertices_per_sec", p.d1lc_vertices_per_sec);
-    w.field_u64("rct_nanos", p.rct_nanos);
-    w.field_f64("rct_vertices_per_sec", p.rct_vertices_per_sec);
+    w.field_u64("validate_nanos", p.validate.best());
+    w.field_f64("validate_nanos_p50", p.validate.percentile(50.0));
+    w.field_f64("validate_nanos_p95", p.validate.percentile(95.0));
+    w.field_f64("validate_nanos_p99", p.validate.percentile(99.0));
+    w.field_f64("validate_spread", p.validate.spread());
+    w.field_f64("validate_edges_per_sec", p.validate.per_sec(p.m));
+    w.field_u64("misra_gries_nanos", p.misra_gries.best());
+    w.field_f64("misra_gries_spread", p.misra_gries.spread());
+    w.field_f64("misra_gries_edges_per_sec", p.misra_gries.per_sec(p.m));
+    w.field_u64("d1lc_nanos", p.d1lc.best());
+    w.field_f64("d1lc_spread", p.d1lc.spread());
+    w.field_f64("d1lc_vertices_per_sec", p.d1lc.per_sec(p.zlen));
+    w.field_u64("rct_nanos", p.rct.best());
+    w.field_f64("rct_spread", p.rct.spread());
+    w.field_f64("rct_vertices_per_sec", p.rct.per_sec(p.n));
     w.finish()
 }
 
@@ -314,11 +343,11 @@ fn main() {
                  misra-gries {:10} ns · d1lc {:11} ns · rct {:11} ns",
                 p.m,
                 p.delta,
-                p.validate_nanos,
-                p.validate_edges_per_sec / 1e6,
-                p.misra_gries_nanos,
-                p.d1lc_nanos,
-                p.rct_nanos,
+                p.validate.best(),
+                p.validate.per_sec(p.m) / 1e6,
+                p.misra_gries.best(),
+                p.d1lc.best(),
+                p.rct.best(),
             );
             points.push(p);
         }
@@ -348,16 +377,10 @@ fn main() {
     assert_eq!(points.len(), 2 * sizes.len(), "full grid measured");
     for p in &points {
         assert!(p.m > 0 && p.delta > 0, "graphs must be nonempty");
-        assert!(
-            p.validate_nanos > 0 && p.misra_gries_nanos > 0 && p.d1lc_nanos > 0 && p.rct_nanos > 0,
-            "all phase timings must be positive"
-        );
-        assert!(
-            p.validate_nanos_p50 > 0.0
-                && p.validate_nanos_p50 <= p.validate_nanos_p95
-                && p.validate_nanos_p95 <= p.validate_nanos_p99,
-            "validator percentiles must be positive and ordered"
-        );
+        for phase in [&p.validate, &p.misra_gries, &p.d1lc, &p.rct] {
+            assert!(phase.0.len() >= MIN_REPS, "every phase repeats");
+            assert!(phase.best() > 0, "all phase timings must be positive");
+        }
     }
     for c in &campaigns {
         assert!(c.cells > 0 && c.wall_seconds > 0.0, "campaigns must run");

@@ -8,8 +8,9 @@
 //! 2. **Warm-store open.** Authors a 10⁵-record store and times
 //!    `Store::open_existing` on it (best-of-3).
 //! 3. **Write batching.** Appends the same record stream with
-//!    `flush_every` 1 (per-record flush) vs 64 (the daemon default)
-//!    and records both timings.
+//!    `flush_every` 1 (per-record flush) vs 64 (the daemon default),
+//!    records both timings, and the nearest-rank p50/p95/p99 of the
+//!    single appends at 64.
 //!
 //! ```sh
 //! cargo run --release -p bichrome-bench --bin bench_serve [out.json]
@@ -95,21 +96,25 @@ fn time_open(dir: &Path, n: u64) -> f64 {
 
 /// Times appending `BATCH_RECORDS` fresh records with the given
 /// flush cadence (fresh directory per pass; drop flushes the tail).
-/// Each append also lands in a per-cadence obs histogram
-/// (`bench_append_nanos`), the source of the written percentiles.
-fn time_batched_append(flush_every: usize) -> f64 {
+/// Returns the pass's seconds and every append's nanoseconds, ascending;
+/// each append also lands in a per-cadence obs histogram
+/// (`bench_append_nanos`).
+fn time_batched_append(flush_every: usize) -> (f64, Vec<f64>) {
     let dir = scratch(&format!("batch-{flush_every}"));
     let config = StoreConfig {
         flush_every,
         ..StoreConfig::default()
     };
     let hist = append_hist(flush_every);
+    let mut samples = Vec::with_capacity(BATCH_RECORDS as usize);
     let mut store = Store::open_or_create_with(&dir, config).expect("create");
     let started = Instant::now();
     for i in 0..BATCH_RECORDS {
         let one = Instant::now();
         store.append(nth_key(i), nth_record(i)).expect("append");
-        hist.observe(one.elapsed().as_nanos() as u64);
+        let nanos = one.elapsed().as_nanos() as u64;
+        hist.observe(nanos);
+        samples.push(nanos as f64);
     }
     drop(store);
     let secs = started.elapsed().as_secs_f64();
@@ -121,7 +126,8 @@ fn time_batched_append(flush_every: usize) -> f64 {
     );
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
-    secs
+    samples.sort_by(f64::total_cmp);
+    (secs, samples)
 }
 
 /// The per-flush-cadence append-latency histogram.
@@ -220,8 +226,8 @@ fn main() {
     println!("  open: {open_seconds:.3}s");
 
     // Write batching: per-record flush vs the daemon's group flush.
-    let flush_1 = time_batched_append(1);
-    let flush_64 = time_batched_append(64);
+    let (flush_1, _) = time_batched_append(1);
+    let (flush_64, append_nanos) = time_batched_append(64);
     println!(
         "  append {BATCH_RECORDS} records: flush_every=1 {flush_1:.3}s · flush_every=64 {flush_64:.3}s"
     );
@@ -247,11 +253,12 @@ fn main() {
     w.field_f64("append_flush_every_1_seconds", flush_1);
     w.field_f64("append_flush_every_64_seconds", flush_64);
     w.field_f64("batching_speedup", flush_1 / flush_64);
-    // Per-append tail latency at the daemon's default cadence (64).
-    let hist = append_hist(64);
-    w.field_f64("append_nanos_p50", hist.percentile(50.0));
-    w.field_f64("append_nanos_p95", hist.percentile(95.0));
-    w.field_f64("append_nanos_p99", hist.percentile(99.0));
+    // Per-append tail latency at the daemon's default cadence (64),
+    // nearest-rank over every append.
+    let append_pct = |p| bichrome_runner::percentile(&append_nanos, p);
+    w.field_f64("append_nanos_p50", append_pct(50.0));
+    w.field_f64("append_nanos_p95", append_pct(95.0));
+    w.field_f64("append_nanos_p99", append_pct(99.0));
     let json = w.finish();
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("→ {out_path}");

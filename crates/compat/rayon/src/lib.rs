@@ -9,8 +9,8 @@
 //!   contiguous chunk per available core, each chunk is mapped on its
 //!   own OS thread, and results are stitched back in input order.
 //!
-//! The campaign runner and the store parallelize *across* trials with
-//! these; each trial itself runs serially.
+//! The campaign runner parallelizes *across* trials with these; each
+//! trial itself runs serially.
 //!
 //! Semantics match rayon for pure `Fn` closures: same output order,
 //! real parallelism, panics propagate.

@@ -101,7 +101,7 @@ pub use campaign::{
 pub use campaign_file::CampaignFile;
 pub use exec::{CacheStats, ExecStats, InstanceCache};
 pub use instance::{GraphSpec, Instance, ParseSpecError};
-pub use plan::{Aggregate, Report, Summary, TrialRecord};
+pub use plan::{percentile, Aggregate, Report, Summary, TrialRecord};
 pub use protocol::{Artifact, Outcome, Protocol, Verdict};
 pub use registry::{registry, Registry};
 

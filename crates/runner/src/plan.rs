@@ -249,7 +249,7 @@ impl Aggregate {
 /// Nearest-rank percentile of an ascending-sorted non-empty sample:
 /// the smallest value with at least `p`% of the sample at or below it
 /// (`sorted[⌈p/100 · N⌉ − 1]`).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }

@@ -28,6 +28,16 @@
 //! corruption of either is detected at load and never served as a
 //! cached result.
 //!
+//! # In memory
+//!
+//! Opening a store reads each segment file into one buffer and
+//! verifies its frames in place; records then stay in the frames they
+//! were read in, and an append copies its frame into the buffer of
+//! the file it went to. The index maps each key's content hash (which
+//! the integrity check computes anyway) to its live record, and every
+//! lookup confirms the full key against the frame. Resident memory is
+//! about the segment bytes plus a few dozen bytes per record.
+//!
 //! # Durability model
 //!
 //! * `meta.json` is always written via temp file + rename, so a crash
@@ -63,9 +73,12 @@ pub mod json;
 mod segment;
 
 use bichrome_comm::PublicCoin;
+use segment::Frame;
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -125,12 +138,18 @@ impl TrialKey {
     /// always confirm full key equality, so a hash collision can
     /// never alias two different trials.
     pub fn content_hash(&self) -> u64 {
-        let mut coin = PublicCoin::new(FORMAT_VERSION).subcoin(KEY_TAG);
-        for field in [&self.protocol, &self.graph, &self.partitioner] {
-            coin = fold_str(coin, field);
-        }
-        coin.subcoin(self.seed).seed()
+        content_hash(&self.protocol, &self.graph, &self.partitioner, self.seed)
     }
+}
+
+/// [`TrialKey::content_hash`] of a key given field by field (a loaded
+/// frame's labels are checked without building a [`TrialKey`]).
+pub(crate) fn content_hash(protocol: &str, graph: &str, partitioner: &str, seed: u64) -> u64 {
+    let mut coin = PublicCoin::new(FORMAT_VERSION).subcoin(KEY_TAG);
+    for field in [protocol, graph, partitioner] {
+        coin = fold_str(coin, field);
+    }
+    coin.subcoin(seed).seed()
 }
 
 impl fmt::Display for TrialKey {
@@ -162,7 +181,12 @@ fn fold_str(coin: PublicCoin, s: &str) -> PublicCoin {
 /// record dropped as part of the salvage), never served as a cached
 /// result.
 pub(crate) fn line_hash(key: &TrialKey, record_json: &str) -> u64 {
-    fold_str(PublicCoin::new(key.content_hash()), record_json).seed()
+    record_hash(key.content_hash(), record_json)
+}
+
+/// [`line_hash`] from the key's content hash.
+pub(crate) fn record_hash(key_hash: u64, record_json: &str) -> u64 {
+    fold_str(PublicCoin::new(key_hash), record_json).seed()
 }
 
 /// Why a store operation failed.
@@ -308,18 +332,126 @@ impl Default for StoreConfig {
 /// The segment currently open for appends.
 #[derive(Debug)]
 struct ActiveSegment {
-    path: PathBuf,
+    /// Its buffer's position in [`Store::segments`] (the last one).
+    segment: usize,
     writer: BufWriter<File>,
-    /// Bytes written to the file so far (header included).
-    bytes: usize,
     /// Records appended since the last flush.
     unflushed: usize,
+}
+
+/// One segment file's bytes, exactly as on disk: the verified prefix
+/// read at open (a damaged file is truncated to it) plus every frame
+/// appended to the file since.
+#[derive(Debug)]
+struct SegmentBuf {
+    path: PathBuf,
+    bytes: Vec<u8>,
+}
+
+/// Where one record's frame sits, and whether it is its key's live
+/// record (a later write for the key makes it dead).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    segment: u32,
+    live: bool,
+    offset: usize,
+}
+
+/// A hasher that passes a `u64` through unchanged: the index keys are
+/// content hashes, already SplitMix-mixed, so hashing them again is
+/// wasted work. Unlike SipHash it does not stop labels chosen to
+/// crowd one bucket, but every indexed key is a trial the store's
+/// owner ran, which costs far more than the probe it would slow.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the key index hashes only u64 content hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The live record per key, addressed by the key's content hash. The
+/// index never compares keys itself: every call takes an `is_key`
+/// test that reads the candidate record's frame, so two keys sharing
+/// a 64-bit hash stay two records.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    by_hash: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
+    /// `(hash, record)` for live records whose key shares its content
+    /// hash with a *different* key in `by_hash` (in practice empty).
+    collisions: Vec<(u64, usize)>,
+}
+
+impl KeyIndex {
+    /// Live keys indexed.
+    fn len(&self) -> usize {
+        self.by_hash.len() + self.collisions.len()
+    }
+
+    /// The live record with content hash `hash` that `is_key` accepts.
+    fn find(&self, hash: u64, is_key: impl Fn(usize) -> bool) -> Option<usize> {
+        let &first = self.by_hash.get(&hash)?;
+        if is_key(first) {
+            return Some(first);
+        }
+        self.collisions
+            .iter()
+            .find(|&&(h, record)| h == hash && is_key(record))
+            .map(|&(_, record)| record)
+    }
+
+    /// Makes `record` the live record of its key (the one `is_key`
+    /// accepts) and returns the record it supersedes, if any.
+    fn insert(
+        &mut self,
+        hash: u64,
+        record: usize,
+        is_key: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        match self.by_hash.entry(hash) {
+            MapEntry::Vacant(slot) => {
+                slot.insert(record);
+                None
+            }
+            MapEntry::Occupied(mut slot) if is_key(*slot.get()) => Some(slot.insert(record)),
+            MapEntry::Occupied(_) => {
+                match self
+                    .collisions
+                    .iter_mut()
+                    .find(|(h, live)| *h == hash && is_key(*live))
+                {
+                    Some((_, live)) => Some(std::mem::replace(live, record)),
+                    None => {
+                        self.collisions.push((hash, record));
+                        None
+                    }
+                }
+            }
+        }
+    }
+
+    /// Renumbers every indexed record through `new_of` (old → new).
+    fn renumber(&mut self, new_of: &[usize]) {
+        let records = self.by_hash.values_mut();
+        for record in records.chain(self.collisions.iter_mut().map(|(_, r)| r)) {
+            *record = new_of[*record];
+        }
+    }
 }
 
 /// Cached process-registry handles for the store's observability
 /// counters: looked up once per opened store, so the append/flush
 /// path adds only lock-free atomic increments.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StoreMetrics {
     appends: bichrome_obs::Counter,
     flushes: bichrome_obs::Counter,
@@ -350,15 +482,21 @@ impl StoreMetrics {
 pub struct Store {
     dir: PathBuf,
     config: StoreConfig,
+    /// One buffer per segment file, oldest first, mirroring the file
+    /// byte for byte. Records are read in place from these frames, so
+    /// resident memory is the segment bytes plus `records` and
+    /// `index`: a few dozen bytes per record.
+    segments: Vec<SegmentBuf>,
     /// Every loaded/appended record in log order, including dead
-    /// (superseded) ones; `index` points at the live record per key.
-    entries: Vec<Entry>,
-    index: HashMap<TrialKey, usize>,
+    /// (superseded) ones.
+    records: Vec<Slot>,
+    /// The live record per key, by content hash.
+    index: KeyIndex,
     salvage: Option<Salvage>,
     active: Option<ActiveSegment>,
-    /// The newest on-disk segment after load (path, size), if it has
-    /// room to take more appends.
-    tail: Option<(PathBuf, usize)>,
+    /// Whether the newest segment, as loaded, may take appends again
+    /// (until the first roll or compaction).
+    reuse_tail: bool,
     /// Id for the next segment file to create.
     next_segment: u64,
     /// Cached observability handles (see [`StoreMetrics`]).
@@ -411,11 +549,12 @@ impl Store {
         let mut store = Store {
             dir,
             config,
-            entries: Vec::new(),
-            index: HashMap::new(),
+            segments: Vec::new(),
+            records: Vec::new(),
+            index: KeyIndex::default(),
             salvage: None,
             active: None,
-            tail: None,
+            reuse_tail: false,
             next_segment: 0,
             metrics: StoreMetrics::new(),
             fault: None,
@@ -466,40 +605,63 @@ impl Store {
 
     /// Whether the store holds no trials.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len() == 0
     }
 
     /// Records on disk that are superseded by a later write for the
     /// same key — reclaimable by [`Store::compact`].
     pub fn dead_records(&self) -> usize {
-        self.entries.len() - self.index.len()
+        self.records.len() - self.index.len()
     }
 
     /// The fraction of on-disk records that are dead (0.0 for an
     /// empty store).
     pub fn dead_ratio(&self) -> f64 {
-        if self.entries.is_empty() {
+        if self.records.is_empty() {
             0.0
         } else {
-            self.dead_records() as f64 / self.entries.len() as f64
+            self.dead_records() as f64 / self.records.len() as f64
         }
     }
 
     /// The live entries, in log (append) order of their current
-    /// version.
-    pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries
+    /// version, each copied out of its frame as it is reached.
+    pub fn iter(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.records
             .iter()
-            .enumerate()
-            .filter(|(i, e)| self.index.get(&e.key) == Some(i))
-            .map(|(_, e)| e)
+            .filter(|slot| slot.live)
+            .map(|slot| frame_at(&self.segments, slot).entry())
     }
 
-    /// The record payload stored for `key`, if any.
+    /// The record payload stored for `key`, if any, borrowed from its
+    /// segment buffer.
     pub fn get(&self, key: &TrialKey) -> Option<&str> {
-        self.index
-            .get(key)
-            .map(|&i| self.entries[i].record_json.as_str())
+        self.get_hashed(key.content_hash(), key)
+    }
+
+    /// [`Store::get`] with the key's content hash given.
+    fn get_hashed(&self, hash: u64, key: &TrialKey) -> Option<&str> {
+        let frame = |i: usize| frame_at(&self.segments, &self.records[i]);
+        let i = self.index.find(hash, |i| frame(i).has_key(key))?;
+        Some(frame(i).record())
+    }
+
+    /// Logs the frame at `offset` of segment buffer `segment` as the
+    /// newest record and makes it its key's live record.
+    fn push_record(&mut self, hash: u64, segment: usize, offset: usize) {
+        let slot = Slot {
+            segment: u32::try_from(segment).expect("fewer than 2^32 segments"),
+            live: true,
+            offset,
+        };
+        let i = self.records.len();
+        self.records.push(slot);
+        let (segments, records) = (&self.segments, &self.records);
+        let frame = frame_at(segments, &slot);
+        let is_key = |j: usize| frame_at(segments, &records[j]).same_key(&frame);
+        if let Some(old) = self.index.insert(hash, i, is_key) {
+            self.records[old].live = false;
+        }
     }
 
     /// What the last load dropped from corrupt files (`None` when
@@ -538,11 +700,21 @@ impl Store {
     /// becomes dead) but producers are expected to append only
     /// missing keys.
     pub fn append(&mut self, key: TrialKey, record_json: String) -> Result<(), StoreError> {
+        self.append_hashed(key.content_hash(), &key, &record_json)
+    }
+
+    /// [`Store::append`] with the key's content hash given.
+    fn append_hashed(
+        &mut self,
+        hash: u64,
+        key: &TrialKey,
+        record_json: &str,
+    ) -> Result<(), StoreError> {
         debug_assert!(
             !record_json.contains('\n'),
             "record payloads must be single-line JSON"
         );
-        let frame = segment::encode(&key, &record_json).map_err(|msg| {
+        let frame = segment::encode(key, record_json).map_err(|msg| {
             StoreError::Io(
                 self.dir.clone(),
                 std::io::Error::new(std::io::ErrorKind::InvalidData, msg),
@@ -555,16 +727,15 @@ impl Store {
             // append fails, and the record is never indexed. The next
             // open salvages the segment back to its good prefix.
             let keep = keep_bytes.min(frame.len());
-            let active = self.ensure_active()?;
-            let path = active.path.clone();
+            let (segment, _) = self.write_active(&frame[..keep])?;
+            let active = self.active.as_mut().expect("write_active opened it");
+            let path = &self.segments[segment].path;
             active
                 .writer
-                .write_all(&frame[..keep])
-                .and_then(|()| active.writer.flush())
+                .flush()
                 .map_err(|e| StoreError::Io(path.clone(), e))?;
-            active.bytes += keep;
             return Err(StoreError::Io(
-                path,
+                path.clone(),
                 std::io::Error::new(
                     std::io::ErrorKind::Interrupted,
                     format!(
@@ -575,35 +746,47 @@ impl Store {
             ));
         }
         if let Some(active) = &self.active {
-            if active.bytes + frame.len() > self.config.segment_bytes
-                && active.bytes > segment::SEGMENT_MAGIC.len()
+            let bytes = self.segments[active.segment].bytes.len();
+            if bytes + frame.len() > self.config.segment_bytes
+                && bytes > segment::SEGMENT_MAGIC.len()
             {
                 self.roll()?;
             }
         }
-        let flush_every = self.config.flush_every.max(1);
-        let metrics = self.metrics.clone();
-        let active = self.ensure_active()?;
-        let path = active.path.clone();
-        active
-            .writer
-            .write_all(&frame)
-            .map_err(|e| StoreError::Io(path.clone(), e))?;
-        active.bytes += frame.len();
+        let (segment, offset) = self.write_active(&frame)?;
+        self.metrics.appends.inc();
+        let active = self.active.as_mut().expect("write_active opened it");
         active.unflushed += 1;
-        metrics.appends.inc();
-        if active.unflushed >= flush_every {
+        if active.unflushed >= self.config.flush_every.max(1) {
             let flush_started = std::time::Instant::now();
-            active.writer.flush().map_err(|e| StoreError::Io(path, e))?;
+            active
+                .writer
+                .flush()
+                .map_err(|e| StoreError::Io(self.segments[segment].path.clone(), e))?;
             active.unflushed = 0;
-            metrics.flushes.inc();
-            metrics
+            self.metrics.flushes.inc();
+            self.metrics
                 .flush_nanos
                 .observe(flush_started.elapsed().as_nanos() as u64);
         }
-        self.index.insert(key.clone(), self.entries.len());
-        self.entries.push(Entry { key, record_json });
+        self.push_record(hash, segment, offset);
         Ok(())
+    }
+
+    /// Writes `bytes` to the active segment (opening one first if
+    /// needed) and mirrors them into its buffer; returns the buffer's
+    /// position and the offset the bytes start at.
+    fn write_active(&mut self, bytes: &[u8]) -> Result<(usize, usize), StoreError> {
+        let segment = self.ensure_active()?.segment;
+        let buf = &mut self.segments[segment];
+        let active = self.active.as_mut().expect("active just ensured");
+        active
+            .writer
+            .write_all(bytes)
+            .map_err(|e| StoreError::Io(buf.path.clone(), e))?;
+        let offset = buf.bytes.len();
+        buf.bytes.extend_from_slice(bytes);
+        Ok((segment, offset))
     }
 
     /// Flushes any buffered appends to the OS. Called automatically
@@ -615,7 +798,7 @@ impl Store {
             active
                 .writer
                 .flush()
-                .map_err(|e| StoreError::Io(active.path.clone(), e))?;
+                .map_err(|e| StoreError::Io(self.segments[active.segment].path.clone(), e))?;
             active.unflushed = 0;
             self.metrics.flushes.inc();
             self.metrics
@@ -630,7 +813,7 @@ impl Store {
     pub fn roll(&mut self) -> Result<(), StoreError> {
         self.flush()?;
         self.active = None;
-        self.tail = None;
+        self.reuse_tail = false;
         Ok(())
     }
 
@@ -673,7 +856,7 @@ impl Store {
     /// [`StoreConfig::compact_min_records`] records). Returns whether
     /// a compaction ran.
     pub fn maybe_compact(&mut self) -> Result<bool, StoreError> {
-        if self.entries.len() >= self.config.compact_min_records
+        if self.records.len() >= self.config.compact_min_records
             && self.dead_ratio() >= self.config.compact_dead_ratio
         {
             self.compact()?;
@@ -700,46 +883,41 @@ impl Store {
         }
         fs::create_dir_all(&tmp).map_err(err(&tmp))?;
 
-        // Stage the live records into fresh segments.
-        let live: Vec<Entry> = self.iter().cloned().collect();
-        let mut id = 0u64;
-        let mut writer: Option<(PathBuf, BufWriter<File>, usize)> = None;
-        for entry in &live {
-            let frame = segment::encode(&entry.key, &entry.record_json).map_err(|msg| {
-                StoreError::Io(
-                    tmp.clone(),
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, msg),
-                )
-            })?;
-            let needs_new = match &writer {
-                Some((_, _, bytes)) => {
-                    bytes + frame.len() > self.config.segment_bytes
-                        && *bytes > segment::SEGMENT_MAGIC.len()
-                }
-                None => true,
-            };
+        // Stage the live frames, byte for byte, into fresh segments.
+        let segments = self.dir.join(SEGMENTS_DIR);
+        let mut staged: Vec<SegmentBuf> = Vec::new();
+        let mut records = Vec::with_capacity(self.len());
+        let mut new_of = vec![usize::MAX; self.records.len()];
+        for (i, slot) in self.records.iter().enumerate().filter(|(_, s)| s.live) {
+            let frame = Frame::bytes(&self.segments[slot.segment as usize].bytes, slot.offset);
+            let needs_new = staged.last().is_none_or(|seg| {
+                seg.bytes.len() + frame.len() > self.config.segment_bytes
+                    && seg.bytes.len() > segment::SEGMENT_MAGIC.len()
+            });
             if needs_new {
-                if let Some((path, mut w, _)) = writer.take() {
-                    w.flush().map_err(err(&path))?;
-                }
-                let path = tmp.join(segment_name(id));
-                id += 1;
-                let mut w = BufWriter::new(File::create(&path).map_err(err(&path))?);
-                w.write_all(segment::SEGMENT_MAGIC).map_err(err(&path))?;
-                writer = Some((path, w, segment::SEGMENT_MAGIC.len()));
+                staged.push(SegmentBuf {
+                    path: segments.join(segment_name(staged.len() as u64)),
+                    bytes: segment::SEGMENT_MAGIC.to_vec(),
+                });
             }
-            let (path, w, bytes) = writer.as_mut().expect("writer just ensured");
-            w.write_all(&frame).map_err(err(path))?;
-            *bytes += frame.len();
+            let segment = u32::try_from(staged.len() - 1).expect("fewer than 2^32 segments");
+            let seg = staged.last_mut().expect("segment just ensured");
+            new_of[i] = records.len();
+            records.push(Slot {
+                segment,
+                live: true,
+                offset: seg.bytes.len(),
+            });
+            seg.bytes.extend_from_slice(frame);
         }
-        if let Some((path, mut w, _)) = writer.take() {
-            w.flush().map_err(err(&path))?;
+        for seg in &staged {
+            let path = tmp.join(seg.path.file_name().expect("segment paths name a file"));
+            fs::write(&path, &seg.bytes).map_err(err(&path))?;
         }
 
         // Install: segments → segments.old, segments.tmp → segments,
         // then delete the superseded data. `open` repairs any crash
         // window in between.
-        let segments = self.dir.join(SEGMENTS_DIR);
         let old = self.dir.join(SEGMENTS_OLD);
         if old.exists() {
             fs::remove_dir_all(&old).map_err(err(&old))?;
@@ -749,15 +927,11 @@ impl Store {
         fs::remove_dir_all(&old).map_err(err(&old))?;
 
         // The in-memory state now mirrors the compacted disk.
-        self.entries = live;
-        self.index = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.key.clone(), i))
-            .collect();
-        self.next_segment = id;
-        self.tail = None;
+        self.index.renumber(&new_of);
+        self.next_segment = staged.len() as u64;
+        self.segments = staged;
+        self.records = records;
+        self.reuse_tail = false;
         Ok(())
     }
 
@@ -774,99 +948,97 @@ impl Store {
         for entry in a.iter().chain(b.iter()) {
             match out.get(&entry.key) {
                 Some(existing) if existing == entry.record_json => {}
-                Some(_) => {
-                    return Err(StoreError::MergeConflict {
-                        key: entry.key.clone(),
-                    })
-                }
-                None => out.append(entry.key.clone(), entry.record_json.clone())?,
+                Some(_) => return Err(StoreError::MergeConflict { key: entry.key }),
+                None => out.append(entry.key, entry.record_json)?,
             }
         }
         out.flush()?;
         Ok(out)
     }
 
-    /// Opens (or creates) the segment that appends go to: the on-disk
+    /// Opens (or creates) the segment that appends go to: the loaded
     /// tail segment if it still has room, else a fresh file.
     fn ensure_active(&mut self) -> Result<&mut ActiveSegment, StoreError> {
         if self.active.is_none() {
-            let reuse = match self.tail.take() {
-                Some((path, bytes)) if bytes < self.config.segment_bytes => Some((path, bytes)),
-                _ => None,
-            };
-            let (path, bytes, fresh) = match reuse {
-                Some((path, bytes)) => (path, bytes, false),
-                None => {
-                    let path = self
-                        .dir
-                        .join(SEGMENTS_DIR)
-                        .join(segment_name(self.next_segment));
+            let reuse = std::mem::take(&mut self.reuse_tail)
+                && self
+                    .segments
+                    .last()
+                    .is_some_and(|seg| seg.bytes.len() < self.config.segment_bytes);
+            let path = match self.segments.last() {
+                Some(tail) if reuse => tail.path.clone(),
+                _ => {
+                    let name = segment_name(self.next_segment);
                     self.next_segment += 1;
-                    (path, segment::SEGMENT_MAGIC.len(), true)
+                    self.dir.join(SEGMENTS_DIR).join(name)
                 }
             };
+            let err = |e| StoreError::Io(path.clone(), e);
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(&path)
-                .map_err(|e| StoreError::Io(path.clone(), e))?;
+                .map_err(err)?;
             let mut writer = BufWriter::new(file);
-            if fresh {
+            if !reuse {
                 writer
                     .write_all(segment::SEGMENT_MAGIC)
                     .and_then(|()| writer.flush())
-                    .map_err(|e| StoreError::Io(path.clone(), e))?;
+                    .map_err(err)?;
+                self.segments.push(SegmentBuf {
+                    path,
+                    bytes: segment::SEGMENT_MAGIC.to_vec(),
+                });
             }
             self.active = Some(ActiveSegment {
-                path,
+                segment: self.segments.len() - 1,
                 writer,
-                bytes,
                 unflushed: 0,
             });
         }
         Ok(self.active.as_mut().expect("active just ensured"))
     }
 
-    /// Loads every segment. Damage is truncated away per file
-    /// (atomically) and aggregated into one [`Salvage`] report.
+    /// Loads every segment: each file's bytes become its buffer and
+    /// every verified frame in it a record. Damage is truncated away
+    /// per file (atomically) and aggregated into one [`Salvage`]
+    /// report.
     fn load(&mut self) -> Result<(), StoreError> {
         let mut dropped_bytes = 0usize;
         let mut first_error: Option<String> = None;
 
-        // The segments, oldest first; decoded in parallel, applied in
+        // The segments, oldest first; verified in parallel, applied in
         // order.
         let paths = list_segments(&self.dir.join(SEGMENTS_DIR))?;
         self.metrics.segments_loaded.add(paths.len() as u64);
-        for (path, read, load) in load_segments(&paths) {
-            let bytes = read.map_err(|e| StoreError::Io(path.clone(), e))?;
-            for entry in load.entries {
-                self.index.insert(entry.key.clone(), self.entries.len());
-                self.entries.push(entry);
-            }
-            if let Some(e) = load.error {
-                dropped_bytes += bytes.len() - load.good_bytes;
+        for (path, loaded) in paths.iter().zip(load_segments(&paths)) {
+            let (mut bytes, scan) = loaded.map_err(|e| StoreError::Io(path.clone(), e))?;
+            if let Some(e) = scan.error {
+                dropped_bytes += bytes.len() - scan.good_bytes;
                 first_error.get_or_insert(e);
                 // Repair: truncate this segment to its good prefix
                 // (drop it entirely if even the header is gone) so
                 // future appends extend clean data. Other segments
                 // are unaffected.
-                if load.good_bytes == 0 {
-                    fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
-                } else {
-                    atomic_write(&path, &bytes[..load.good_bytes])?;
+                if scan.good_bytes == 0 {
+                    fs::remove_file(path).map_err(|e| StoreError::Io(path.clone(), e))?;
+                    continue;
                 }
+                bytes.truncate(scan.good_bytes);
+                atomic_write(path, &bytes)?;
+            }
+            let segment = self.segments.len();
+            self.segments.push(SegmentBuf {
+                path: path.clone(),
+                bytes,
+            });
+            for (offset, hash) in scan.frames {
+                self.push_record(hash, segment, offset);
             }
         }
 
-        // Remember the newest surviving segment as the append tail.
-        self.tail = list_segments(&self.dir.join(SEGMENTS_DIR))?
-            .last()
-            .map(|path| {
-                fs::metadata(path)
-                    .map(|m| (path.clone(), m.len() as usize))
-                    .map_err(|e| StoreError::Io(path.clone(), e))
-            })
-            .transpose()?;
+        // The newest surviving segment is the append tail.
+        self.reuse_tail = true;
         self.next_segment = paths
             .last()
             .and_then(|p| segment_id(p))
@@ -893,44 +1065,42 @@ impl Drop for Store {
     }
 }
 
-/// Reads and decodes every segment, fanning the (I/O + decode) work
-/// across the workspace worker pool and returning results in the
-/// given path order (`par_iter` preserves input order).
-#[allow(clippy::type_complexity)]
-fn load_segments(
-    paths: &[PathBuf],
-) -> Vec<(
-    PathBuf,
-    Result<Vec<u8>, std::io::Error>,
-    segment::SegmentLoad,
-)> {
-    use rayon::prelude::*;
-    paths.par_iter().map(|p| load_one_segment(p)).collect()
+/// Reads and verifies every segment, in the given order. The paths are
+/// cut into one contiguous share per available core, and each share
+/// is read on its own scoped thread (the calling thread takes the
+/// first), so one core loads serially.
+fn load_segments(paths: &[PathBuf]) -> Vec<std::io::Result<(Vec<u8>, segment::SegmentScan)>> {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let load = |share: &[PathBuf]| -> Vec<_> {
+        share
+            .iter()
+            .map(|path| {
+                let bytes = fs::read(path)?;
+                let scan = segment::decode_all(&bytes);
+                Ok((bytes, scan))
+            })
+            .collect()
+    };
+    let mut shares = paths.chunks(paths.len().div_ceil(cores).max(1));
+    std::thread::scope(|scope| {
+        let first = shares.next().unwrap_or_default();
+        let rest: Vec<_> = shares
+            .map(|share| scope.spawn(move || load(share)))
+            .collect();
+        let mut loaded = load(first);
+        for handle in rest {
+            match handle.join() {
+                Ok(share) => loaded.extend(share),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        loaded
+    })
 }
 
-/// Reads and decodes one segment file.
-fn load_one_segment(
-    path: &Path,
-) -> (
-    PathBuf,
-    Result<Vec<u8>, std::io::Error>,
-    segment::SegmentLoad,
-) {
-    match fs::read(path) {
-        Ok(bytes) => {
-            let load = segment::decode_all(&bytes);
-            (path.to_path_buf(), Ok(bytes), load)
-        }
-        Err(e) => (
-            path.to_path_buf(),
-            Err(e),
-            segment::SegmentLoad {
-                entries: Vec::new(),
-                good_bytes: 0,
-                error: None,
-            },
-        ),
-    }
+/// The frame a slot points at.
+fn frame_at<'a>(segments: &'a [SegmentBuf], slot: &Slot) -> Frame<'a> {
+    Frame::at(&segments[slot.segment as usize].bytes, slot.offset)
 }
 
 /// The canonical filename for segment `id`.
@@ -1691,6 +1861,97 @@ mod tests {
         drop(out);
         let out = Store::open_or_create(&tout.0).expect("reopen");
         assert_eq!(out.len(), 3, "merged store persists");
+    }
+
+    #[test]
+    fn keys_sharing_a_content_hash_stay_two_records() {
+        // Force three different keys onto one content hash: the index
+        // must tell them apart by the keys in their frames.
+        const HASH: u64 = 42;
+        let tmp = TempDir::new("collide");
+        let mut store = Store::open_or_create(&tmp.0).expect("create");
+        for (seed, v) in [(0, "a"), (1, "b"), (2, "c")] {
+            store
+                .append_hashed(HASH, &key(seed), &format!(r#"{{"v":"{v}"}}"#))
+                .expect("append");
+        }
+        assert_eq!(store.index.collisions.len(), 2, "two keys overflow");
+        let check = |store: &Store, want: [&str; 3], dead: usize| {
+            assert_eq!(store.len(), 3);
+            assert_eq!(store.dead_records(), dead);
+            for (seed, v) in (0..3).zip(want) {
+                let record = format!(r#"{{"v":"{v}"}}"#);
+                assert_eq!(store.get_hashed(HASH, &key(seed)), Some(record.as_str()));
+            }
+            assert_eq!(store.get_hashed(HASH, &key(3)), None, "a fourth key misses");
+        };
+        check(&store, ["a", "b", "c"], 0);
+
+        // Superseding one key leaves the keys sharing its hash alone,
+        // whether it sits in the map or in the overflow list.
+        store
+            .append_hashed(HASH, &key(1), r#"{"v":"b2"}"#)
+            .expect("supersede b");
+        check(&store, ["a", "b2", "c"], 1);
+        store
+            .append_hashed(HASH, &key(0), r#"{"v":"a2"}"#)
+            .expect("supersede a");
+        check(&store, ["a2", "b2", "c"], 2);
+        let order = |store: &Store| store.iter().map(|e| e.key.seed).collect::<Vec<_>>();
+        assert_eq!(order(&store), vec![2, 1, 0]);
+
+        // Compaction renumbers the map and the overflow list alike.
+        store.compact().expect("compact");
+        check(&store, ["a2", "b2", "c"], 0);
+        assert_eq!(order(&store), vec![2, 1, 0]);
+    }
+
+    /// One CRC-32 over every segment file's bytes, oldest first.
+    fn segments_crc(store: &Store) -> u32 {
+        let files: Vec<Vec<u8>> = store
+            .segments()
+            .expect("list")
+            .iter()
+            .map(|path| fs::read(path).expect("read segment"))
+            .collect();
+        let parts: Vec<&[u8]> = files.iter().map(Vec::as_slice).collect();
+        bichrome_comm::transport::crc32(&parts)
+    }
+
+    #[test]
+    fn segment_bytes_are_pinned_across_appends_and_compaction() {
+        // The on-disk format pin: fixed records, written by appends
+        // (rolling at a small bound, one key superseded) and again
+        // after a compaction, must produce these exact bytes.
+        let tmp = TempDir::new("format-pin");
+        let config = StoreConfig {
+            segment_bytes: 256,
+            ..StoreConfig::default()
+        };
+        let mut store = Store::open_or_create_with(&tmp.0, config).expect("create");
+        for seed in [0, 1, 2, u64::MAX] {
+            store
+                .append(key(seed), format!(r#"{{"seed":{seed},"ok":true}}"#))
+                .expect("append");
+        }
+        let other = TrialKey {
+            protocol: "vertex/theorem1".to_string(),
+            graph: "gnp(n=30,p=0.15)".to_string(),
+            partitioner: "random(7)".to_string(),
+            seed: 9,
+        };
+        store
+            .append(other, r#"{"bits":12,"colors":[0,1]}"#.to_string())
+            .expect("append");
+        store
+            .append(key(1), r#"{"seed":1,"ok":false}"#.to_string())
+            .expect("supersede");
+        store.flush().expect("flush");
+        assert_eq!(store.segments().expect("list").len(), 3);
+        assert_eq!(segments_crc(&store), 0xF771_F677, "appended segment bytes");
+        store.compact().expect("compact");
+        assert_eq!(store.segments().expect("list").len(), 3);
+        assert_eq!(segments_crc(&store), 0xE585_9CCB, "compacted segment bytes");
     }
 
     #[test]

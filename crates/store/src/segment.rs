@@ -16,16 +16,20 @@
 //!
 //! The payload stays the producer's opaque single-line JSON, stored
 //! as raw bytes so it round-trips bit-exactly, and the integrity hash
-//! covers identity and payload alike. Decoding is a bounds check and
-//! a hash instead of a recursive-descent JSON parse, which is what
-//! makes opening a 10⁵–10⁶-record store fast (see `bench_serve`).
+//! covers identity and payload alike. Verifying a frame is a bounds
+//! check, a UTF-8 check and a hash, with no per-record allocation:
+//! the store keeps the segment's bytes as they were read, records
+//! stay in their frames, and each is indexed by its frame offset and
+//! its key's content hash (the first link of the integrity chain). An
+//! open store is about its segment bytes plus a few dozen bytes per
+//! record. `bench_serve` times the open of a 10⁵-record store.
 //!
 //! Corruption handling: decoding keeps the longest well-formed prefix
 //! of a segment (bad magic, an oversized or torn frame, non-UTF-8
 //! labels, or a hash mismatch all end the prefix) and reports how
 //! many bytes were dropped.
 
-use crate::{line_hash, Entry, TrialKey};
+use crate::{content_hash, line_hash, record_hash, Entry, TrialKey};
 
 /// The 8-byte header every v2 segment file starts with.
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"BCHSEG2\n";
@@ -81,12 +85,12 @@ pub(crate) fn encode(key: &TrialKey, record_json: &str) -> Result<Vec<u8>, Strin
     Ok(out)
 }
 
-/// What decoding one segment's bytes produced: the well-formed
-/// prefix's entries, how many bytes that prefix spans, and the
-/// failure that ended it (if any).
-pub(crate) struct SegmentLoad {
-    /// Decoded records, in append order.
-    pub entries: Vec<Entry>,
+/// What verifying one segment's bytes found: where each record of the
+/// well-formed prefix starts, how many bytes that prefix spans, and
+/// the failure that ended it (if any).
+pub(crate) struct SegmentScan {
+    /// `(frame offset, key content hash)` per record, in append order.
+    pub frames: Vec<(usize, u64)>,
     /// Bytes of the well-formed prefix (including the magic header).
     pub good_bytes: usize,
     /// The decode failure that ended the prefix, if the segment was
@@ -94,89 +98,171 @@ pub(crate) struct SegmentLoad {
     pub error: Option<String>,
 }
 
-/// Decodes a whole v2 segment, keeping the longest well-formed
+/// Verifies a whole v2 segment, keeping the longest well-formed
 /// prefix. Never fails: corruption is reported via
-/// [`SegmentLoad::error`] with everything before it preserved.
-pub(crate) fn decode_all(bytes: &[u8]) -> SegmentLoad {
-    let mut load = SegmentLoad {
-        entries: Vec::new(),
+/// [`SegmentScan::error`] with everything before it preserved.
+pub(crate) fn decode_all(bytes: &[u8]) -> SegmentScan {
+    let mut scan = SegmentScan {
+        frames: Vec::new(),
         good_bytes: 0,
         error: None,
     };
     if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        load.error = Some("segment header is missing or not BCHSEG2".to_string());
-        return load;
+        scan.error = Some("segment header is missing or not BCHSEG2".to_string());
+        return scan;
     }
     let mut at = SEGMENT_MAGIC.len();
-    load.good_bytes = at;
+    scan.good_bytes = at;
     while at < bytes.len() {
-        match decode_frame(&bytes[at..]) {
-            Ok((entry, consumed)) => {
-                load.entries.push(entry);
+        match verify_frame(&bytes[at..]) {
+            Ok((key_hash, consumed)) => {
+                scan.frames.push((at, key_hash));
                 at += consumed;
-                load.good_bytes = at;
+                scan.good_bytes = at;
             }
             Err(e) => {
-                load.error = Some(e);
-                return load;
+                scan.error = Some(e);
+                return scan;
             }
         }
     }
-    load
+    scan
 }
 
-/// Decodes one frame from the front of `bytes`, returning the entry
-/// and how many bytes it consumed.
-fn decode_frame(bytes: &[u8]) -> Result<(Entry, usize), String> {
-    let take = |at: usize, n: usize| -> Result<&[u8], String> {
-        bytes
-            .get(at..at + n)
-            .ok_or_else(|| "frame is torn (truncated mid-record)".to_string())
-    };
-    let u16_at = |at: usize| -> Result<usize, String> {
-        Ok(u16::from_le_bytes(take(at, 2)?.try_into().expect("2 bytes")) as usize)
-    };
-    let frame_len = u32::from_le_bytes(take(0, 4)?.try_into().expect("4 bytes"));
-    if frame_len > MAX_FRAME {
+/// Verifies the frame at the front of `bytes` — bounds, UTF-8 and the
+/// integrity hash — and returns its key's content hash and how many
+/// bytes it spans.
+fn verify_frame(bytes: &[u8]) -> Result<(u64, usize), String> {
+    let frame = Frame::parse(bytes)?;
+    let utf8 = |b, what: &str| std::str::from_utf8(b).map_err(|_| format!("{what} is not UTF-8"));
+    let protocol = utf8(frame.protocol, "protocol label")?;
+    let graph = utf8(frame.graph, "graph label")?;
+    let partitioner = utf8(frame.partitioner, "partitioner label")?;
+    let record = utf8(frame.record, "record payload")?;
+    let key_hash = content_hash(protocol, graph, partitioner, frame.seed);
+    let expected = record_hash(key_hash, record);
+    if frame.hash != expected {
+        let key = TrialKey {
+            protocol: protocol.to_string(),
+            graph: graph.to_string(),
+            partitioner: partitioner.to_string(),
+            seed: frame.seed,
+        };
         return Err(format!(
-            "frame length {frame_len} exceeds the format bound {MAX_FRAME}"
+            "integrity hash {:016x} does not match key {key} + record (expected {expected:016x})",
+            frame.hash
         ));
     }
-    let frame_len = frame_len as usize;
-    if frame_len < FRAME_FIXED {
-        return Err(format!(
-            "frame length {frame_len} is shorter than the fixed header"
-        ));
+    Ok((key_hash, frame.len))
+}
+
+/// One frame's fields, borrowed from the bytes it sits in.
+pub(crate) struct Frame<'a> {
+    /// The stored integrity hash.
+    hash: u64,
+    seed: u64,
+    protocol: &'a [u8],
+    graph: &'a [u8],
+    partitioner: &'a [u8],
+    record: &'a [u8],
+    /// Bytes the frame spans, length prefix included.
+    len: usize,
+}
+
+impl<'a> Frame<'a> {
+    /// Splits the frame at the front of `bytes` into its fields: a
+    /// bounds check, no UTF-8 or hash check.
+    fn parse(bytes: &'a [u8]) -> Result<Frame<'a>, String> {
+        let take = |at: usize, n: usize| -> Result<&'a [u8], String> {
+            bytes
+                .get(at..at + n)
+                .ok_or_else(|| "frame is torn (truncated mid-record)".to_string())
+        };
+        let u16_at = |at: usize| -> Result<usize, String> {
+            Ok(u16::from_le_bytes(take(at, 2)?.try_into().expect("2 bytes")) as usize)
+        };
+        let frame_len = u32::from_le_bytes(take(0, 4)?.try_into().expect("4 bytes"));
+        if frame_len > MAX_FRAME {
+            return Err(format!(
+                "frame length {frame_len} exceeds the format bound {MAX_FRAME}"
+            ));
+        }
+        let frame_len = frame_len as usize;
+        if frame_len < FRAME_FIXED {
+            return Err(format!(
+                "frame length {frame_len} is shorter than the fixed header"
+            ));
+        }
+        let frame = take(4, frame_len)?;
+        let plen = u16_at(4 + 16)?;
+        let glen = u16_at(4 + 18)?;
+        let alen = u16_at(4 + 20)?;
+        if FRAME_FIXED + plen + glen + alen > frame_len {
+            return Err("label lengths exceed the frame".to_string());
+        }
+        let (labels, record) = frame[FRAME_FIXED..].split_at(plen + glen + alen);
+        let (protocol, rest) = labels.split_at(plen);
+        let (graph, partitioner) = rest.split_at(glen);
+        Ok(Frame {
+            hash: u64::from_le_bytes(frame[..8].try_into().expect("8 bytes")),
+            seed: u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes")),
+            protocol,
+            graph,
+            partitioner,
+            record,
+            len: 4 + frame_len,
+        })
     }
-    let frame = take(4, frame_len)?;
-    let hash = u64::from_le_bytes(frame[..8].try_into().expect("8 bytes"));
-    let seed = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
-    let plen = u16_at(4 + 16)?;
-    let glen = u16_at(4 + 18)?;
-    let alen = u16_at(4 + 20)?;
-    if FRAME_FIXED + plen + glen + alen > frame_len {
-        return Err("label lengths exceed the frame".to_string());
+
+    /// The frame at `offset` of a segment buffer that holds only
+    /// verified frames (read at open, or encoded by an append).
+    pub(crate) fn at(segment: &'a [u8], offset: usize) -> Frame<'a> {
+        Frame::parse(&segment[offset..]).expect("segment buffers hold verified frames")
     }
-    let strings = &frame[FRAME_FIXED..];
-    let utf8 = |range: std::ops::Range<usize>, what: &str| -> Result<String, String> {
-        std::str::from_utf8(&strings[range])
-            .map(str::to_string)
-            .map_err(|_| format!("{what} is not UTF-8"))
-    };
-    let key = TrialKey {
-        protocol: utf8(0..plen, "protocol label")?,
-        graph: utf8(plen..plen + glen, "graph label")?,
-        partitioner: utf8(plen + glen..plen + glen + alen, "partitioner label")?,
-        seed,
-    };
-    let record_json = utf8(plen + glen + alen..strings.len(), "record payload")?;
-    let expected = line_hash(&key, &record_json);
-    if hash != expected {
-        return Err(format!(
-            "integrity hash {hash:016x} does not match key {key} + record (expected {expected:016x})"
-        ));
+
+    /// The frame's raw bytes, length prefix included.
+    pub(crate) fn bytes(segment: &'a [u8], offset: usize) -> &'a [u8] {
+        &segment[offset..offset + Frame::at(segment, offset).len]
     }
-    Ok((Entry { key, record_json }, 4 + frame_len))
+
+    /// Whether the frame stores `key`.
+    pub(crate) fn has_key(&self, key: &TrialKey) -> bool {
+        self.seed == key.seed
+            && self.protocol == key.protocol.as_bytes()
+            && self.graph == key.graph.as_bytes()
+            && self.partitioner == key.partitioner.as_bytes()
+    }
+
+    /// Whether both frames store the same key.
+    pub(crate) fn same_key(&self, other: &Frame<'_>) -> bool {
+        self.seed == other.seed
+            && self.protocol == other.protocol
+            && self.graph == other.graph
+            && self.partitioner == other.partitioner
+    }
+
+    /// The record payload.
+    pub(crate) fn record(&self) -> &'a str {
+        text(self.record)
+    }
+
+    /// The stored trial: key and payload, copied out of the frame.
+    pub(crate) fn entry(&self) -> Entry {
+        Entry {
+            key: TrialKey {
+                protocol: text(self.protocol).to_string(),
+                graph: text(self.graph).to_string(),
+                partitioner: text(self.partitioner).to_string(),
+                seed: self.seed,
+            },
+            record_json: self.record().to_string(),
+        }
+    }
+}
+
+/// A verified frame field as text.
+fn text(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("frame fields were UTF-8-checked when verified")
 }
 
 #[cfg(test)]
@@ -207,12 +293,18 @@ mod tests {
             (key(u64::MAX), r#"{"metrics":{"x":0.5},"err":null}"#),
             (key(1 << 60), "{}"),
         ];
-        let load = decode_all(&segment_of(&records));
-        assert!(load.error.is_none(), "{:?}", load.error);
-        assert_eq!(load.entries.len(), 3);
-        for ((k, r), e) in records.iter().zip(&load.entries) {
-            assert_eq!(&e.key, k);
-            assert_eq!(e.record_json, *r);
+        let bytes = segment_of(&records);
+        let scan = decode_all(&bytes);
+        assert!(scan.error.is_none(), "{:?}", scan.error);
+        assert_eq!(scan.good_bytes, bytes.len());
+        assert_eq!(scan.frames.len(), 3);
+        for ((k, r), &(offset, key_hash)) in records.iter().zip(&scan.frames) {
+            assert_eq!(key_hash, k.content_hash());
+            let frame = Frame::at(&bytes, offset);
+            assert!(frame.has_key(k));
+            assert_eq!(frame.record(), *r);
+            assert_eq!(frame.entry().key, *k);
+            assert_eq!(Frame::bytes(&bytes, offset), encode(k, r).expect("encodes"));
         }
     }
 
@@ -221,10 +313,10 @@ mod tests {
         let bytes = segment_of(&[(key(0), r#"{"a":1}"#), (key(1), r#"{"b":2}"#)]);
         for cut in 1..40 {
             let torn = &bytes[..bytes.len() - cut];
-            let load = decode_all(torn);
-            assert!(load.error.is_some(), "cut {cut} must be detected");
-            assert_eq!(load.entries.len(), 1, "cut {cut} keeps the intact record");
-            assert!(load.good_bytes <= torn.len());
+            let scan = decode_all(torn);
+            assert!(scan.error.is_some(), "cut {cut} must be detected");
+            assert_eq!(scan.frames.len(), 1, "cut {cut} keeps the intact record");
+            assert!(scan.good_bytes <= torn.len());
         }
     }
 
@@ -233,12 +325,12 @@ mod tests {
         let mut bytes = segment_of(&[(key(3), r#"{"bits":9}"#)]);
         let last = bytes.len() - 3;
         bytes[last] ^= 0x40; // flip inside the payload
-        let load = decode_all(&bytes);
-        assert_eq!(load.entries.len(), 0);
+        let scan = decode_all(&bytes);
+        assert_eq!(scan.frames.len(), 0);
         assert!(
-            load.error.as_deref().unwrap_or("").contains("integrity"),
+            scan.error.as_deref().unwrap_or("").contains("integrity"),
             "{:?}",
-            load.error
+            scan.error
         );
     }
 
@@ -246,10 +338,10 @@ mod tests {
     fn bad_magic_is_rejected_up_front() {
         let mut bytes = segment_of(&[(key(0), "{}")]);
         bytes[0] = b'X';
-        let load = decode_all(&bytes);
-        assert_eq!(load.entries.len(), 0);
-        assert_eq!(load.good_bytes, 0);
-        assert!(load.error.is_some());
+        let scan = decode_all(&bytes);
+        assert_eq!(scan.frames.len(), 0);
+        assert_eq!(scan.good_bytes, 0);
+        assert!(scan.error.is_some());
     }
 
     #[test]
