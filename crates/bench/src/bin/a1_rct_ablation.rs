@@ -1,8 +1,8 @@
-//! **A1 (ablation)** — regenerates the EXPERIMENTS.md
-//! iteration-budget table: why `O(log log n)` Random-Color-Trial
-//! iterations before switching to D1LC (the design choice behind
-//! Theorem 1) — leftover-set size, total bits, and rounds of the full
-//! protocol across the budget sweep.
+//! **A1 (ablation)** — prints the iteration-budget table: why
+//! `O(log log n)` Random-Color-Trial iterations before switching to
+//! D1LC (the design choice behind Theorem 1) — leftover-set size,
+//! total bits, and rounds of the full protocol across the budget
+//! sweep — and asserts that the coloring is valid under every budget.
 //!
 //! Driven by the one-line campaign
 //! `Campaign::new().protocol_labeled("iters=N", VertexTheorem1 { config }).graphs([near-regular(n=1024,d=16)]).seeds(0..3)` —

@@ -1,6 +1,7 @@
-//! **A2 (ablation)** — regenerates the EXPERIMENTS.md
-//! sampling-constant table: Algorithm 3's constant (the `150` in
-//! `p = min(1, 150·m/k̃²)`), swept against slack-int cost.
+//! **A2 (ablation)** — prints the sampling-constant table:
+//! Algorithm 3's constant (the `150` in `p = min(1, 150·m/k̃²)`),
+//! swept against slack-int cost, asserting that every constant still
+//! finds a free element.
 //!
 //! Driven by one campaign per slack:
 //! `Campaign::new().protocols(cs.map(|c| SlackIntProbe::with_constant(m, k, c))).graphs([empty(n=1)]).seeds(0..25)` —

@@ -1,7 +1,8 @@
 //! **E3** — inside `Random-Color-Trial` (Lemmas 4.3–4.5, 4.13):
-//! regenerates the EXPERIMENTS.md active-vertex-decay table — decay
-//! per iteration against the `(23/24)^{i−1}` bound, the leftover
-//! count against `n/log⁴ n`, and the O(1) per-vertex communication.
+//! prints the active-vertex-decay table — decay per iteration against
+//! the `(23/24)^{i−1}` bound, the leftover count against `n/log⁴ n`,
+//! and the O(1) per-vertex communication — and asserts that both
+//! parties agree on every trial.
 //!
 //! Driven by the one-line campaign
 //! `Campaign::new().protocols([RctDecayProbe]).graphs([near-regular(n=4096,d=16)]).seeds(0..3)`;

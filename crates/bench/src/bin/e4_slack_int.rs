@@ -1,7 +1,7 @@
 //! **E4** — the `k-Slack-Int` cost curve (Lemma A.2 / Lemma 3.1):
-//! regenerates the EXPERIMENTS.md cost-vs-slack table — expected bits
-//! `O(log²((m+1)/k))` and rounds `O(log((m+1)/k))` over a slack sweep
-//! at fixed universe size.
+//! prints the cost-vs-slack table — expected bits `O(log²((m+1)/k))`
+//! and rounds `O(log((m+1)/k))` over a slack sweep at fixed universe
+//! size.
 //!
 //! Driven by the one-line campaign
 //! `Campaign::new().protocols(ks.map(SlackIntProbe::new)).graphs([empty(n=1)]).seeds(0..25)` —

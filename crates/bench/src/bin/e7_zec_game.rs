@@ -1,7 +1,7 @@
-//! **E7** — the lower-bound games of Section 6: regenerates the
-//! EXPERIMENTS.md game tables — Lemma 6.2's strategy bound, Lemma
-//! 6.4's parallel-repetition decay, Lemma 6.1's transcript-guessing
-//! decay, and the ZEC-NEW bound of §6.4.
+//! **E7** — the lower-bound games of Section 6: prints the game
+//! tables — Lemma 6.2's strategy bound, Lemma 6.4's
+//! parallel-repetition decay, Lemma 6.1's transcript-guessing decay,
+//! and the ZEC-NEW bound of §6.4.
 //!
 //! Driven by three campaigns over game probes — e.g.
 //! `Campaign::new().protocols(ZecGameProbe::suite(200_000)).graphs([empty(n=1)]).seeds([11])` —

@@ -1,5 +1,5 @@
-//! **E8** — the learning reduction (§2.3): regenerates the
-//! EXPERIMENTS.md recovery table — Bob reconstructs Alice's n-bit
+//! **E8** — the learning reduction (§2.3): prints the recovery
+//! table — Bob reconstructs Alice's n-bit
 //! string from any `(Δ+1)`-coloring of the C4-gadget graph, so
 //! protocols must pay Ω(n) bits.
 //!

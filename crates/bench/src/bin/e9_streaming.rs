@@ -1,7 +1,8 @@
-//! **E9** — the W-streaming picture of §6.4 / Corollary 1.2:
-//! regenerates the EXPERIMENTS.md space-vs-colors table and the
-//! two-party-simulation table whose communication equals
-//! `passes × state` — the quantity Theorem 5 lower-bounds by `Ω(n)`.
+//! **E9** — the W-streaming picture of §6.4 / Corollary 1.2: prints
+//! the space-vs-colors table and the two-party-simulation table whose
+//! communication equals `passes × state` — the quantity Theorem 5
+//! lower-bounds by `Ω(n)` — and asserts that every streamed and
+//! simulated coloring validates.
 //!
 //! Driven by two campaigns: space via
 //! `Campaign::new().protocols([WStreamingSpaceProbe::greedy(), ::chunked()]).graphs(gnm-specs).seeds([7])`

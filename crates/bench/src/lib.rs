@@ -1,11 +1,15 @@
 //! Shared plumbing for the experiment binaries (`e1` – `e9`,
-//! `a1` – `a2`, `bench_campaign`).
+//! `a1` – `a2`) and the `bench_hotpath` microbenchmark.
 //!
-//! Each binary regenerates one table of EXPERIMENTS.md by declaring a
+//! Each experiment binary prints one table by declaring a
 //! `bichrome_runner::Campaign` (e6 runs registry protocols on
-//! hand-built instances). The text-table printer and the statistics
-//! are the runner crate's — exactly one implementation of each in the
-//! workspace — so this crate only re-exports them.
+//! hand-built instances) and asserts its own verdicts, so a run that
+//! finishes is a run whose checks held (README, "Campaigns").
+//! `bench_hotpath` writes `BENCH_hotpath.json`; end-to-end timings
+//! come from `BENCHMARK.json`'s workloads under `e2e_bench/`. The
+//! text-table printer and the statistics are the runner crate's —
+//! exactly one implementation of each in the workspace — so this
+//! crate only re-exports them.
 //!
 //! # Example
 //!

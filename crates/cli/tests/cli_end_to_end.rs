@@ -256,6 +256,13 @@ fn run_reports_declaration_errors_with_the_file_name() {
         err.contains("bad.toml") && err.contains("edge/theorem9"),
         "{err}"
     );
+    std::fs::write(
+        &toml,
+        CAMPAIGN.replace("\"0..3\"", "\"0..18446744073709551615\""),
+    )
+    .expect("write");
+    let err = call(&["run", &toml]).expect_err("over the trial cap");
+    assert!(err.contains("bad.toml") && err.contains(" trials"), "{err}");
     let err = call(&["run", &tmp.path("missing.toml")]).expect_err("missing file");
     assert!(err.contains("missing.toml"), "{err}");
 }

@@ -14,12 +14,11 @@ use std::cell::RefCell;
 /// messages are exchanges where the other side sends
 /// [`Message::empty`].
 ///
-/// The bytes underneath travel over whichever
-/// [`Transport`](crate::transport::Transport) built the endpoint pair
-/// (in-process channels by default; OS pipes or loopback TCP via
-/// [`endpoint_pair_on`]). Metering happens here, *before* the message
-/// reaches the link, so the recorded bits and rounds are identical
-/// across transports.
+/// The bytes underneath travel over whichever [`TransportKind`] built
+/// the endpoint pair (in-process channels by default; OS pipes or
+/// loopback TCP via [`endpoint_pair_on`]). Metering happens here,
+/// *before* the message reaches the link, so the recorded bits and
+/// rounds are identical across transports.
 ///
 /// Protocols must be written so both parties perform the same number
 /// of exchanges; a mismatch deadlocks (and is a protocol bug, not a
@@ -109,7 +108,6 @@ pub fn endpoint_pair(meter: Meter) -> (Endpoint, Endpoint) {
 /// resource failure).
 pub fn endpoint_pair_on(kind: TransportKind, meter: Meter) -> (Endpoint, Endpoint) {
     let (a_link, b_link) = kind
-        .transport()
         .pair()
         .unwrap_or_else(|e| panic!("cannot set up {kind} transport: {e}"));
     endpoint_pair_from_links(a_link, b_link, meter)

@@ -437,10 +437,10 @@ fn base_pair(
 ) -> io::Result<(LinkBox, LinkBox)> {
     let cap = match short_bytes {
         Some(cap) => cap,
-        None => return kind.transport().pair(),
+        None => return kind.pair(),
     };
     match transport::raw_stream_pair(kind)? {
-        None => kind.transport().pair(),
+        None => kind.pair(),
         Some(((a_read, a_write), (b_read, b_write))) => {
             let shorten = |read, write| {
                 FramedLink::new(

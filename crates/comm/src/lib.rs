@@ -83,7 +83,7 @@ pub use channel::Endpoint;
 pub use coin::PublicCoin;
 pub use fault::{with_session_faults, FaultPlan};
 pub use meter::CommStats;
-pub use transport::{with_session_transport, Transport, TransportError, TransportKind};
+pub use transport::{with_session_transport, TransportError, TransportKind};
 pub use wire::{BitReader, BitWriter, Message};
 
 /// Calls `f` and returns its result; the thread count is ignored.

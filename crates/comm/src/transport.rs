@@ -1,17 +1,19 @@
-//! Pluggable wires under the two-party session: the [`Transport`]
-//! trait and its three implementations.
+//! Pluggable wires under the two-party session: [`TransportKind`]
+//! names them and [`TransportKind::pair`] connects two [`Link`]
+//! halves over one.
 //!
 //! Every session runs both parties in one process (two threads), but
 //! the *bytes* between them can travel three ways:
 //!
-//! * [`InProc`] — the original yield-to-peer mpsc exchange. Zero
-//!   copies beyond an `Arc` bump; the fast default for campaigns.
-//! * [`Pipe`] — a pair of OS pipes (`std::io::pipe`). Every round
-//!   crosses a real kernel byte boundary.
-//! * [`Tcp`] — a loopback TCP connection with length-prefixed frames.
-//!   The frame writer is buffered so one round costs one `write`
-//!   syscall (header + payload flushed together), not one per field
-//!   the bit writer flushed.
+//! * [`TransportKind::InProc`] — the original yield-to-peer mpsc
+//!   exchange. Zero copies beyond an `Arc` bump; the fast default for
+//!   campaigns.
+//! * [`TransportKind::Pipe`] — a pair of OS pipes (`std::io::pipe`).
+//!   Every round crosses a real kernel byte boundary.
+//! * [`TransportKind::Tcp`] — a loopback TCP connection with
+//!   length-prefixed frames. The frame writer is buffered so one round
+//!   costs one `write` syscall (header + payload flushed together), not
+//!   one per field the bit writer flushed.
 //!
 //! The communication *accounting* is transport-independent by
 //! construction: the [`Meter`](crate::meter::Meter) counts
@@ -25,11 +27,11 @@
 //!
 //! # Frame format
 //!
-//! Stream transports ship each message as one *frame*, written by
-//! [`write_frame`]: a little-endian `u32` *bit* length with the high
-//! bit ([`FRAME_V2_FLAG`]) set, then a little-endian IEEE CRC-32 of
-//! (bit length, payload), then `ceil(bits / 8)` payload bytes.
-//! [`read_frame`] refuses as `InvalidData`, never delivering garbage,
+//! Stream transports ship each message as one *frame*: a
+//! little-endian `u32` *bit* length with the high bit
+//! ([`FRAME_V2_FLAG`]) set, then a little-endian IEEE CRC-32 of
+//! (bit length, payload), then `ceil(bits / 8)` payload bytes. The
+//! reader refuses as `InvalidData`, never delivering garbage,
 //! a header without the flag, a bit length above [`MAX_FRAME_BITS`]
 //! (both before any payload is allocated), and a checksum mismatch —
 //! so every single-bit flip of a frame is detected.
@@ -40,15 +42,15 @@
 //! [`TransportError`]s; the panicking [`Link::send`] / [`Link::recv`]
 //! wrappers preserve the original session semantics (a vanished peer
 //! means its thread panicked, and the session layer propagates that
-//! panic anyway). The in-process receive no longer parks forever: it
-//! spins a configurable yield budget, then parks with a deadline
-//! ([`configure_inproc_recv`]) so a peer that is alive but silent past
-//! the deadline surfaces as [`TransportError::Timeout`].
+//! panic anyway). The in-process receive never parks forever: it
+//! yields to the peer 16 times, then parks with a 300 s deadline, so
+//! a peer that is alive but silent past the deadline surfaces as
+//! [`TransportError::Timeout`].
 //!
 //! # Selecting a transport
 //!
-//! [`TransportKind`] names the three implementations and parses from
-//! the same strings campaign files use (`"inproc"`, `"pipe"`,
+//! [`TransportKind`] names the three wires and parses from the same
+//! strings campaign files use (`"inproc"`, `"pipe"`,
 //! `"tcp"`). Sessions pick their wire two ways:
 //!
 //! * explicitly — [`run_two_party_ctx_on`](crate::session::run_two_party_ctx_on)
@@ -64,17 +66,20 @@ use crate::wire::Message;
 use std::cell::Cell;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Duration;
 
-/// Default for [`InProcRecvConfig::yield_rounds`].
+/// Yield-and-retry attempts an in-process receive makes before it
+/// parks on the blocking receive. On a single core `yield_now` runs
+/// the peer immediately, making one round cost one scheduler handoff
+/// instead of a futex park/wake pair.
 const DEFAULT_YIELD_ROUNDS: usize = 16;
 
-/// Default for [`InProcRecvConfig::park_timeout`]: generous, because
-/// a party may legitimately compute for a long time between rounds —
-/// the deadline exists to turn a *permanently* silent peer into a
-/// typed error instead of an unbounded hang.
+/// How long a parked in-process receive waits before surfacing
+/// [`TransportError::Timeout`]: generous, because a party may
+/// legitimately compute for a long time between rounds — the deadline
+/// exists to turn a *permanently* silent peer into a typed error
+/// instead of an unbounded hang.
 const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Upper bound a stream transport accepts for one frame's bit length.
@@ -104,8 +109,8 @@ pub enum TransportError {
     /// Bytes arrived but failed validation (bad checksum, impossible
     /// header, sequence desync) — detected, never silently delivered.
     Corrupt(String),
-    /// The peer stayed silent past the receive deadline
-    /// (see [`configure_inproc_recv`]).
+    /// The peer stayed silent past the receive deadline (300 s on an
+    /// in-process link).
     Timeout(String),
     /// Any other I/O failure.
     Io(String),
@@ -193,127 +198,39 @@ pub trait Link {
 /// A boxed, thread-movable link half.
 pub type LinkBox = Box<dyn Link + Send>;
 
-/// A way to wire two parties together: produces connected
-/// [`Link`] pairs.
-///
-/// # Example
-///
-/// A real TCP loopback round trip, driven directly at the link layer:
-///
-/// ```
-/// use bichrome_comm::transport::{Tcp, Transport};
-/// use bichrome_comm::wire::BitWriter;
-///
-/// let (mut alice, mut bob) = Tcp.pair().unwrap();
-/// let echo = std::thread::spawn(move || {
-///     let got = bob.recv();
-///     bob.send(&got);
-/// });
-/// let mut w = BitWriter::new();
-/// w.write_uint(29, 5);
-/// alice.send(&w.finish());
-/// assert_eq!(alice.recv().reader().read_uint(5), 29);
-/// echo.join().unwrap();
-/// ```
-pub trait Transport {
-    /// The transport's canonical name (`"inproc"` / `"pipe"` /
-    /// `"tcp"`).
-    fn name(&self) -> &'static str;
-
-    /// A fresh connected pair of link halves: `(alice, bob)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OS resource failures (pipe / socket creation).
-    fn pair(&self) -> io::Result<(LinkBox, LinkBox)>;
-}
-
 // ---------------------------------------------------------------------------
 // InProc: the original mpsc exchange.
 // ---------------------------------------------------------------------------
 
-/// How the in-process receive waits for the peer: a cooperative
-/// yield-spin budget, then a parked wait with a deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InProcRecvConfig {
-    /// Yield-and-retry attempts before parking on the blocking
-    /// receive. On a single core `yield_now` runs the peer
-    /// immediately, making one round cost one scheduler handoff
-    /// instead of a futex park/wake pair.
-    pub yield_rounds: usize,
-    /// How long the parked receive waits before surfacing
-    /// [`TransportError::Timeout`]. Generous by default (300 s): a
-    /// party may compute for a long time between rounds, and the
-    /// deadline only exists so a *permanently* silent peer becomes a
-    /// typed error instead of a hang.
-    pub park_timeout: Duration,
-}
-
-impl Default for InProcRecvConfig {
-    fn default() -> InProcRecvConfig {
-        InProcRecvConfig {
-            yield_rounds: DEFAULT_YIELD_ROUNDS,
-            park_timeout: DEFAULT_PARK_TIMEOUT,
-        }
-    }
-}
-
-/// Process-wide [`InProcRecvConfig`], captured by each
-/// [`InProc::pair`] at creation time.
-static INPROC_YIELD_ROUNDS: AtomicUsize = AtomicUsize::new(DEFAULT_YIELD_ROUNDS);
-static INPROC_PARK_TIMEOUT_NANOS: AtomicU64 = AtomicU64::new(300_000_000_000);
-
-/// Sets the process-wide receive behavior for **future** in-process
-/// link pairs (existing links keep the configuration they were
-/// created with).
-pub fn configure_inproc_recv(config: InProcRecvConfig) {
-    INPROC_YIELD_ROUNDS.store(config.yield_rounds, Ordering::Relaxed);
-    INPROC_PARK_TIMEOUT_NANOS.store(
-        config.park_timeout.as_nanos().min(u64::MAX as u128) as u64,
-        Ordering::Relaxed,
-    );
-}
-
-/// The current process-wide in-process receive configuration.
-pub fn inproc_recv_config() -> InProcRecvConfig {
-    InProcRecvConfig {
-        yield_rounds: INPROC_YIELD_ROUNDS.load(Ordering::Relaxed),
-        park_timeout: Duration::from_nanos(INPROC_PARK_TIMEOUT_NANOS.load(Ordering::Relaxed)),
-    }
-}
-
-/// The in-process transport: std mpsc channels with a cooperative
+/// An in-process link pair: std mpsc channels with a cooperative
 /// yield-to-peer fast path, semantics identical to the pre-transport
-/// `Endpoint`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InProc;
-
-impl InProc {
-    /// [`Transport::pair`] with an explicit receive configuration
-    /// instead of the process-wide one — lets tests exercise short
-    /// deadlines without perturbing concurrent sessions.
-    pub fn pair_with(&self, config: InProcRecvConfig) -> io::Result<(LinkBox, LinkBox)> {
-        let (a_tx, a_rx) = std::sync::mpsc::channel();
-        let (b_tx, b_rx) = std::sync::mpsc::channel();
-        Ok((
-            Box::new(InProcLink {
-                tx: a_tx,
-                rx: b_rx,
-                config,
-            }),
-            Box::new(InProcLink {
-                tx: b_tx,
-                rx: a_rx,
-                config,
-            }),
-        ))
-    }
+/// `Endpoint`. Tests pass short deadlines; sessions get
+/// [`DEFAULT_YIELD_ROUNDS`] and [`DEFAULT_PARK_TIMEOUT`] through
+/// [`TransportKind::pair`].
+fn inproc_pair(yield_rounds: usize, park_timeout: Duration) -> (LinkBox, LinkBox) {
+    let (a_tx, a_rx) = std::sync::mpsc::channel();
+    let (b_tx, b_rx) = std::sync::mpsc::channel();
+    (
+        Box::new(InProcLink {
+            tx: a_tx,
+            rx: b_rx,
+            yield_rounds,
+            park_timeout,
+        }),
+        Box::new(InProcLink {
+            tx: b_tx,
+            rx: a_rx,
+            yield_rounds,
+            park_timeout,
+        }),
+    )
 }
 
 struct InProcLink {
     tx: Sender<Message>,
     rx: Receiver<Message>,
-    config: InProcRecvConfig,
+    yield_rounds: usize,
+    park_timeout: Duration,
 }
 
 impl Link for InProcLink {
@@ -329,7 +246,7 @@ impl Link for InProcLink {
         // and about to answer, so try a few yield-to-peer handoffs
         // before the blocking receive parks this thread. On many
         // cores the reply usually lands during the first yields.
-        for _ in 0..self.config.yield_rounds {
+        for _ in 0..self.yield_rounds {
             match self.rx.try_recv() {
                 Ok(m) => return Ok(m),
                 Err(TryRecvError::Empty) => std::thread::yield_now(),
@@ -340,26 +257,16 @@ impl Link for InProcLink {
                 }
             }
         }
-        match self.rx.recv_timeout(self.config.park_timeout) {
+        match self.rx.recv_timeout(self.park_timeout) {
             Ok(m) => Ok(m),
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::PeerGone(
                 "peer hung up before reply".to_string(),
             )),
             Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout(format!(
                 "peer sent nothing for {:?}",
-                self.config.park_timeout
+                self.park_timeout
             ))),
         }
-    }
-}
-
-impl Transport for InProc {
-    fn name(&self) -> &'static str {
-        "inproc"
-    }
-
-    fn pair(&self) -> io::Result<(LinkBox, LinkBox)> {
-        self.pair_with(inproc_recv_config())
     }
 }
 
@@ -415,7 +322,7 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
 ///
 /// Propagates the underlying write failure; refuses messages above
 /// [`MAX_FRAME_BITS`] as `InvalidInput`.
-pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     let bits = msg.len_bits();
     if bits > MAX_FRAME_BITS {
         return Err(io::Error::new(
@@ -439,7 +346,7 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 /// [`FRAME_V2_FLAG`] or with an oversized bit length (both refused
 /// before any payload allocation), or on a checksum mismatch
 /// (corruption is detected, never silently delivered).
-pub fn read_frame(r: &mut impl Read) -> io::Result<Message> {
+pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Message> {
     let refuse = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
     let mut header = [0u8; 4];
     r.read_exact(&mut header)?;
@@ -505,94 +412,38 @@ pub(crate) type RawReader = Box<dyn Read + Send>;
 pub(crate) type RawWriter = Box<dyn Write + Send>;
 
 /// A connected raw duplex pair for the stream transports —
-/// `Some(((a_read, a_write), (b_read, b_write)))` for [`Pipe`] /
-/// [`Tcp`], `None` for [`InProc`] (which has no byte stream to
-/// interpose on).
+/// `Some(((a_read, a_write), (b_read, b_write)))` for
+/// [`TransportKind::Pipe`] / [`TransportKind::Tcp`], `None` for
+/// [`TransportKind::InProc`] (which has no byte stream to interpose
+/// on).
 #[allow(clippy::type_complexity)]
 pub(crate) fn raw_stream_pair(
     kind: TransportKind,
 ) -> io::Result<Option<((RawReader, RawWriter), (RawReader, RawWriter))>> {
     match kind {
         TransportKind::InProc => Ok(None),
-        TransportKind::Pipe => Pipe::raw_pair().map(Some),
-        TransportKind::Tcp => Tcp::raw_pair().map(Some),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pipe: two OS pipes.
-// ---------------------------------------------------------------------------
-
-/// The OS-pipe transport: one anonymous pipe per direction
-/// (`std::io::pipe`), frames crossing a real kernel byte boundary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Pipe;
-
-impl Pipe {
-    #[allow(clippy::type_complexity)]
-    fn raw_pair() -> io::Result<((RawReader, RawWriter), (RawReader, RawWriter))> {
-        let (a_to_b_read, a_to_b_write) = io::pipe()?;
-        let (b_to_a_read, b_to_a_write) = io::pipe()?;
-        Ok((
-            (Box::new(b_to_a_read), Box::new(a_to_b_write)),
-            (Box::new(a_to_b_read), Box::new(b_to_a_write)),
-        ))
-    }
-}
-
-impl Transport for Pipe {
-    fn name(&self) -> &'static str {
-        "pipe"
-    }
-
-    fn pair(&self) -> io::Result<(LinkBox, LinkBox)> {
-        let ((a_read, a_write), (b_read, b_write)) = Pipe::raw_pair()?;
-        Ok((
-            Box::new(FramedLink::new(a_read, a_write)),
-            Box::new(FramedLink::new(b_read, b_write)),
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tcp: loopback sockets.
-// ---------------------------------------------------------------------------
-
-/// The TCP transport: a loopback connection on an ephemeral port,
-/// `TCP_NODELAY` on, length-prefixed frames batched so one round is
-/// one `write` syscall per direction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Tcp;
-
-impl Tcp {
-    #[allow(clippy::type_complexity)]
-    fn raw_pair() -> io::Result<((RawReader, RawWriter), (RawReader, RawWriter))> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let alice = TcpStream::connect(addr)?;
-        let (bob, _) = listener.accept()?;
-        // Rounds are latency-bound single frames; Nagle would add a
-        // delayed-ACK stall to every exchange.
-        alice.set_nodelay(true)?;
-        bob.set_nodelay(true)?;
-        Ok((
-            (Box::new(alice.try_clone()?), Box::new(alice)),
-            (Box::new(bob.try_clone()?), Box::new(bob)),
-        ))
-    }
-}
-
-impl Transport for Tcp {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn pair(&self) -> io::Result<(LinkBox, LinkBox)> {
-        let ((a_read, a_write), (b_read, b_write)) = Tcp::raw_pair()?;
-        Ok((
-            Box::new(FramedLink::new(a_read, a_write)),
-            Box::new(FramedLink::new(b_read, b_write)),
-        ))
+        TransportKind::Pipe => {
+            let (a_to_b_read, a_to_b_write) = io::pipe()?;
+            let (b_to_a_read, b_to_a_write) = io::pipe()?;
+            Ok(Some((
+                (Box::new(b_to_a_read), Box::new(a_to_b_write)),
+                (Box::new(a_to_b_read), Box::new(b_to_a_write)),
+            )))
+        }
+        TransportKind::Tcp => {
+            let listener = TcpListener::bind(("127.0.0.1", 0))?;
+            let addr = listener.local_addr()?;
+            let alice = TcpStream::connect(addr)?;
+            let (bob, _) = listener.accept()?;
+            // Rounds are latency-bound single frames; Nagle would add a
+            // delayed-ACK stall to every exchange.
+            alice.set_nodelay(true)?;
+            bob.set_nodelay(true)?;
+            Ok(Some((
+                (Box::new(alice.try_clone()?), Box::new(alice)),
+                (Box::new(bob.try_clone()?), Box::new(bob)),
+            )))
+        }
     }
 }
 
@@ -604,18 +455,18 @@ impl Transport for Tcp {
 /// `transport = "inproc" | "pipe" | "tcp"` axis parses into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransportKind {
-    /// [`InProc`] (the default).
+    /// In-process mpsc channels with a yield-to-peer fast path (the
+    /// default).
     #[default]
     InProc,
-    /// [`Pipe`].
+    /// One anonymous OS pipe per direction (`std::io::pipe`), frames
+    /// crossing a real kernel byte boundary.
     Pipe,
-    /// [`Tcp`].
+    /// A loopback connection on an ephemeral port, `TCP_NODELAY` on,
+    /// frames batched so one round is one `write` syscall per
+    /// direction.
     Tcp,
 }
-
-static INPROC: InProc = InProc;
-static PIPE: Pipe = Pipe;
-static TCP: Tcp = Tcp;
 
 impl TransportKind {
     /// Every kind, in declaration order — handy for identity tests
@@ -628,16 +479,47 @@ impl TransportKind {
 
     /// The canonical name (`"inproc"` / `"pipe"` / `"tcp"`).
     pub fn name(self) -> &'static str {
-        self.transport().name()
+        match self {
+            TransportKind::InProc => "inproc",
+            TransportKind::Pipe => "pipe",
+            TransportKind::Tcp => "tcp",
+        }
     }
 
-    /// The implementation behind this kind.
-    pub fn transport(self) -> &'static dyn Transport {
-        match self {
-            TransportKind::InProc => &INPROC,
-            TransportKind::Pipe => &PIPE,
-            TransportKind::Tcp => &TCP,
-        }
+    /// A fresh connected pair of link halves over this wire:
+    /// `(alice, bob)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates OS resource failures (pipe / socket creation).
+    ///
+    /// # Example
+    ///
+    /// A real TCP loopback round trip, driven directly at the link layer:
+    ///
+    /// ```
+    /// use bichrome_comm::transport::TransportKind;
+    /// use bichrome_comm::wire::BitWriter;
+    ///
+    /// let (mut alice, mut bob) = TransportKind::Tcp.pair().unwrap();
+    /// let echo = std::thread::spawn(move || {
+    ///     let got = bob.recv();
+    ///     bob.send(&got);
+    /// });
+    /// let mut w = BitWriter::new();
+    /// w.write_uint(29, 5);
+    /// alice.send(&w.finish());
+    /// assert_eq!(alice.recv().reader().read_uint(5), 29);
+    /// echo.join().unwrap();
+    /// ```
+    pub fn pair(self) -> io::Result<(LinkBox, LinkBox)> {
+        Ok(match raw_stream_pair(self)? {
+            None => inproc_pair(DEFAULT_YIELD_ROUNDS, DEFAULT_PARK_TIMEOUT),
+            Some(((a_read, a_write), (b_read, b_write))) => (
+                Box::new(FramedLink::new(a_read, a_write)),
+                Box::new(FramedLink::new(b_read, b_write)),
+            ),
+        })
     }
 }
 
@@ -720,7 +602,7 @@ mod tests {
     #[test]
     fn every_transport_round_trips_messages_both_ways() {
         for kind in TransportKind::ALL {
-            let (mut alice, mut bob) = kind.transport().pair().expect("pair");
+            let (mut alice, mut bob) = kind.pair().expect("pair");
             let handle = std::thread::spawn(move || {
                 let got = bob.recv();
                 assert_eq!(got.reader().read_uint(9), 257, "bob got alice's message");
@@ -841,12 +723,7 @@ mod tests {
 
     #[test]
     fn dead_inproc_peer_is_a_typed_error_not_a_hang() {
-        let (alice, mut bob) = InProc
-            .pair_with(InProcRecvConfig {
-                yield_rounds: 2,
-                park_timeout: Duration::from_millis(50),
-            })
-            .expect("pair");
+        let (alice, mut bob) = inproc_pair(2, Duration::from_millis(50));
         drop(alice);
         match bob.try_recv() {
             Err(TransportError::PeerGone(_)) => {}
@@ -860,12 +737,7 @@ mod tests {
 
     #[test]
     fn silent_inproc_peer_times_out_with_a_typed_error() {
-        let (_alice, mut bob) = InProc
-            .pair_with(InProcRecvConfig {
-                yield_rounds: 1,
-                park_timeout: Duration::from_millis(20),
-            })
-            .expect("pair");
+        let (_alice, mut bob) = inproc_pair(1, Duration::from_millis(20));
         // Alice is alive (her link half is still in scope) but silent:
         // the parked receive must surface Timeout at the deadline
         // instead of hanging forever.
@@ -873,20 +745,6 @@ mod tests {
             Err(TransportError::Timeout(_)) => {}
             other => panic!("expected Timeout, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn inproc_recv_configuration_round_trips() {
-        let prev = inproc_recv_config();
-        assert_eq!(prev, InProcRecvConfig::default());
-        let custom = InProcRecvConfig {
-            yield_rounds: 3,
-            park_timeout: Duration::from_secs(7),
-        };
-        configure_inproc_recv(custom);
-        assert_eq!(inproc_recv_config(), custom);
-        configure_inproc_recv(prev);
-        assert_eq!(inproc_recv_config(), prev);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use bichrome_comm::machine::RoundMachine;
 use bichrome_comm::wire::{width_for, BitReader, BitWriter};
-use bichrome_comm::Side;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -356,14 +355,6 @@ pub fn run_slack_int_session_with_constant(
     (ra, stats)
 }
 
-/// Marker for `Side`-based helpers kept for API symmetry.
-pub fn side_label(side: Side) -> &'static str {
-    match side {
-        Side::Alice => "alice",
-        Side::Bob => "bob",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,11 +522,5 @@ mod tests {
             "O(log² m) bits, got {}",
             stats.total_bits()
         );
-    }
-
-    #[test]
-    fn side_labels() {
-        assert_eq!(side_label(Side::Alice), "alice");
-        assert_eq!(side_label(Side::Bob), "bob");
     }
 }

@@ -24,6 +24,14 @@ use bichrome_comm::fault::FaultPlan;
 use bichrome_comm::transport::TransportKind;
 use bichrome_graph::partition::Partitioner;
 
+/// The most trials one campaign file may declare: protocols × graphs ×
+/// sizes × partitioners × seeds, an omitted optional axis counting
+/// once. Preparing a campaign allocates a result slot per trial, and
+/// the daemon parses files it receives over the network, so a larger
+/// declaration is refused before anything is allocated for it. The
+/// largest declaration in this repository has a few hundred trials.
+pub const MAX_DECLARED_TRIALS: u64 = 1 << 20;
+
 /// A parsed, validated campaign declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignFile {
@@ -60,7 +68,9 @@ impl CampaignFile {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first problem.
+    /// Returns a human-readable description of the first problem,
+    /// including a declaration of more than [`MAX_DECLARED_TRIALS`]
+    /// trials.
     pub fn parse(text: &str) -> Result<CampaignFile, String> {
         let doc = toml::parse(text)?;
         let table = doc
@@ -144,16 +154,47 @@ impl CampaignFile {
             Some(_) => return Err("\"sizes\" must be an array of integers".to_string()),
         };
 
+        // The trial count is checked before the seeds are collected,
+        // so a huge range is refused without allocating for it.
+        let per_seed = [
+            protocols.len(),
+            graphs.len(),
+            sizes.len().max(1),
+            partitioners.len().max(1),
+        ];
+        let admit = |seed_count: u64| -> Result<(), String> {
+            match per_seed
+                .iter()
+                .try_fold(seed_count, |acc, &n| acc.checked_mul(n as u64))
+            {
+                Some(trials) if trials <= MAX_DECLARED_TRIALS => Ok(()),
+                Some(trials) => Err(format!(
+                    "campaign declares {trials} trials; the cap is {MAX_DECLARED_TRIALS}"
+                )),
+                None => Err(format!(
+                    "campaign declares more than {} trials; the cap is {MAX_DECLARED_TRIALS}",
+                    u64::MAX
+                )),
+            }
+        };
         let seeds = match table.get("seeds") {
             None => return Err("campaign declares no seeds".to_string()),
-            Some(TomlValue::Str(range)) => parse_seed_range(range)?,
-            Some(TomlValue::Array(items)) => items
-                .iter()
-                .map(|v| {
-                    v.as_int()
-                        .ok_or("\"seeds\" list must contain integers".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+            Some(TomlValue::Str(range)) => {
+                let range = parse_seed_range(range)?;
+                admit(range.end - range.start)?;
+                range.collect()
+            }
+            Some(TomlValue::Array(items)) => {
+                let seeds = items
+                    .iter()
+                    .map(|v| {
+                        v.as_int()
+                            .ok_or("\"seeds\" list must contain integers".to_string())
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                admit(seeds.len() as u64)?;
+                seeds
+            }
             Some(_) => {
                 return Err(
                     "\"seeds\" must be a \"start..end\" string or an integer list".to_string(),
@@ -248,7 +289,7 @@ impl CampaignFile {
 }
 
 /// Parses an exclusive `"start..end"` seed range.
-fn parse_seed_range(text: &str) -> Result<Vec<u64>, String> {
+fn parse_seed_range(text: &str) -> Result<std::ops::Range<u64>, String> {
     let (start, end) = text
         .split_once("..")
         .ok_or(format!("seed range {text:?} is not \"start..end\""))?;
@@ -263,7 +304,7 @@ fn parse_seed_range(text: &str) -> Result<Vec<u64>, String> {
     if end < start {
         return Err(format!("seed range {text:?} is empty (end < start)"));
     }
-    Ok((start..end).collect())
+    Ok(start..end)
 }
 
 #[cfg(test)]
@@ -375,11 +416,43 @@ mod tests {
 
     #[test]
     fn seed_range_edges() {
-        assert_eq!(parse_seed_range("5..8").expect("parses"), vec![5, 6, 7]);
-        assert_eq!(parse_seed_range("5..5").expect("parses"), Vec::<u64>::new());
+        assert_eq!(parse_seed_range("5..8").expect("parses"), 5..8);
+        assert_eq!(parse_seed_range("5..5").expect("parses"), 5..5);
         assert!(parse_seed_range("8..5").is_err(), "reversed range");
         assert!(parse_seed_range("5").is_err(), "not a range");
         assert!(parse_seed_range("a..b").is_err(), "not numbers");
+    }
+
+    #[test]
+    fn declarations_over_the_trial_cap_are_refused() {
+        // One cell: the range's length is the trial count, taken
+        // before any seed is collected.
+        let err = CampaignFile::parse(
+            r#"
+            [campaign]
+            protocols = ["edge/theorem2"]
+            graphs = ["path(n=5)"]
+            seeds = "0..18446744073709551615"
+            "#,
+        )
+        .expect_err("huge range");
+        assert!(err.contains("18446744073709551615 trials"), "{err}");
+
+        // GOOD declares 2 protocols × 2 graphs × 2 sizes × 2
+        // partitioners = 16 trials per seed.
+        let with_seeds = |range: String| GOOD.replace("\"0..3\"", &format!("{range:?}"));
+        let at_cap = MAX_DECLARED_TRIALS / 16;
+        let f = CampaignFile::parse(&with_seeds(format!("0..{at_cap}"))).expect("at the cap");
+        assert_eq!(f.seeds.len() as u64 * 16, MAX_DECLARED_TRIALS);
+        let err = CampaignFile::parse(&with_seeds(format!("0..{}", at_cap + 1)))
+            .expect_err("over the cap");
+        assert!(
+            err.contains(&format!("{} trials", 16 * (at_cap + 1))),
+            "{err}"
+        );
+        let err = CampaignFile::parse(&with_seeds(format!("0..{}", u64::MAX)))
+            .expect_err("product overflows");
+        assert!(err.contains("more than"), "{err}");
     }
 
     #[test]

@@ -450,3 +450,31 @@ fn an_over_long_request_line_is_refused_and_the_daemon_still_answers() {
     client.shutdown().expect("shutdown");
     server.join().expect("server thread").expect("serve");
 }
+
+/// A declaration of more trials than the cap is refused at submit,
+/// naming the count, before anything is allocated for it; the daemon
+/// keeps serving.
+#[test]
+fn a_campaign_over_the_trial_cap_is_refused_and_the_daemon_still_answers() {
+    let tmp = TempDir::new("overcap");
+    let daemon = Daemon::start(tmp.0.join("store"), config(1)).expect("start");
+    let huge = r#"
+        [campaign]
+        protocols = ["edge/theorem2"]
+        graphs    = ["path(n=5)"]
+        seeds     = "0..18446744073709551615"
+        "#;
+    let err = daemon.submit(huge).expect_err("over the trial cap");
+    assert!(err.contains("18446744073709551615 trials"), "{err}");
+
+    let job = daemon
+        .submit(&overlap_campaign("edge/theorem2"))
+        .expect("submit");
+    let (_ack, rx) = daemon.watch(job).expect("watch");
+    let end = rx.iter().last().expect("end event");
+    assert!(
+        end.contains("computed 6 trials (0 skipped via store)"),
+        "{end}"
+    );
+    daemon.shutdown().expect("shutdown");
+}

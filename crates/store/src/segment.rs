@@ -22,7 +22,8 @@
 //! stay in their frames, and each is indexed by its frame offset and
 //! its key's content hash (the first link of the integrity chain). An
 //! open store is about its segment bytes plus a few dozen bytes per
-//! record. `bench_serve` times the open of a 10⁵-record store.
+//! record. The benchmark's `store.open_s` metric times the open of a
+//! 10⁵-record store.
 //!
 //! Corruption handling: decoding keeps the longest well-formed prefix
 //! of a segment (bad magic, an oversized or torn frame, non-UTF-8

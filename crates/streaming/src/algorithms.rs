@@ -122,7 +122,7 @@ fn vertex_bits(n: usize) -> usize {
 /// * **colors** total `Σ_chunks (2Δ_chunk − 1) = O((m/K)·Δ)` — the
 ///   simple trade-off; the full \[SB24\] algorithm sharpens this to
 ///   `O(Δ)` with a considerably more intricate chunk coloring, which
-///   is out of scope here (DESIGN.md records the substitution).
+///   is out of scope here: this simpler streamer stands in for it.
 #[derive(Debug, Clone)]
 pub struct ChunkedWStreaming {
     n: usize,
