@@ -1,5 +1,5 @@
 //! **bench-hotpath** — microbenchmark of the dense edge-indexed hot
-//! path: the validator pass (`ColorMarks` + dense `EdgeColoring`),
+//! path: the validator pass (over a dense `EdgeColoring`),
 //! Misra–Gries fan coloring, `Random-Color-Trial` (Algorithm 1) and
 //! the D1LC finishing protocol, timed on gnp/gnm grids at
 //! n ∈ {1e3, 1e4, 1e5, 1e6}, and written to `BENCH_hotpath.json`
@@ -26,7 +26,7 @@ use bichrome_comm::Side;
 use bichrome_core::d1lc::{solve_d1lc, D1lcInput};
 use bichrome_core::rct::{run_random_color_trial, RctConfig};
 use bichrome_core::run_parties;
-use bichrome_graph::coloring::{ColorId, ColorMarks, VertexColoring};
+use bichrome_graph::coloring::{validate_edge_coloring_with_palette, ColorId, VertexColoring};
 use bichrome_graph::edge_color::misra_gries;
 use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::{gen, Graph, VertexId};
@@ -111,7 +111,7 @@ fn build(family: &'static str, n: usize, seed: u64) -> Graph {
 
 /// Times one `(family, n)` grid point. Every phase reads inputs built
 /// before its timer starts and leaves them as they were.
-fn measure(family: &'static str, n: usize, marks: &mut ColorMarks) -> Point {
+fn measure(family: &'static str, n: usize) -> Point {
     let g = build(family, n, 1);
     let budget = g.max_degree() + 1;
     let split = Partitioner::Alternating.split(&g);
@@ -121,8 +121,8 @@ fn measure(family: &'static str, n: usize, marks: &mut ColorMarks) -> Point {
     let coloring = misra_gries(&g);
     let misra_gries = Timing::of(|| misra_gries(&g));
 
-    // --- Validator pass over the coloring, scratch reused. Each rep
-    // also lands in an obs histogram. ---
+    // --- Validator pass over the coloring. Each rep also lands in an
+    // obs histogram. ---
     let n_label = n.to_string();
     let validate_hist = bichrome_obs::histogram_labeled(
         "bench_validate_nanos",
@@ -130,8 +130,7 @@ fn measure(family: &'static str, n: usize, marks: &mut ColorMarks) -> Point {
     );
     let validate = Timing::of(|| {
         let rep = Instant::now();
-        marks
-            .check_edge_coloring_with_palette(&g, &coloring, budget)
+        validate_edge_coloring_with_palette(&g, &coloring, budget)
             .expect("Misra–Gries colorings are valid");
         validate_hist.observe(rep.elapsed().as_nanos() as u64);
     });
@@ -333,11 +332,10 @@ fn main() {
     let full_grid = max_n.is_none();
 
     let started = Instant::now();
-    let mut marks = ColorMarks::new();
     let mut points = Vec::new();
     for family in ["gnp", "gnm"] {
         for &n in &sizes {
-            let p = measure(family, n, &mut marks);
+            let p = measure(family, n);
             println!(
                 "{family:4} n={n:7} m={:8} Δ={:3} · validate {:9} ns ({:.1}M edges/s) · \
                  misra-gries {:10} ns · d1lc {:11} ns · rct {:11} ns",

@@ -266,3 +266,76 @@ fn run_reports_declaration_errors_with_the_file_name() {
     let err = call(&["run", &tmp.path("missing.toml")]).expect_err("missing file");
     assert!(err.contains("missing.toml"), "{err}");
 }
+
+/// A failed `accept` does not end `bichrome serve`. Under `ulimit -n
+/// 32`, 64 held connections fill the daemon's descriptor table; once
+/// they close, the daemon has counted its accept errors and still
+/// answers `ping`, `metrics` and `shutdown`, and exits cleanly.
+#[test]
+fn serve_survives_accept_errors_from_a_full_descriptor_table() {
+    use std::io::{BufRead, BufReader};
+    use std::os::unix::net::UnixStream;
+    use std::process::{Child, Command, Stdio};
+
+    /// Kills the daemon on drop so a failing assertion leaks nothing.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let tmp = TempDir::new("accept");
+    let sock = tmp.path("daemon.sock");
+    let addr = format!("unix:{sock}");
+    let store = tmp.path("store");
+    let mut daemon = Reap(
+        Command::new("sh")
+            .args(["-c", r#"ulimit -n 32 && exec "$0" "$@""#])
+            .args([env!("CARGO_BIN_EXE_bichrome"), "serve", &store])
+            .args(["--addr", &addr])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn daemon"),
+    );
+    // Announced before the accept loop starts. The pipe stays open
+    // until the end so the daemon never writes into a closed one.
+    let mut stderr = BufReader::new(daemon.0.stderr.take().expect("daemon stderr"));
+    let mut line = String::new();
+    stderr
+        .read_line(&mut line)
+        .expect("daemon announces itself");
+    assert!(line.starts_with("daemon listening at "), "{line:?}");
+
+    let flood: Vec<UnixStream> = (0..64)
+        .filter_map(|_| UnixStream::connect(&sock).ok())
+        .collect();
+    // Long enough for the daemon to take connections until its table
+    // is full, and to fail `accept` on the rest.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    drop(flood);
+
+    let answers = (0..100).any(|_| {
+        let ok = call(&["ping", "--addr", &addr]).is_ok();
+        if !ok {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        ok
+    });
+    assert!(answers, "the daemon must still answer after the flood");
+    let metrics = call(&["metrics", "--addr", &addr]).expect("metrics");
+    let accept_errors = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("bichrome_daemon_accept_errors_total: "))
+        .and_then(|n| n.parse::<u64>().ok());
+    assert!(
+        accept_errors.is_some_and(|n| n > 0),
+        "the flood must have failed some accepts: {metrics}"
+    );
+    call(&["shutdown", "--addr", &addr]).expect("shutdown");
+    let status = daemon.0.wait().expect("daemon exit");
+    assert!(status.success(), "daemon exited {status}");
+    drop(stderr);
+}

@@ -1,34 +1,11 @@
-//! Structural graph analysis helpers: traversal, connectivity,
-//! bipartiteness, and degree statistics.
+//! Structural graph analysis helpers: connectivity, bipartiteness,
+//! and degree statistics.
 //!
-//! These back the generators' own tests, the experiment harness's
-//! workload descriptions, and the examples; none of the protocols
-//! depend on them.
+//! The generators' own tests (`gen.rs`) use them to check the graphs
+//! they build; none of the protocols depend on them.
 
-use crate::graph::{Graph, VertexId};
+use crate::graph::Graph;
 use std::collections::VecDeque;
-
-/// Breadth-first search from `start`; returns the distance of every
-/// vertex (`None` for unreachable ones).
-///
-/// # Panics
-///
-/// Panics if `start` is out of range.
-pub fn bfs_distances(g: &Graph, start: VertexId) -> Vec<Option<usize>> {
-    let mut dist = vec![None; g.num_vertices()];
-    dist[start.index()] = Some(0);
-    let mut queue = VecDeque::from([start]);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()].expect("enqueued with a distance");
-        for &u in g.neighbors(v) {
-            if dist[u.index()].is_none() {
-                dist[u.index()] = Some(d + 1);
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
 
 /// Connected components: returns `(component_id per vertex, count)`.
 /// Isolated vertices form their own components.
@@ -118,52 +95,10 @@ pub fn degree_stats(g: &Graph) -> DegreeStats {
     }
 }
 
-/// Histogram of degrees: `hist[d]` = number of vertices of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// The diameter of a connected graph (longest shortest path), or
-/// `None` if disconnected or empty. `O(n·m)` — intended for test-sized
-/// graphs.
-pub fn diameter(g: &Graph) -> Option<usize> {
-    if g.num_vertices() == 0 || !is_connected(g) {
-        return None;
-    }
-    let mut best = 0;
-    for v in g.vertices() {
-        let far = bfs_distances(g, v)
-            .into_iter()
-            .map(|d| d.expect("connected"))
-            .max()
-            .unwrap_or(0);
-        best = best.max(far);
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
-
-    #[test]
-    fn bfs_on_path() {
-        let g = gen::path(5);
-        let d = bfs_distances(&g, VertexId(0));
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3), Some(4)]);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let g = gen::empty(3);
-        let d = bfs_distances(&g, VertexId(1));
-        assert_eq!(d, vec![None, Some(0), None]);
-    }
 
     #[test]
     fn components_count() {
@@ -196,19 +131,7 @@ mod tests {
         assert_eq!(s.min, 1);
         assert_eq!(s.num_max, 1);
         assert!((s.mean - 8.0 / 5.0).abs() < 1e-12);
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 4);
-        assert_eq!(h[4], 1);
         assert_eq!(degree_stats(&gen::empty(0)), DegreeStats::default());
-    }
-
-    #[test]
-    fn diameter_cases() {
-        assert_eq!(diameter(&gen::path(5)), Some(4));
-        assert_eq!(diameter(&gen::cycle(6)), Some(3));
-        assert_eq!(diameter(&gen::complete(4)), Some(1));
-        assert_eq!(diameter(&gen::disjoint_copies(&gen::path(2), 2)), None);
-        assert_eq!(diameter(&gen::empty(0)), None);
     }
 }
 
@@ -253,21 +176,6 @@ mod proptests {
             let s = degree_stats(&g);
             prop_assert_eq!(s.max, g.max_degree());
             prop_assert!(s.min <= s.max);
-            let hist = degree_histogram(&g);
-            prop_assert_eq!(hist.iter().sum::<usize>(), n);
-            prop_assert_eq!(hist[s.max], s.num_max);
-        }
-
-        #[test]
-        fn bfs_distances_are_metric(n in 2usize..25, seed in 0u64..200) {
-            let g = gen::gnp(n, 0.25, seed);
-            let d0 = bfs_distances(&g, VertexId(0));
-            // Distances along edges differ by at most one.
-            for e in g.edges() {
-                if let (Some(du), Some(dv)) = (d0[e.u().index()], d0[e.v().index()]) {
-                    prop_assert!(du.abs_diff(dv) <= 1);
-                }
-            }
         }
     }
 }

@@ -495,27 +495,6 @@ impl EdgeColoring {
         }
         out
     }
-
-    /// Colors in use at edges incident to `v`.
-    pub fn colors_at(&self, g: &Graph, v: VertexId) -> Vec<ColorId> {
-        let mut out = Vec::new();
-        if self.is_indexed_for(g) {
-            for (_, id) in g.incident_edges(v) {
-                if let Some(c) = self.get_id(id) {
-                    out.push(c);
-                }
-            }
-        } else {
-            for &u in g.neighbors(v) {
-                if let Some(c) = self.get(Edge::new(u, v)) {
-                    out.push(c);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// The position of the first entry of the sorted `index` that is not
@@ -623,8 +602,6 @@ pub enum ColoringError {
     IncidentEdges(Edge, Edge, ColorId),
     /// An edge color exceeds the allowed palette.
     EdgePaletteExceeded(Edge, ColorId, usize),
-    /// A vertex color is outside its allowed list (D1LC).
-    ColorNotInList(VertexId, ColorId),
 }
 
 impl fmt::Display for ColoringError {
@@ -643,9 +620,6 @@ impl fmt::Display for ColoringError {
             }
             ColoringError::EdgePaletteExceeded(e, c, k) => {
                 write!(f, "edge {e} has color {c} outside palette of size {k}")
-            }
-            ColoringError::ColorNotInList(v, c) => {
-                write!(f, "vertex {v} has color {c} outside its allowed list")
             }
         }
     }
@@ -712,33 +686,13 @@ pub fn validate_vertex_coloring_with_palette(
     Ok(())
 }
 
-/// Reusable timestamp-marked scratch for the edge-coloring
-/// validators: one "last seen at stamp" slot per color, so checking a
-/// vertex's incident colors for duplicates costs O(deg) with **zero
-/// allocation** — no per-vertex hash map. The buffers persist across
-/// calls; reusing one `ColorMarks` across trials (as the runner's
-/// per-worker scratch does) makes the whole validator pass
-/// allocation-free once the palette has been seen.
-///
-/// # Example
-///
-/// ```
-/// use bichrome_graph::coloring::ColorMarks;
-/// use bichrome_graph::{gen, edge_color::misra_gries};
-///
-/// let mut marks = ColorMarks::new();
-/// for seed in 0..3 {
-///     let g = gen::gnp(30, 0.2, seed);
-///     let c = misra_gries(&g);
-///     // Same verdicts as the free `validate_*` functions, but the
-///     // scratch is reused across all three trials.
-///     assert!(marks
-///         .check_edge_coloring_with_palette(&g, &c, g.max_degree() + 1)
-///         .is_ok());
-/// }
-/// ```
-#[derive(Debug, Default)]
-pub struct ColorMarks {
+/// Timestamp-marked scratch for the edge-coloring validators: one
+/// "last seen at stamp" slot per color, so checking a vertex's
+/// incident colors for duplicates costs O(deg) with no per-vertex
+/// hash map. Each validator call allocates its own, sized by the
+/// largest color it sees.
+#[derive(Default)]
+struct ColorMarks {
     /// `seen_at[c]` = stamp of the vertex at which color `c` was last
     /// observed (0 = never; stamps start at 1).
     seen_at: Vec<u32>,
@@ -753,8 +707,6 @@ pub struct ColorMarks {
     overflow: Vec<(u32, u32)>,
     /// Current vertex stamp.
     stamp: u32,
-    /// Number of internal (re)allocations this scratch has made.
-    allocs: u64,
 }
 
 /// Largest color the scratch tracks densely (one `u32` slot per
@@ -765,18 +717,6 @@ pub struct ColorMarks {
 const DENSE_COLOR_LIMIT: usize = 1 << 20;
 
 impl ColorMarks {
-    /// A fresh scratch. Allocates nothing until a color is observed.
-    pub fn new() -> Self {
-        ColorMarks::default()
-    }
-
-    /// Number of internal (re)allocations this scratch has performed
-    /// so far — a diagnostic counter for tests asserting that a warm
-    /// scratch validates trial after trial with zero heap allocation.
-    pub fn allocations(&self) -> u64 {
-        self.allocs
-    }
-
     /// Starts a new "distinct colors" group (one vertex).
     #[inline]
     fn begin_group(&mut self) {
@@ -820,22 +760,13 @@ impl ColorMarks {
         let len = (color + 1).next_power_of_two().max(64);
         self.seen_at.resize(len, 0);
         self.nbr.resize(len, 0);
-        self.allocs += 1;
     }
 
-    /// Validates that the colored portion of an edge coloring is
-    /// proper, reusing this scratch. Same verdicts (including the
-    /// first violation reported) as
-    /// [`validate_partial_edge_coloring`].
-    ///
-    /// One O(n+m) pass: when `c` is dense over `g`'s edge index the
-    /// inner loop is pure array traffic; otherwise each incident edge
-    /// costs one O(log m) lookup.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first pair of incident edges sharing a color.
-    pub fn check_partial_edge_coloring(
+    /// [`validate_partial_edge_coloring`]'s pass: one O(n+m) sweep.
+    /// When `c` is dense over `g`'s edge index the inner loop is pure
+    /// array traffic; otherwise each incident edge costs one O(log m)
+    /// lookup.
+    fn check_partial_edge_coloring(
         &mut self,
         g: &Graph,
         c: &EdgeColoring,
@@ -864,18 +795,8 @@ impl ColorMarks {
         Ok(())
     }
 
-    /// Validates a *complete, proper* edge coloring of `g`, reusing
-    /// this scratch. Same verdicts as [`validate_edge_coloring`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found: an uncolored edge or two
-    /// incident edges sharing a color.
-    pub fn check_edge_coloring(
-        &mut self,
-        g: &Graph,
-        c: &EdgeColoring,
-    ) -> Result<(), ColoringError> {
+    /// [`validate_edge_coloring`]'s pass.
+    fn check_edge_coloring(&mut self, g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
         if c.is_indexed_for(g) {
             if let Some(i) = c.dense.iter().position(|&slot| slot == UNCOLORED) {
                 return Err(ColoringError::UncoloredEdge(g.edge(EdgeId(i as u32))));
@@ -890,15 +811,8 @@ impl ColorMarks {
         self.check_partial_edge_coloring(g, c)
     }
 
-    /// Validates a complete proper edge coloring confined to the
-    /// palette `{0, ..., palette_size-1}`, reusing this scratch. Same
-    /// verdicts as [`validate_edge_coloring_with_palette`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation: uncolored edge, incident conflict,
-    /// or out-of-palette color.
-    pub fn check_edge_coloring_with_palette(
+    /// [`validate_edge_coloring_with_palette`]'s pass.
+    fn check_edge_coloring_with_palette(
         &mut self,
         g: &Graph,
         c: &EdgeColoring,
@@ -929,36 +843,26 @@ impl ColorMarks {
 
 /// Validates a *complete, proper* edge coloring of `g`.
 ///
-/// Stateless wrapper over [`ColorMarks::check_edge_coloring`]; hot
-/// paths that validate many colorings should hold a `ColorMarks` and
-/// call the method to reuse its buffers.
-///
 /// # Errors
 ///
 /// Returns the first violation found: an uncolored edge or two incident
 /// edges sharing a color.
 pub fn validate_edge_coloring(g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
-    ColorMarks::new().check_edge_coloring(g, c)
+    ColorMarks::default().check_edge_coloring(g, c)
 }
 
 /// Validates that the colored portion of an edge coloring is proper.
-///
-/// Stateless wrapper over
-/// [`ColorMarks::check_partial_edge_coloring`].
 ///
 /// # Errors
 ///
 /// Returns the first pair of incident edges sharing a color.
 pub fn validate_partial_edge_coloring(g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
-    ColorMarks::new().check_partial_edge_coloring(g, c)
+    ColorMarks::default().check_partial_edge_coloring(g, c)
 }
 
 /// Validates a complete proper edge coloring confined to the palette
 /// `{0, ..., palette_size-1}` — e.g. `palette_size = 2Δ−1` for the
 /// paper's edge-coloring problem.
-///
-/// Stateless wrapper over
-/// [`ColorMarks::check_edge_coloring_with_palette`].
 ///
 /// # Errors
 ///
@@ -969,34 +873,7 @@ pub fn validate_edge_coloring_with_palette(
     c: &EdgeColoring,
     palette_size: usize,
 ) -> Result<(), ColoringError> {
-    ColorMarks::new().check_edge_coloring_with_palette(g, c, palette_size)
-}
-
-/// Validates a (degree+1)-list coloring: complete, proper, and every
-/// vertex's color is inside its list.
-///
-/// # Errors
-///
-/// Returns the first violation. `lists[v]` must be sorted or not —
-/// membership is checked by linear scan.
-///
-/// # Panics
-///
-/// Panics if `lists.len() != g.num_vertices()`.
-pub fn validate_list_coloring(
-    g: &Graph,
-    c: &VertexColoring,
-    lists: &[Vec<ColorId>],
-) -> Result<(), ColoringError> {
-    assert_eq!(lists.len(), g.num_vertices(), "one list per vertex");
-    validate_vertex_coloring(g, c)?;
-    for v in g.vertices() {
-        let col = c.get(v).expect("checked complete");
-        if !lists[v.index()].contains(&col) {
-            return Err(ColoringError::ColorNotInList(v, col));
-        }
-    }
-    Ok(())
+    ColorMarks::default().check_edge_coloring_with_palette(g, c, palette_size)
 }
 
 #[cfg(test)]
@@ -1089,7 +966,6 @@ mod tests {
         c.set(e12, ColorId(1));
         assert!(validate_edge_coloring(&g, &c).is_ok());
         assert!(validate_edge_coloring_with_palette(&g, &c, 2).is_ok());
-        assert_eq!(c.colors_at(&g, VertexId(1)), vec![ColorId(0), ColorId(1)]);
         assert_eq!(c.len(), 2);
         assert_eq!(c.max_color(), Some(ColorId(1)));
     }
@@ -1130,26 +1006,6 @@ mod tests {
         let mut same = EdgeColoring::new();
         same.set(e, ColorId(0));
         assert!(a.merge(&same).is_ok());
-    }
-
-    #[test]
-    fn list_coloring_validation() {
-        let g = path3();
-        let mut c = VertexColoring::new(3);
-        c.set(VertexId(0), ColorId(0));
-        c.set(VertexId(1), ColorId(1));
-        c.set(VertexId(2), ColorId(0));
-        let lists = vec![
-            vec![ColorId(0), ColorId(1)],
-            vec![ColorId(1)],
-            vec![ColorId(0)],
-        ];
-        assert!(validate_list_coloring(&g, &c, &lists).is_ok());
-        let bad_lists = vec![vec![ColorId(1)], vec![ColorId(1)], vec![ColorId(0)]];
-        assert_eq!(
-            validate_list_coloring(&g, &c, &bad_lists),
-            Err(ColoringError::ColorNotInList(VertexId(0), ColorId(0)))
-        );
     }
 
     #[test]

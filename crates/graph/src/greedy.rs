@@ -133,46 +133,11 @@ pub fn greedy_edge_coloring_with(
     coloring
 }
 
-/// Greedy list coloring: each vertex gets the first color in its list
-/// not used by an already-colored neighbor.
-///
-/// Succeeds whenever `lists[v].len() >= deg(v) + 1` for all `v`
-/// (the D1LC condition).
-///
-/// # Errors
-///
-/// Returns the first vertex whose list is exhausted.
-///
-/// # Panics
-///
-/// Panics if `lists.len() != g.num_vertices()`.
-pub fn greedy_list_coloring(g: &Graph, lists: &[Vec<ColorId>]) -> Result<VertexColoring, VertexId> {
-    assert_eq!(lists.len(), g.num_vertices(), "one list per vertex");
-    let mut coloring = VertexColoring::new(g.num_vertices());
-    let mut seen: Vec<u32> = Vec::new();
-    for (stamp, v) in g.vertices().enumerate() {
-        let stamp = stamp as u32 + 1;
-        for &u in g.neighbors(v) {
-            if let Some(c) = coloring.get(u) {
-                mark_used(&mut seen, stamp, c);
-            }
-        }
-        let c = lists[v.index()]
-            .iter()
-            .copied()
-            .find(|c| seen.get(c.index()).is_none_or(|&s| s != stamp))
-            .ok_or(v)?;
-        coloring.set(v, c);
-    }
-    Ok(coloring)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coloring::{
-        validate_edge_coloring_with_palette, validate_list_coloring,
-        validate_vertex_coloring_with_palette,
+        validate_edge_coloring_with_palette, validate_vertex_coloring_with_palette,
     };
     use crate::gen;
 
@@ -222,25 +187,6 @@ mod tests {
         // Edge {1,2} must avoid color 5.
         assert_ne!(c.get(Edge::new(VertexId(1), VertexId(2))), Some(ColorId(5)));
         assert!(crate::coloring::validate_edge_coloring(&g, &c).is_ok());
-    }
-
-    #[test]
-    fn greedy_list_coloring_succeeds_on_d1lc() {
-        let g = gen::gnp(40, 0.2, 9);
-        let lists: Vec<Vec<ColorId>> = g
-            .vertices()
-            .map(|v| (0..=g.degree(v) as u32).map(ColorId).collect())
-            .collect();
-        let c = greedy_list_coloring(&g, &lists).expect("D1LC condition holds");
-        assert!(validate_list_coloring(&g, &c, &lists).is_ok());
-    }
-
-    #[test]
-    fn greedy_list_coloring_reports_exhaustion() {
-        let g = gen::complete(3);
-        // Everyone gets the same single color: vertex 1 must fail.
-        let lists = vec![vec![ColorId(0)]; 3];
-        assert_eq!(greedy_list_coloring(&g, &lists), Err(VertexId(1)));
     }
 
     #[test]

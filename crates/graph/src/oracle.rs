@@ -1,8 +1,8 @@
 //! A second, deliberately naive judge of colorings.
 //!
 //! The validators in [`crate::coloring`] are built for speed: they
-//! reuse [`ColorMarks`](crate::coloring::ColorMarks) scratch and walk
-//! dense [`EdgeId`](crate::EdgeId) slots. These functions answer the
+//! mark colors in a per-call timestamp array and walk dense
+//! [`EdgeId`](crate::EdgeId) slots. These functions answer the
 //! same questions with plain loops over the edge list and incidence
 //! lists and nothing else, so tests can hold every engine's output to
 //! two judges that share no code beyond the coloring containers.

@@ -429,30 +429,4 @@ mod tests {
             "two graphs were actually built"
         );
     }
-
-    #[test]
-    fn validator_scratch_is_reused_across_trials() {
-        // Zero per-trial allocation in the validator pass: after a
-        // warm-up run, re-executing the whole queue must not grow the
-        // per-worker ColorMarks scratch at all. Every trial (and
-        // therefore every validation) runs on this thread, so this
-        // thread's scratch counter is the whole story.
-        let queue = shared_column_queue(
-            &[
-                "edge/theorem2",
-                "edge/theorem3-zero-comm",
-                "edge/lemma5.1-bounded",
-            ],
-            0..4,
-        );
-        run_all(&queue, &InstanceCache::new());
-        let warm = crate::scratch::with_scratch(|s| s.marks.allocations());
-        let (records, _) = run_all(&queue, &InstanceCache::new());
-        assert_eq!(records.len(), 12);
-        let after = crate::scratch::with_scratch(|s| s.marks.allocations());
-        assert_eq!(
-            after, warm,
-            "a warm worker scratch must validate trial after trial without allocating"
-        );
-    }
 }

@@ -77,7 +77,6 @@ pub mod plan;
 pub mod probes;
 pub mod protocol;
 pub mod registry;
-mod scratch;
 pub mod seeds;
 pub mod table;
 pub mod toml;

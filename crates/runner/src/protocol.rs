@@ -5,9 +5,9 @@
 //! per-protocol plumbing.
 
 use crate::instance::Instance;
-use crate::scratch::with_scratch;
 use bichrome_comm::CommStats;
 use bichrome_graph::coloring::{
+    validate_edge_coloring, validate_edge_coloring_with_palette,
     validate_vertex_coloring_with_palette, EdgeColoring, VertexColoring,
 };
 use bichrome_graph::Graph;
@@ -94,11 +94,6 @@ impl Outcome {
 
     /// A validated edge-coloring outcome; `budget = None` checks
     /// properness only.
-    ///
-    /// Validation runs through the per-worker scratch
-    /// ([`ColorMarks`](bichrome_graph::coloring::ColorMarks) behind a
-    /// thread-local), so repeated trials on one worker validate with
-    /// zero per-trial allocation.
     pub fn edge(
         g: &Graph,
         coloring: EdgeColoring,
@@ -107,10 +102,10 @@ impl Outcome {
     ) -> Self {
         let result = {
             let _validate_span = bichrome_obs::span("trial/validate");
-            with_scratch(|s| match budget {
-                Some(b) => s.marks.check_edge_coloring_with_palette(g, &coloring, b),
-                None => s.marks.check_edge_coloring(g, &coloring),
-            })
+            match budget {
+                Some(b) => validate_edge_coloring_with_palette(g, &coloring, b),
+                None => validate_edge_coloring(g, &coloring),
+            }
         };
         let verdict = match result {
             Ok(()) => Verdict::Valid,

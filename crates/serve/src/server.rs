@@ -13,7 +13,8 @@
 //!   `(spec, seed)` graph, it is built exactly once, *across* jobs,
 //!   not once per job as `Campaign::run` would;
 //! * a fixed pool of worker threads feeding off one FIFO of
-//!   `Task`s (`(job, pending-trial-index)` pairs).
+//!   `Task`s (`(job, pending-trial-index)` pairs), shared with the
+//!   remote workers' leases.
 //!
 //! `submit` parses an inline campaign declaration, consults the store
 //! ([`Campaign::prepare`](bichrome_runner::Campaign::prepare)) and
@@ -21,6 +22,16 @@
 //! warm submission finalizes immediately with `computed 0 trials`.
 //! Jobs finish when their last task commits — whichever worker that
 //! is runs the aggregation and wakes the job's watchers.
+//!
+//! # Scheduling
+//!
+//! The job table, the task queue, the leases, the unfinished-job
+//! count and the drain flags sit behind one mutex, and one condition
+//! variable wakes every waiter (pool threads, held leases, the
+//! reaper, `shutdown`) to re-check its own condition under it, so no
+//! wake-up falls between a check and its wait. `submit` counts a job
+//! under the lock `shutdown` drains on: a submission racing shutdown
+//! is refused or drained. Local and remote trials end in one `settle`.
 //!
 //! # Durability
 //!
@@ -42,9 +53,10 @@ use bichrome_store::json;
 use bichrome_store::{Store, StoreConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -102,6 +114,10 @@ const DRAINING_MSG: &str = "daemon is shutting down";
 /// died while held notice within that second.
 const LEASE_HOLD: Duration = Duration::from_secs(1);
 
+/// The accept loop's pause after a failed `accept` (a full descriptor
+/// table, say), so that a lasting failure does not spin a core.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(5);
+
 /// One schedulable unit: pending trial `idx` of `job`.
 struct Task {
     job: Arc<Job>,
@@ -134,12 +150,40 @@ struct Lease {
 
 /// What a `lease` request found on the queue.
 enum Pop {
-    /// A trial to hand out.
-    Task(Task),
-    /// Nothing arrived within the hold, or the daemon is draining.
-    Empty,
+    /// A trial, leased out under this token.
+    Leased(u64, Task),
+    /// Nothing queued: `stop` once the daemon is draining, otherwise
+    /// nothing arrived within the hold.
+    Empty { stop: bool },
     /// The worker of a held lease hung up; the queue is untouched.
     PeerGone,
+}
+
+/// The scheduling state behind `Daemon::sched` (see the module docs).
+#[derive(Default)]
+struct Sched {
+    /// Every job ever submitted; none leaves, so ids count up from 1.
+    jobs: BTreeMap<u64, Arc<Job>>,
+    /// The one FIFO the local pool and remote leases both pull from.
+    queue: VecDeque<Task>,
+    /// Outstanding remote-worker leases by token. A `complete` must
+    /// find its token here to commit; the reaper removes expired
+    /// entries and re-queues their tasks, which is what makes the
+    /// remove an exactly-once retirement arbiter — whichever of
+    /// {completion, expiry} takes the token owns the trial.
+    leases: HashMap<u64, Lease>,
+    /// Leases issued so far; also the newest lease's token.
+    leases_issued: u64,
+    leases_completed: u64,
+    leases_expired: u64,
+    /// `lease` requests waiting on an empty queue right now.
+    leases_held: u64,
+    /// Jobs submitted but not yet finalized.
+    unfinished: usize,
+    /// Set by `shutdown`: refuse new submissions.
+    draining: bool,
+    /// Set after the drain: the pool and the reaper exit.
+    stopping: bool,
 }
 
 /// Terminal and non-terminal job states.
@@ -260,38 +304,17 @@ impl Job {
 pub struct Daemon {
     store: Arc<Mutex<Store>>,
     cache: InstanceCache,
-    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
-    next_job: AtomicU64,
-    queue: Mutex<VecDeque<Task>>,
-    queue_cv: Condvar,
-    /// Jobs submitted but not yet finalized.
-    active: Mutex<usize>,
-    idle_cv: Condvar,
-    /// Set by `shutdown`: refuse new submissions.
-    draining: AtomicBool,
-    /// Set after the drain: workers exit once the queue empties.
-    stopping: AtomicBool,
+    sched: Mutex<Sched>,
+    /// Notified whenever `sched` changes in a way someone may be
+    /// waiting for: work queued, a job finalized, draining or
+    /// stopping set. Every waiter re-checks its own condition.
+    wake: Condvar,
     /// Set once the shutdown response is on the wire: the accept
     /// loop's cue to exit on its next (self-)connection.
     done_serving: AtomicBool,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Outstanding remote-worker leases by token. A `complete` must
-    /// find its token here to commit; the reaper removes expired
-    /// entries and re-queues their tasks, which is what makes the
-    /// remove an exactly-once retirement arbiter — whichever of
-    /// {completion, expiry} takes the token owns the trial.
-    leases: Mutex<HashMap<u64, Lease>>,
-    next_lease: AtomicU64,
     lease_timeout: Duration,
     io_timeout: Duration,
-    /// The reaper parks on this between scans; shutdown pokes it.
-    reaper_mx: Mutex<()>,
-    reaper_cv: Condvar,
-    leases_issued: AtomicU64,
-    leases_completed: AtomicU64,
-    leases_expired: AtomicU64,
-    /// `lease` requests waiting on an empty queue right now.
-    leases_held: AtomicU64,
 }
 
 impl Daemon {
@@ -308,26 +331,12 @@ impl Daemon {
         let daemon = Arc::new(Daemon {
             store: Arc::new(Mutex::new(store)),
             cache: InstanceCache::new(),
-            jobs: Mutex::new(BTreeMap::new()),
-            next_job: AtomicU64::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            active: Mutex::new(0),
-            idle_cv: Condvar::new(),
-            draining: AtomicBool::new(false),
-            stopping: AtomicBool::new(false),
+            sched: Mutex::new(Sched::default()),
+            wake: Condvar::new(),
             done_serving: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
-            leases: Mutex::new(HashMap::new()),
-            next_lease: AtomicU64::new(0),
             lease_timeout: config.lease_timeout,
             io_timeout: config.io_timeout,
-            reaper_mx: Mutex::new(()),
-            reaper_cv: Condvar::new(),
-            leases_issued: AtomicU64::new(0),
-            leases_completed: AtomicU64::new(0),
-            leases_expired: AtomicU64::new(0),
-            leases_held: AtomicU64::new(0),
         });
         let n = match (config.local_pool, config.workers) {
             (false, _) => 0,
@@ -337,14 +346,32 @@ impl Daemon {
         let mut handles = daemon.workers.lock().expect("workers poisoned");
         for _ in 0..n {
             let d = Arc::clone(&daemon);
-            handles.push(thread::spawn(move || d.worker_loop()));
+            handles.push(thread::spawn(move || {
+                while let Some(task) = d.next_task() {
+                    bichrome_obs::histogram("bichrome_task_queue_nanos")
+                        .observe(task.enqueued.elapsed().as_nanos() as u64);
+                    // A panicking protocol poisons only its own job,
+                    // not the daemon: the job turns `failed` and its
+                    // queue drains.
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        task.job.prepared.run_pending(task.idx, &d.cache)
+                    }))
+                    .map_err(|panic| panic_message(panic.as_ref()));
+                    let _ = d.settle(&task.job, task.idx, result, false);
+                }
+            }));
         }
         // The lease reaper runs even (especially) without a local
         // pool: a dead worker's trials must come back to the queue.
         let d = Arc::clone(&daemon);
-        handles.push(thread::spawn(move || d.reaper_loop()));
+        handles.push(thread::spawn(move || d.reap()));
         drop(handles);
         Ok(daemon)
+    }
+
+    /// The scheduler lock.
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().expect("scheduler poisoned")
     }
 
     /// Submits an inline campaign declaration (TOML text). The file's
@@ -357,7 +384,7 @@ impl Daemon {
     /// Rejects malformed declarations and submissions during
     /// shutdown.
     pub fn submit(&self, campaign_toml: &str) -> Result<u64, String> {
-        if self.draining.load(Ordering::SeqCst) {
+        if self.sched().draining {
             return Err(DRAINING_MSG.to_string());
         }
         let file = CampaignFile::parse(campaign_toml)?;
@@ -366,8 +393,14 @@ impl Daemon {
             .with_shared_store(Arc::clone(&self.store))
             .prepare()
             .map_err(|e| format!("store: {e}"))?;
-        let id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
         let pending = prepared.pending();
+        // Refused or counted under the lock `shutdown` drains on: a
+        // job accepted here is one `shutdown` waits for.
+        let mut s = self.sched();
+        if s.draining {
+            return Err(DRAINING_MSG.to_string());
+        }
+        let id = s.jobs.len() as u64 + 1;
         let job = Arc::new(Job {
             id,
             prepared,
@@ -379,31 +412,36 @@ impl Daemon {
                 watchers: Vec::new(),
             }),
         });
-        self.jobs
-            .lock()
-            .expect("jobs poisoned")
-            .insert(id, Arc::clone(&job));
-        *self.active.lock().expect("active poisoned") += 1;
+        s.jobs.insert(id, Arc::clone(&job));
+        s.unfinished += 1;
+        s.queue
+            .extend((0..pending).map(|idx| Task::new(Arc::clone(&job), idx)));
+        drop(s);
         if pending == 0 {
             self.finalize(&job);
         } else {
-            let mut q = self.queue.lock().expect("queue poisoned");
-            for idx in 0..pending {
-                q.push_back(Task::new(Arc::clone(&job), idx));
-            }
-            drop(q);
-            self.queue_cv.notify_all();
+            self.wake.notify_all();
         }
         Ok(id)
     }
 
     fn job(&self, id: u64) -> Result<Arc<Job>, String> {
-        self.jobs
-            .lock()
-            .expect("jobs poisoned")
+        self.sched()
+            .jobs
             .get(&id)
             .cloned()
             .ok_or(format!("no such job {id}"))
+    }
+
+    /// A `done` job with its report and worker-time stats.
+    fn finished(&self, id: u64) -> Result<(Arc<Job>, CampaignReport, ExecStats), String> {
+        let job = self.job(id)?;
+        let done = match &job.inner.lock().expect("job poisoned").state {
+            JobState::Done(report, stats) => Ok(((**report).clone(), *stats)),
+            other => Err(format!("job {id} is {}, not done", other.label())),
+        };
+        let (report, stats) = done?;
+        Ok((job, report, stats))
     }
 
     /// One status snapshot line for `job`.
@@ -417,8 +455,8 @@ impl Daemon {
 
     /// `{"ok":true,"jobs":[...]}` — every job, oldest first.
     pub fn jobs_line(&self) -> String {
-        let jobs = self.jobs.lock().expect("jobs poisoned");
-        let items: Vec<String> = jobs.values().map(|j| j.status_line()).collect();
+        let jobs: Vec<Arc<Job>> = self.sched().jobs.values().cloned().collect();
+        let items: Vec<String> = jobs.iter().map(|j| j.status_line()).collect();
         let mut w = json::Writer::object();
         w.field_bool("ok", true);
         w.field_raw("jobs", &format!("[{}]", items.join(",")));
@@ -487,19 +525,10 @@ impl Daemon {
         };
         match job {
             Some(id) => {
-                let job = self.job(id)?;
-                let inner = job.inner.lock().expect("job poisoned");
-                match &inner.state {
-                    JobState::Done(report, stats) => Ok(render(
-                        report,
-                        Some(format!(
-                            "{} · {:.3}s worker time",
-                            job.summary_phrase(),
-                            stats.run_nanos as f64 / 1e9
-                        )),
-                    )),
-                    other => Err(format!("job {id} is {}, not done", other.label())),
-                }
+                let (job, report, stats) = self.finished(id)?;
+                let worker_s = stats.run_nanos as f64 / 1e9;
+                let trailer = format!("{} · {worker_s:.3}s worker time", job.summary_phrase());
+                Ok(render(&report, Some(trailer)))
             }
             None => {
                 let store = self.store.lock().expect("store poisoned");
@@ -515,15 +544,7 @@ impl Daemon {
     ///
     /// Unknown / unfinished job ids.
     pub fn diff(&self, a: u64, b: u64) -> Result<String, String> {
-        let report_of = |id: u64| -> Result<Box<CampaignReport>, String> {
-            let job = self.job(id)?;
-            let inner = job.inner.lock().expect("job poisoned");
-            match &inner.state {
-                JobState::Done(report, _) => Ok(report.clone()),
-                other => Err(format!("job {id} is {}, not done", other.label())),
-            }
-        };
-        let (ra, rb) = (report_of(a)?, report_of(b)?);
+        let ((_, ra, _), (_, rb, _)) = (self.finished(a)?, self.finished(b)?);
         Ok(diff_reports(
             &ra,
             &rb,
@@ -546,16 +567,14 @@ impl Daemon {
             let store = self.store.lock().expect("store poisoned");
             (store.len() as u64, store.dead_records() as u64)
         };
-        let (outstanding, ages) = {
-            let leases = self.leases.lock().expect("leases poisoned");
-            let now = Instant::now();
-            let mut ages: Vec<u64> = leases
-                .values()
-                .map(|l| now.saturating_duration_since(l.issued).as_nanos() as u64)
-                .collect();
-            ages.sort_unstable();
-            (leases.len() as u64, ages)
-        };
+        let s = self.sched();
+        let now = Instant::now();
+        let mut ages: Vec<u64> = s
+            .leases
+            .values()
+            .map(|l| now.saturating_duration_since(l.issued).as_nanos() as u64)
+            .collect();
+        ages.sort_unstable();
         // Nearest-rank over the *currently outstanding* leases — how
         // long today's in-flight work has been out, exactly (the
         // histograms below cover completed lifecycles, to within a
@@ -576,20 +595,15 @@ impl Daemon {
         w.field_u64("graphs_built", cs.graphs_built);
         w.field_u64("partitions_requested", cs.partitions_requested);
         w.field_u64("partitions_built", cs.partitions_built);
-        w.field_u64(
-            "jobs",
-            self.jobs.lock().expect("jobs poisoned").len() as u64,
-        );
+        w.field_u64("jobs", s.jobs.len() as u64);
         w.field_u64("records", records);
         w.field_u64("dead_records", dead);
-        w.field_u64("leases_outstanding", outstanding);
-        w.field_u64("leases_issued", self.leases_issued.load(Ordering::SeqCst));
-        w.field_u64(
-            "leases_completed",
-            self.leases_completed.load(Ordering::SeqCst),
-        );
-        w.field_u64("leases_expired", self.leases_expired.load(Ordering::SeqCst));
-        w.field_u64("leases_held", self.leases_held.load(Ordering::SeqCst));
+        w.field_u64("leases_outstanding", s.leases.len() as u64);
+        w.field_u64("leases_issued", s.leases_issued);
+        w.field_u64("leases_completed", s.leases_completed);
+        w.field_u64("leases_expired", s.leases_expired);
+        w.field_u64("leases_held", s.leases_held);
+        drop(s);
         // The chaos ledger: how often trials bounced back to the
         // queue, how many late answers were dropped, and how hard the
         // worker fleet had to fight to stay connected.
@@ -639,27 +653,16 @@ impl Daemon {
     ///
     /// Propagates the checkpoint failure as its rendered message.
     pub fn shutdown(&self) -> Result<(), String> {
-        self.draining.store(true, Ordering::SeqCst);
-        // Held leases answer `stop` now if the queue is empty. Taking
-        // the queue lock first means no held lease is between its
-        // `draining` check and its wait, where the wake-up would be
-        // lost.
-        drop(self.queue.lock().expect("queue poisoned"));
-        self.queue_cv.notify_all();
-        let mut active = self.active.lock().expect("active poisoned");
-        while *active > 0 {
-            active = self.idle_cv.wait(active).expect("active poisoned");
+        let mut s = self.sched();
+        s.draining = true;
+        // Held leases answer `stop` now if the queue is empty.
+        self.wake.notify_all();
+        while s.unfinished > 0 {
+            s = self.wake.wait(s).expect("scheduler poisoned");
         }
-        drop(active);
-        // The same for the pool and the reaper: with each one's lock
-        // taken after the store, no worker or reaper is between its
-        // `stopping` check and its wait. A worker's wait has no
-        // timeout, so a lost wake-up would hang the join below.
-        self.stopping.store(true, Ordering::SeqCst);
-        drop(self.queue.lock().expect("queue poisoned"));
-        self.queue_cv.notify_all();
-        drop(self.reaper_mx.lock().expect("reaper poisoned"));
-        self.reaper_cv.notify_all();
+        s.stopping = true;
+        drop(s);
+        self.wake.notify_all();
         let handles = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
         for h in handles {
             let _ = h.join();
@@ -671,51 +674,69 @@ impl Daemon {
             .map_err(|e| format!("store checkpoint: {e}"))
     }
 
-    // ----- the worker pool ------------------------------------------------
+    // ----- scheduling -----------------------------------------------------
 
-    fn worker_loop(&self) {
-        loop {
-            let task = {
-                let mut q = self.queue.lock().expect("queue poisoned");
-                loop {
-                    if let Some(t) = q.pop_front() {
-                        break Some(t);
-                    }
-                    if self.stopping.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    q = self.queue_cv.wait(q).expect("queue poisoned");
-                }
-            };
-            match task {
-                Some(task) => self.process(task),
-                None => return,
+    /// Pops the first queued task of a live job. A cancelled job's
+    /// tasks retire as no-ops on the way past, unlocked, since the
+    /// last retirement finalizes the job.
+    fn pop_live<'a>(
+        &'a self,
+        mut s: MutexGuard<'a, Sched>,
+    ) -> (MutexGuard<'a, Sched>, Option<Task>) {
+        while let Some(task) = s.queue.pop_front() {
+            if !task.job.cancel.load(Ordering::SeqCst) {
+                return (s, Some(task));
             }
+            drop(s);
+            self.retire(&task.job);
+            s = self.sched();
+        }
+        (s, None)
+    }
+
+    /// The next task for a pool thread, waiting while the queue is
+    /// empty; `None` once the daemon is stopping and the queue is
+    /// drained.
+    fn next_task(&self) -> Option<Task> {
+        let mut s = self.sched();
+        loop {
+            let task;
+            (s, task) = self.pop_live(s);
+            if task.is_some() || s.stopping {
+                return task;
+            }
+            s = self.wake.wait(s).expect("scheduler poisoned");
         }
     }
 
-    fn process(&self, task: Task) {
-        bichrome_obs::histogram("bichrome_task_queue_nanos")
-            .observe(task.enqueued.elapsed().as_nanos() as u64);
-        let job = &task.job;
-        if !job.cancel.load(Ordering::SeqCst) {
-            // A panicking protocol poisons only its own job, not the
-            // daemon: the job turns `failed` and its queue drains.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                job.prepared.run_pending(task.idx, &self.cache)
-            }));
-            match outcome {
-                Ok(record) => match job.prepared.commit(task.idx, record) {
-                    Ok(()) => {
-                        let done = job.computed.fetch_add(1, Ordering::SeqCst) + 1;
-                        job.emit_trial(task.idx, done);
-                    }
-                    Err(e) => job.fail(format!("store append: {e}")),
-                },
-                Err(panic) => job.fail(panic_message(panic.as_ref())),
+    /// Ends pending trial `idx` of `job`, wherever it ran: commits its
+    /// record or fails the job with the error, then retires the trial.
+    /// A `leased` record counts as a completed lease before the job
+    /// can finalize, so whoever sees the job end sees the count.
+    fn settle(
+        &self,
+        job: &Arc<Job>,
+        idx: usize,
+        result: Result<TrialRecord, String>,
+        leased: bool,
+    ) -> Result<(), String> {
+        let settled = result.and_then(|record| {
+            job.prepared
+                .commit(idx, record)
+                .map_err(|e| format!("store append: {e}"))
+        });
+        match &settled {
+            Ok(()) => {
+                let done = job.computed.fetch_add(1, Ordering::SeqCst) + 1;
+                job.emit_trial(idx, done);
+                if leased {
+                    self.sched().leases_completed += 1;
+                }
             }
+            Err(msg) => job.fail(msg.clone()),
         }
         self.retire(job);
+        settled
     }
 
     /// Retires one pending trial of `job` — the last retirement (by
@@ -747,53 +768,62 @@ impl Daemon {
         // Job boundaries are durability boundaries: whatever the
         // group-flush batching left buffered lands now.
         let _ = self.store.lock().expect("store poisoned").flush();
-        let mut active = self.active.lock().expect("active poisoned");
-        *active -= 1;
-        drop(active);
-        self.idle_cv.notify_all();
+        self.sched().unfinished -= 1;
+        self.wake.notify_all();
     }
 
     // ----- remote workers: lease / complete / reaper ----------------------
 
-    /// Pops the next task for a `lease`, waiting up to [`LEASE_HOLD`]
-    /// while the queue is empty. Cancelled jobs' queued tasks retire
-    /// as no-ops on the way past, exactly as the local pool would have
-    /// drained them. A lease that had to wait asks `peer_alive` before
-    /// it takes a task: a worker that hung up while held must not
-    /// strand a trial until its lease expires.
+    /// Pops the next task for a `lease` and files its lease, waiting
+    /// up to [`LEASE_HOLD`] while the queue is empty. A lease that had
+    /// to wait asks `peer_alive` before it takes a task: a worker that
+    /// hung up while held must not strand a trial until its lease
+    /// expires.
     fn await_task(&self, peer_alive: &mut dyn FnMut() -> bool) -> Pop {
         let deadline = Instant::now() + LEASE_HOLD;
         let mut held = false;
-        let mut q = self.queue.lock().expect("queue poisoned");
+        let mut s = self.sched();
         let pop = loop {
-            match q.front() {
-                Some(t) if t.job.cancel.load(Ordering::SeqCst) => {
-                    let t = q.pop_front().expect("front exists");
-                    drop(q);
-                    self.retire(&t.job);
-                    q = self.queue.lock().expect("queue poisoned");
+            let task;
+            (s, task) = self.pop_live(s);
+            match task {
+                Some(task) if held && !peer_alive() => {
+                    s.queue.push_front(task);
+                    break Pop::PeerGone;
                 }
-                Some(_) if held && !peer_alive() => break Pop::PeerGone,
-                Some(_) => break Pop::Task(q.pop_front().expect("front exists")),
+                Some(task) => {
+                    s.leases_issued += 1;
+                    let token = s.leases_issued;
+                    let now = Instant::now();
+                    let lease = Lease {
+                        job: Arc::clone(&task.job),
+                        idx: task.idx,
+                        deadline: now + self.lease_timeout,
+                        issued: now,
+                    };
+                    s.leases.insert(token, lease);
+                    break Pop::Leased(token, task);
+                }
+                None if s.draining => break Pop::Empty { stop: true },
                 None => {
                     let now = Instant::now();
-                    if self.draining.load(Ordering::SeqCst) || now >= deadline {
-                        break Pop::Empty;
+                    if now >= deadline {
+                        break Pop::Empty { stop: false };
                     }
                     if !held {
                         held = true;
-                        self.leases_held.fetch_add(1, Ordering::SeqCst);
+                        s.leases_held += 1;
                     }
-                    q = self
-                        .queue_cv
-                        .wait_timeout(q, deadline - now)
-                        .expect("queue poisoned")
+                    s = self
+                        .wake
+                        .wait_timeout(s, deadline - now)
+                        .expect("scheduler poisoned")
                         .0;
                 }
             }
         };
         if held {
-            self.leases_held.fetch_sub(1, Ordering::SeqCst);
+            s.leases_held -= 1;
         }
         pop
     }
@@ -804,21 +834,14 @@ impl Daemon {
     /// the daemon is draining *and* the queue is empty (the worker's
     /// cue to exit). Queued trials are still handed out during a drain
     /// — with no local pool they are the only way the drain can
-    /// finish.
+    /// finish. `None` when the worker hung up while its lease was
+    /// held, so the connection should close.
     ///
     /// `reconnects` / `backoff_ns` are the worker's piggybacked
     /// self-healing telemetry (outages survived and backoff slept
     /// since its last accepted request); the daemon folds them into
     /// the process registry so `bichrome stats` sees the whole
     /// fleet's reconnect behaviour.
-    pub fn lease_line(&self, reconnects: u64, backoff_ns: u64) -> String {
-        self.lease_reply(reconnects, backoff_ns, &mut || true)
-            .expect("an in-process caller never hangs up")
-    }
-
-    /// [`Daemon::lease_line`] for a socket peer: `None` when the
-    /// worker hung up while its lease was held, so the connection
-    /// should close.
     fn lease_reply(
         &self,
         reconnects: u64,
@@ -831,21 +854,11 @@ impl Daemon {
         if backoff_ns > 0 {
             bichrome_obs::histogram("bichrome_worker_backoff_nanos").observe(backoff_ns);
         }
-        let task = match self.await_task(peer_alive) {
-            Pop::Task(task) => task,
+        let (token, task) = match self.await_task(peer_alive) {
+            Pop::Leased(token, task) => (token, task),
             Pop::PeerGone => return None,
-            Pop::Empty => {
-                let mut w = json::Writer::object();
-                w.field_bool("ok", true);
-                if self.draining.load(Ordering::SeqCst) {
-                    w.field_bool("stop", true);
-                } else {
-                    w.field_bool("idle", true);
-                }
-                return Some(w.finish());
-            }
+            Pop::Empty { stop } => return Some(ok_with(if stop { "stop" } else { "idle" }, true)),
         };
-        let token = self.next_lease.fetch_add(1, Ordering::SeqCst) + 1;
         bichrome_obs::histogram("bichrome_lease_queue_nanos")
             .observe(task.enqueued.elapsed().as_nanos() as u64);
         let key = task.job.prepared.pending_key(task.idx);
@@ -866,18 +879,7 @@ impl Daemon {
         if !fault.is_noop() {
             w.field_str("fault", &fault.to_string());
         }
-        let line = w.finish();
-        self.leases.lock().expect("leases poisoned").insert(
-            token,
-            Lease {
-                job: task.job,
-                idx: task.idx,
-                deadline: Instant::now() + self.lease_timeout,
-                issued: Instant::now(),
-            },
-        );
-        self.leases_issued.fetch_add(1, Ordering::SeqCst);
-        Some(line)
+        Some(w.finish())
     }
 
     /// Accepts a leased trial's computed record. The token removal is
@@ -887,113 +889,73 @@ impl Daemon {
     /// record that does not decode (or answers the wrong trial) sends
     /// the trial back to the queue and reports the error.
     pub fn complete_line(&self, token: u64, record_json: &str) -> String {
-        let lease = self.leases.lock().expect("leases poisoned").remove(&token);
+        let lease = self.sched().leases.remove(&token);
         let Some(lease) = lease else {
             // A worker presumed dead limped back with its answer
             // after the reaper re-queued its trial: the bit-identical
             // replacement is (or will be) committed by someone else.
             bichrome_obs::counter("bichrome_completes_discarded_total").inc();
-            let mut w = json::Writer::object();
-            w.field_bool("ok", true);
-            w.field_bool("accepted", false);
-            return w.finish();
+            return ok_with("accepted", false);
         };
         bichrome_obs::histogram("bichrome_lease_service_nanos")
             .observe(lease.issued.elapsed().as_nanos() as u64);
-        let job = lease.job;
+        let (job, idx) = (lease.job, lease.idx);
         if job.cancel.load(Ordering::SeqCst) {
             // Mirrors the local pool on a cancelled job: the result is
             // dropped, the task retires.
             self.retire(&job);
-            let mut w = json::Writer::object();
-            w.field_bool("ok", true);
-            w.field_bool("accepted", false);
-            return w.finish();
+            return ok_with("accepted", false);
         }
-        let leased_seed = job.prepared.pending_key(lease.idx).seed;
-        let requeue = |job: Arc<Job>, msg: String| -> String {
-            bichrome_obs::counter("bichrome_lease_requeues_total").inc();
-            let mut q = self.queue.lock().expect("queue poisoned");
-            q.push_back(Task::new(job, lease.idx));
-            drop(q);
-            self.queue_cv.notify_all();
-            error_line(&format!("{msg} — trial re-queued"))
-        };
-        let record = match TrialRecord::from_json(record_json) {
-            Ok(r) => r,
-            Err(e) => return requeue(job, format!("bad record: {e}")),
-        };
-        if record.seed != leased_seed {
-            return requeue(
-                job,
-                format!(
-                    "record answers seed {}, lease is seed {leased_seed}",
-                    record.seed
-                ),
-            );
-        }
-        match job.prepared.commit(lease.idx, record) {
-            Ok(()) => {
-                let done = job.computed.fetch_add(1, Ordering::SeqCst) + 1;
-                job.emit_trial(lease.idx, done);
-                self.leases_completed.fetch_add(1, Ordering::SeqCst);
-                self.retire(&job);
-                let mut w = json::Writer::object();
-                w.field_bool("ok", true);
-                w.field_bool("accepted", true);
-                w.finish()
-            }
-            Err(e) => {
-                let msg = format!("store append: {e}");
-                job.fail(msg.clone());
-                self.retire(&job);
-                error_line(&msg)
+        let leased_seed = job.prepared.pending_key(idx).seed;
+        let record = TrialRecord::from_json(record_json)
+            .map_err(|e| format!("bad record: {e}"))
+            .and_then(|r| match r.seed {
+                seed if seed == leased_seed => Ok(r),
+                seed => Err(format!(
+                    "record answers seed {seed}, lease is seed {leased_seed}"
+                )),
+            });
+        match record {
+            Ok(record) => match self.settle(&job, idx, Ok(record), true) {
+                Ok(()) => ok_with("accepted", true),
+                Err(msg) => error_line(&msg),
+            },
+            Err(msg) => {
+                bichrome_obs::counter("bichrome_lease_requeues_total").inc();
+                self.sched().queue.push_back(Task::new(job, idx));
+                self.wake.notify_all();
+                error_line(&format!("{msg} — trial re-queued"))
             }
         }
     }
 
-    /// Scans for expired leases every quarter-timeout and sends their
-    /// trials back to the queue; `shutdown` pokes `reaper_cv` so the
-    /// thread exits promptly.
-    fn reaper_loop(&self) {
+    /// Sends the trials of expired leases back to the queue, checking
+    /// every quarter-timeout (and on every wake) until the daemon
+    /// stops.
+    fn reap(&self) {
         let tick = std::cmp::max(self.lease_timeout / 4, Duration::from_millis(10));
-        let mut guard = self.reaper_mx.lock().expect("reaper poisoned");
-        while !self.stopping.load(Ordering::SeqCst) {
-            guard = self
-                .reaper_cv
-                .wait_timeout(guard, tick)
-                .expect("reaper poisoned")
+        let mut s = self.sched();
+        while !s.stopping {
+            s = self
+                .wake
+                .wait_timeout(s, tick)
+                .expect("scheduler poisoned")
                 .0;
-            self.reap_expired();
+            let now = Instant::now();
+            let Sched { leases, queue, .. } = &mut *s;
+            let queued = queue.len();
+            queue.extend(
+                leases
+                    .extract_if(|_, l| l.deadline <= now)
+                    .map(|(_, l)| Task::new(l.job, l.idx)),
+            );
+            let expired = (queue.len() - queued) as u64;
+            if expired > 0 {
+                s.leases_expired += expired;
+                bichrome_obs::counter("bichrome_lease_requeues_total").add(expired);
+                self.wake.notify_all();
+            }
         }
-    }
-
-    fn reap_expired(&self) {
-        let now = Instant::now();
-        let expired: Vec<Lease> = {
-            let mut leases = self.leases.lock().expect("leases poisoned");
-            let tokens: Vec<u64> = leases
-                .iter()
-                .filter(|(_, l)| l.deadline <= now)
-                .map(|(&t, _)| t)
-                .collect();
-            tokens
-                .into_iter()
-                .map(|t| leases.remove(&t).expect("token just listed"))
-                .collect()
-        };
-        if expired.is_empty() {
-            return;
-        }
-        self.leases_expired
-            .fetch_add(expired.len() as u64, Ordering::SeqCst);
-        bichrome_obs::counter("bichrome_lease_requeues_total").add(expired.len() as u64);
-        let mut q = self.queue.lock().expect("queue poisoned");
-        for l in expired {
-            q.push_back(Task::new(l.job, l.idx));
-        }
-        drop(q);
-        self.queue_cv.notify_all();
     }
 
     // ----- the socket front-end -------------------------------------------
@@ -1005,16 +967,26 @@ impl Daemon {
     /// remote worker keeps one connection for its `lease` and
     /// `complete` requests.
     ///
+    /// A failed `accept` (a full file-descriptor table, say) is counted
+    /// in `bichrome_daemon_accept_errors_total`, and the loop pauses
+    /// 5 ms and accepts again.
+    ///
     /// # Errors
     ///
-    /// Propagates accept failures.
+    /// None: accept failures are survived, and the loop returns
+    /// `Ok` once `shutdown` has completed.
     pub fn serve(self: &Arc<Self>, listener: Listener) -> io::Result<()> {
         let addr = listener.local_addr();
         loop {
-            let conn = listener.accept()?;
+            let accepted = listener.accept();
             if self.done_serving.load(Ordering::SeqCst) {
                 return Ok(());
             }
+            let Ok(conn) = accepted else {
+                bichrome_obs::counter("bichrome_daemon_accept_errors_total").inc();
+                thread::sleep(ACCEPT_PAUSE);
+                continue;
+            };
             // Bound every accepted connection's blocking reads and
             // writes: a client that dials in and goes silent (or a
             // connection severed without a FIN) must not pin this
@@ -1069,6 +1041,15 @@ impl Daemon {
         let reply = |writer: &mut Stream, line: &str| {
             let _ = write_line(writer, line);
         };
+        let or_error = |r: Result<String, String>| r.unwrap_or_else(|e| error_line(&e));
+        let output = |r: Result<String, String>| {
+            or_error(r.map(|output| {
+                let mut w = json::Writer::object();
+                w.field_bool("ok", true);
+                w.field_str("output", &output);
+                w.finish()
+            }))
+        };
         let req = match Request::parse(line) {
             Ok(req) => req,
             Err(e) => {
@@ -1098,10 +1079,7 @@ impl Daemon {
                 }
                 Err(e) => reply(writer, &error_line(&e)),
             },
-            Request::Status { job } => match self.status(job) {
-                Ok(line) => reply(writer, &line),
-                Err(e) => reply(writer, &error_line(&e)),
-            },
+            Request::Status { job } => reply(writer, &or_error(self.status(job))),
             Request::Jobs => reply(writer, &self.jobs_line()),
             Request::Watch { job } => match self.watch(job) {
                 Ok((ack, rx)) => {
@@ -1114,28 +1092,9 @@ impl Daemon {
                 }
                 Err(e) => reply(writer, &error_line(&e)),
             },
-            Request::Report { job, format } => match self.report(job, format) {
-                Ok(output) => {
-                    let mut w = json::Writer::object();
-                    w.field_bool("ok", true);
-                    w.field_str("output", &output);
-                    reply(writer, &w.finish());
-                }
-                Err(e) => reply(writer, &error_line(&e)),
-            },
-            Request::Diff { a, b } => match self.diff(a, b) {
-                Ok(output) => {
-                    let mut w = json::Writer::object();
-                    w.field_bool("ok", true);
-                    w.field_str("output", &output);
-                    reply(writer, &w.finish());
-                }
-                Err(e) => reply(writer, &error_line(&e)),
-            },
-            Request::Cancel { job } => match self.cancel(job) {
-                Ok(line) => reply(writer, &line),
-                Err(e) => reply(writer, &error_line(&e)),
-            },
+            Request::Report { job, format } => reply(writer, &output(self.report(job, format))),
+            Request::Diff { a, b } => reply(writer, &output(self.diff(a, b))),
+            Request::Cancel { job } => reply(writer, &or_error(self.cancel(job))),
             Request::Stats => reply(writer, &self.stats_line()),
             Request::Metrics => reply(writer, &self.metrics_line()),
             Request::Lease {
@@ -1148,22 +1107,10 @@ impl Daemon {
             Request::Complete { lease, record } => {
                 reply(writer, &self.complete_line(lease, &record));
             }
-            Request::Ping => {
-                let mut w = json::Writer::object();
-                w.field_bool("ok", true);
-                w.field_bool("pong", true);
-                reply(writer, &w.finish());
-            }
+            Request::Ping => reply(writer, &ok_with("pong", true)),
             Request::Shutdown => {
-                match self.shutdown() {
-                    Ok(()) => {
-                        let mut w = json::Writer::object();
-                        w.field_bool("ok", true);
-                        w.field_bool("drained", true);
-                        reply(writer, &w.finish());
-                    }
-                    Err(e) => reply(writer, &error_line(&e)),
-                }
+                let drained = self.shutdown().map(|()| ok_with("drained", true));
+                reply(writer, &or_error(drained));
                 self.done_serving.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so `serve` can return.
                 let _ = Stream::connect(wake);
@@ -1193,6 +1140,14 @@ fn peer_alive(reader: &mut BufReader<Stream>) -> bool {
     // connection closes, as for a peer that is gone.
     let _ = reader.get_ref().set_nonblocking(false);
     alive
+}
+
+/// `{"ok":true,"<flag>":<value>}`.
+fn ok_with(flag: &str, value: bool) -> String {
+    let mut w = json::Writer::object();
+    w.field_bool("ok", true);
+    w.field_bool(flag, value);
+    w.finish()
 }
 
 /// Renders a caught panic payload.

@@ -478,3 +478,38 @@ fn a_campaign_over_the_trial_cap_is_refused_and_the_daemon_still_answers() {
     );
     daemon.shutdown().expect("shutdown");
 }
+
+/// A submission racing `shutdown` is refused with the drain error or
+/// drained: once `shutdown` returns, no accepted job is left `running`
+/// with trials no worker will compute. The shutdown lands 0–4 ms after
+/// the submit starts, so across the rounds it falls before, during and
+/// after the submit's parse and store lookup of 3,000 seeds.
+#[test]
+fn a_submit_racing_shutdown_is_refused_or_drained() {
+    let campaign = r#"
+        [campaign]
+        protocols = ["edge/theorem3-zero-comm"]
+        graphs    = ["path(n=2)"]
+        seeds     = "0..3000"
+        "#;
+    for round in 0..28u64 {
+        let tmp = TempDir::new("race");
+        let daemon = Daemon::start(tmp.0.join("store"), config(1)).expect("start");
+        let submitter = {
+            let daemon = daemon.clone();
+            std::thread::spawn(move || daemon.submit(campaign))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(round % 5));
+        daemon.shutdown().expect("shutdown");
+        match submitter.join().expect("submit thread") {
+            Ok(job) => {
+                let status = daemon.status(job).expect("status");
+                assert!(
+                    status.contains("\"state\":\"done\"") && status.contains("\"remaining\":0"),
+                    "round {round}: an accepted job must be drained: {status}"
+                );
+            }
+            Err(e) => assert_eq!(e, "daemon is shutting down", "round {round}"),
+        }
+    }
+}

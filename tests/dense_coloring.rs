@@ -1,12 +1,12 @@
 //! Equivalence tests for the dense edge-indexed hot path (PR 5): the
-//! dense `EdgeColoring` + `ColorMarks` validators must agree with the
+//! validators over a dense `EdgeColoring` must agree with the
 //! old `HashMap`-keyed semantics — same accept/reject verdict and
 //! same first violation — on random graphs and colorings, and the
 //! `EdgeId` layer must round-trip.
 
 use bichrome_graph::coloring::{
     validate_edge_coloring, validate_edge_coloring_with_palette, validate_partial_edge_coloring,
-    ColorId, ColorMarks, ColoringError, EdgeColoring,
+    ColorId, ColoringError, EdgeColoring,
 };
 use bichrome_graph::edge_color::misra_gries;
 use bichrome_graph::{gen, Edge, EdgeId, Graph, VertexId};
@@ -147,7 +147,6 @@ proptest! {
         // Representation-independent equality first.
         prop_assert_eq!(&sparse, &dense);
 
-        let mut marks = ColorMarks::new();
         for c in [&sparse, &dense] {
             // Partial, complete, and palette validators all agree
             // with the reference — same verdict, same first violation.
@@ -158,11 +157,6 @@ proptest! {
             prop_assert_eq!(validate_edge_coloring(&g, c), ref_validate(&g, c));
             prop_assert_eq!(
                 validate_edge_coloring_with_palette(&g, c, palette),
-                ref_validate_palette(&g, c, palette)
-            );
-            // The scratch-reusing methods agree with the free functions.
-            prop_assert_eq!(
-                marks.check_edge_coloring_with_palette(&g, c, palette),
                 ref_validate_palette(&g, c, palette)
             );
         }
@@ -213,10 +207,7 @@ fn tampered_colorings_are_caught_in_both_representations() {
     let g = gen::gnm_max_degree(40, 120, 9, 3);
     let good = misra_gries(&g);
     let budget = g.max_degree() + 1;
-    let mut marks = ColorMarks::new();
-    assert!(marks
-        .check_edge_coloring_with_palette(&g, &good, budget)
-        .is_ok());
+    assert!(validate_edge_coloring_with_palette(&g, &good, budget).is_ok());
 
     // Pick two incident edges to copy a color across.
     let v = g
@@ -236,7 +227,7 @@ fn tampered_colorings_are_caught_in_both_representations() {
         conflict.set(e2, good.get(e1).expect("colored"));
         assert!(
             matches!(
-                marks.check_edge_coloring_with_palette(&g, &conflict, budget),
+                validate_edge_coloring_with_palette(&g, &conflict, budget),
                 Err(ColoringError::IncidentEdges(..))
             ),
             "incident conflict must be caught (dense={dense})"
@@ -246,7 +237,7 @@ fn tampered_colorings_are_caught_in_both_representations() {
         uncolored.set(e2, good.get(e2).expect("colored")); // undo
         uncolored.clear(e1);
         assert_eq!(
-            marks.check_edge_coloring_with_palette(&g, &uncolored, budget),
+            validate_edge_coloring_with_palette(&g, &uncolored, budget),
             Err(ColoringError::UncoloredEdge(e1)),
             "missing edge must be caught (dense={dense})"
         );
@@ -255,7 +246,7 @@ fn tampered_colorings_are_caught_in_both_representations() {
         loud.set(e1, ColorId(999));
         assert!(
             matches!(
-                marks.check_edge_coloring_with_palette(&g, &loud, budget),
+                validate_edge_coloring_with_palette(&g, &loud, budget),
                 Err(ColoringError::IncidentEdges(..)) | Err(ColoringError::EdgePaletteExceeded(..))
             ),
             "out-of-palette color must be caught (dense={dense})"
