@@ -267,6 +267,34 @@ fn run_reports_declaration_errors_with_the_file_name() {
     assert!(err.contains("missing.toml"), "{err}");
 }
 
+/// A spec whose generator would panic is refused at parse time: the
+/// binary exits 1 and names it, rather than dying mid-run.
+#[test]
+fn run_refuses_graph_specs_whose_generator_panics() {
+    let tmp = TempDir::new("badspec");
+    let toml = tmp.path("bad.toml");
+    for (graph, sizes) in [
+        ("cycle(n=2)", ""),
+        ("star(n=0)", ""),
+        ("gnp(n=10,p=NaN)", ""),
+        ("gnp(n=10,p=2)", ""),
+        ("gnm(n=4,m=100,dmax=2)", ""),
+        ("near-regular(n=4,d=9)", ""),
+        ("path(n=5000000000)", ""),
+        ("cycle(n=5)", "sizes = [2]"),
+    ] {
+        let campaign = CAMPAIGN.replace("near-regular(n=24,d=4)", graph);
+        std::fs::write(&toml, format!("{campaign}{sizes}\n")).expect("write");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bichrome"))
+            .args(["run", &toml])
+            .output()
+            .expect("run bichrome");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{graph} {sizes}: {stderr}");
+        assert!(stderr.contains(graph), "{graph} {sizes}: {stderr}");
+    }
+}
+
 /// A failed `accept` does not end `bichrome serve`. Under `ulimit -n
 /// 32`, 64 held connections fill the daemon's descriptor table; once
 /// they close, the daemon has counted its accept errors and still

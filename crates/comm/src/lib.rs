@@ -16,8 +16,9 @@
 //! * [`channel`] — the round-synchronous duplex link: in one *round*
 //!   Alice and Bob each send one message to the other simultaneously
 //!   (footnote 1 of the paper).
-//! * [`session`] — runs Alice's and Bob's protocol code on two OS
-//!   threads joined by std mpsc channels.
+//! * [`session`] — runs Alice's protocol code on the calling thread
+//!   and Bob's on one new thread, talking over the chosen
+//!   [`transport`].
 //! * [`transport`] — pluggable wires under the session: the in-process
 //!   exchange, OS pipes, or loopback TCP with length-prefixed,
 //!   checksummed frames. The meter counts bits and rounds *above* the

@@ -8,8 +8,10 @@
 //!   coloring with *zero* communication.
 //!
 //! Unlike the vertex problem, each party outputs colors only for its
-//! own edges; [`EdgeColoring::merge`] recombines the two outputs of
-//! [`run_parties`](crate::run_parties) for validation.
+//! own edges: its output is a coloring of its own subgraph's edge
+//! list, and [`EdgeColoring::merge`] lays the two outputs of
+//! [`run_parties`](crate::run_parties) onto the whole graph for
+//! validation.
 
 pub mod algorithm2;
 pub mod bounded;
@@ -75,7 +77,7 @@ impl PaletteLayout {
 /// so the dispatch cannot diverge.
 pub fn theorem2_party(input: &PartyInput, ctx: &bichrome_comm::session::PartyCtx) -> EdgeColoring {
     match input.delta {
-        0 => EdgeColoring::new(),
+        0 => EdgeColoring::dense_for(input.graph),
         1..=7 => bounded::bounded_delta_party(input, ctx),
         _ => algorithm2::algorithm2_party(input, ctx),
     }
@@ -90,10 +92,13 @@ mod tests {
     use bichrome_graph::gen;
     use bichrome_graph::partition::{EdgePartition, Partitioner};
 
-    /// Theorem 2 on `p`: both parties' colorings merged, and the
-    /// session's statistics.
+    /// Theorem 2 on `p`: both parties' colorings merged onto the
+    /// whole graph, and the session's statistics.
     pub(crate) fn theorem2_merged(p: &EdgePartition, seed: u64) -> (EdgeColoring, CommStats) {
-        let (mut all, bob, stats) = run_parties(p, seed, theorem2_party);
+        let (alice, bob, stats) = run_parties(p, seed, theorem2_party);
+        let mut all = EdgeColoring::dense_for(p.whole());
+        all.merge(&alice)
+            .expect("each party colors only its own edges");
         all.merge(&bob).expect("parties color disjoint edge sets");
         (all, stats)
     }
@@ -144,6 +149,7 @@ mod tests {
         let g = gen::gnm_max_degree(50, 150, 10, 7);
         let p = Partitioner::Alternating.split(&g);
         let (alice, bob, _) = run_parties(&p, 0, theorem2_party);
+        assert!(alice.is_indexed_for(p.alice()) && bob.is_indexed_for(p.bob()));
         assert_eq!(alice.len(), p.alice().num_edges());
         assert_eq!(bob.len(), p.bob().num_edges());
         for &e in p.alice().edges() {

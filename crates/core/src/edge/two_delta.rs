@@ -32,7 +32,7 @@ pub fn two_delta_party(input: &PartyInput) -> EdgeColoring {
     let delta = input.delta;
     let g = input.graph;
     if delta == 0 || g.num_edges() == 0 {
-        return EdgeColoring::new();
+        return EdgeColoring::dense_for(g);
     }
     let my_palette: Vec<ColorId> = match input.side {
         Side::Alice => (0..delta as u32).map(ColorId).collect(),
@@ -115,7 +115,10 @@ mod tests {
     fn check(g: &bichrome_graph::Graph, part: Partitioner) {
         let p = part.split(g);
         let (a, b, _) = solve(&p);
-        let mut merged = a;
+        let mut merged = EdgeColoring::dense_for(g);
+        merged
+            .merge(&a)
+            .expect("each party colors only its own edges");
         merged.merge(&b).expect("disjoint edges");
         let budget = (2 * g.max_degree()).max(1);
         assert!(

@@ -5,10 +5,10 @@
 //! corresponding `validate_*` function returns `Ok`.
 
 use crate::graph::{Edge, EdgeId, Graph, VertexId};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A color index.
 ///
@@ -139,31 +139,19 @@ impl VertexColoring {
     }
 }
 
-/// The dense-slot sentinel for "no color assigned".
+/// The slot sentinel for "no color assigned".
 const UNCOLORED: u32 = u32::MAX;
 
-/// The shared zero-length [`EdgeId`] index used by colorings created
-/// without a graph, so `EdgeColoring::new()` never allocates.
-fn empty_index() -> Arc<[Edge]> {
-    static EMPTY: OnceLock<Arc<[Edge]>> = OnceLock::new();
-    Arc::clone(EMPTY.get_or_init(|| Vec::new().into()))
-}
-
-/// A (possibly partial) edge coloring.
+/// A (possibly partial) edge coloring of one graph.
 ///
-/// Colors live in a *dense* `Vec` indexed by [`EdgeId`] over the edge
-/// list of the graph the coloring was created for (see
-/// [`EdgeColoring::dense_for`]), with sentinel slots for uncolored
-/// edges — the trial hot path (protocol rounds, validators)
-/// never hashes. Edges *outside* that index (e.g. another party's
-/// edges merged in, or anything `set` on a [`EdgeColoring::new`]
-/// coloring, which has an empty index) spill into a sorted side map,
-/// so the [`Edge`]-keyed API keeps working unchanged for every
-/// caller.
+/// A coloring holds one `u32` slot per edge of the graph it was
+/// created for (see [`EdgeColoring::dense_for`]), indexed by
+/// [`EdgeId`], with a sentinel for uncolored edges: the trial hot path
+/// (protocol rounds, validators) never hashes. Only that graph's
+/// edges can carry a color: [`set`](EdgeColoring::set) on any other
+/// pair panics, and [`merge`](EdgeColoring::merge) refuses one.
 ///
-/// [`iter`](EdgeColoring::iter) yields pairs in **ascending edge
-/// order** — deterministic, unlike the hash-keyed representation this
-/// replaced.
+/// [`iter`](EdgeColoring::iter) yields pairs in ascending edge order.
 ///
 /// # Example
 ///
@@ -171,171 +159,126 @@ fn empty_index() -> Arc<[Edge]> {
 /// use bichrome_graph::coloring::{ColorId, EdgeColoring};
 /// use bichrome_graph::{gen, Edge, EdgeId, VertexId};
 ///
-/// // Edge-keyed, index-free usage (everything spills to the side map):
-/// let mut c = EdgeColoring::new();
-/// let e = Edge::new(VertexId(0), VertexId(1));
-/// c.set(e, ColorId(0));
-/// assert_eq!(c.get(e), Some(ColorId(0)));
-///
-/// // Dense, EdgeId-keyed usage over a graph's edge list:
 /// let g = gen::cycle(4);
 /// let mut c = EdgeColoring::dense_for(&g);
+/// // Edge-keyed and EdgeId-keyed access reach the same slot.
+/// let e = Edge::new(VertexId(0), VertexId(1));
+/// c.set(e, ColorId(0));
+/// assert_eq!(c.get_id(g.edge_id(VertexId(0), VertexId(1)).unwrap()), Some(ColorId(0)));
 /// c.set_id(EdgeId(2), ColorId(7));
 /// assert_eq!(c.get(g.edge(EdgeId(2))), Some(ColorId(7)));
+/// // A pair outside the graph has no slot, so it has no color.
+/// assert_eq!(c.get(Edge::new(VertexId(0), VertexId(2))), None);
 /// ```
 #[derive(Clone)]
 pub struct EdgeColoring {
-    /// The [`EdgeId`] space: a sorted edge list shared with the graph
-    /// this coloring was created for (empty for `new()`).
-    index: Arc<[Edge]>,
-    /// `dense[i]` = color of `index[i]`, or [`UNCOLORED`].
-    dense: Vec<u32>,
-    /// Colors of edges outside `index`, sorted.
-    extra: BTreeMap<Edge, ColorId>,
-    /// Number of non-sentinel `dense` slots.
-    dense_colored: usize,
+    /// The [`EdgeId`] space: the sorted edge list of the graph this
+    /// coloring was created for, shared with it.
+    edges: Arc<[Edge]>,
+    /// `slots[i]` = color of `edges[i]`, or [`UNCOLORED`].
+    slots: Vec<u32>,
+    /// Number of colored slots.
+    colored: usize,
 }
 
 impl EdgeColoring {
-    /// An empty edge coloring with no [`EdgeId`] index: every edge
-    /// goes through the sorted side map. Prefer
-    /// [`dense_for`](EdgeColoring::dense_for) when the target graph is
-    /// at hand.
-    pub fn new() -> Self {
-        EdgeColoring {
-            index: empty_index(),
-            dense: Vec::new(),
-            extra: BTreeMap::new(),
-            dense_colored: 0,
-        }
-    }
-
-    /// An all-uncolored coloring indexed by `g`'s [`EdgeId`] space:
-    /// one flat `Vec` slot per edge of `g` (shared edge list, no
-    /// copy). All `Edge`- and `EdgeId`-keyed operations on `g`'s edges
-    /// are hash-free.
+    /// An all-uncolored coloring of `g`'s edges: one `u32` slot per
+    /// edge of `g` (the edge list is shared, not copied).
     pub fn dense_for(g: &Graph) -> Self {
         EdgeColoring {
-            index: g.edges_shared(),
-            dense: vec![UNCOLORED; g.num_edges()],
-            extra: BTreeMap::new(),
-            dense_colored: 0,
+            edges: g.edges_shared(),
+            slots: vec![UNCOLORED; g.num_edges()],
+            colored: 0,
         }
     }
 
-    /// Whether this coloring's [`EdgeId`] index *is* `g`'s edge list
-    /// (pointer identity) — the condition under which `EdgeId`-keyed
-    /// calls and `g`'s edge ids agree and validators take the dense
-    /// O(n+m) path.
+    /// Whether this coloring's edge list *is* `g`'s edge list
+    /// (pointer identity): the condition under which `EdgeId`-keyed
+    /// calls and `g`'s edge ids agree.
     #[inline]
     pub fn is_indexed_for(&self, g: &Graph) -> bool {
         let edges = g.edges();
-        self.index.as_ptr() == edges.as_ptr() && self.index.len() == edges.len()
+        self.edges.as_ptr() == edges.as_ptr() && self.edges.len() == edges.len()
     }
 
-    /// The dense slot of `e`, if `e` is in the index.
+    /// The slot of `e`, if `e` is an edge of the coloring's graph.
     #[inline]
     fn slot(&self, e: Edge) -> Option<usize> {
-        if self.index.is_empty() {
-            return None;
-        }
-        self.index.binary_search(&e).ok()
+        self.edges.binary_search(&e).ok()
     }
 
-    /// The color of edge `e`, if assigned.
+    /// The color of edge `e`, if assigned (`None` for a pair that is
+    /// not an edge of the coloring's graph).
     pub fn get(&self, e: Edge) -> Option<ColorId> {
-        match self.slot(e) {
-            Some(i) => match self.dense[i] {
-                UNCOLORED => None,
-                c => Some(ColorId(c)),
-            },
-            None => self.extra.get(&e).copied(),
-        }
+        self.get_id(EdgeId(self.slot(e)? as u32))
     }
 
     /// Assigns color `c` to edge `e`, returning the previous color if any.
     ///
     /// # Panics
     ///
-    /// Panics if `c` is `ColorId(u32::MAX)` — that value is the
-    /// internal uncolored sentinel and can never be a real color.
+    /// Panics if `e` is not an edge of the coloring's graph, or if `c`
+    /// is `ColorId(u32::MAX)` — that value is the internal uncolored
+    /// sentinel and can never be a real color.
     pub fn set(&mut self, e: Edge, c: ColorId) -> Option<ColorId> {
-        assert_ne!(c.0, UNCOLORED, "u32::MAX is the uncolored sentinel");
-        match self.slot(e) {
-            Some(i) => {
-                let prev = std::mem::replace(&mut self.dense[i], c.0);
-                if prev == UNCOLORED {
-                    self.dense_colored += 1;
-                    None
-                } else {
-                    Some(ColorId(prev))
-                }
-            }
-            None => self.extra.insert(e, c),
-        }
+        let Some(i) = self.slot(e) else {
+            panic!("{e} is not an edge of the coloring's graph");
+        };
+        self.set_id(EdgeId(i as u32), c)
     }
 
     /// Removes the color of `e`, returning it.
     pub fn clear(&mut self, e: Edge) -> Option<ColorId> {
-        match self.slot(e) {
-            Some(i) => match std::mem::replace(&mut self.dense[i], UNCOLORED) {
-                UNCOLORED => None,
-                c => {
-                    self.dense_colored -= 1;
-                    Some(ColorId(c))
-                }
-            },
-            None => self.extra.remove(&e),
-        }
+        self.clear_id(EdgeId(self.slot(e)? as u32))
     }
 
-    /// The color of the edge with dense id `id`, if assigned. O(1).
+    /// The color of the edge with id `id`, if assigned. O(1).
     ///
-    /// Ids are relative to the coloring's own index (the graph passed
-    /// to [`dense_for`](EdgeColoring::dense_for)).
+    /// Ids are those of the graph passed to
+    /// [`dense_for`](EdgeColoring::dense_for).
     ///
     /// # Panics
     ///
-    /// Panics if `id` is outside the index.
+    /// Panics if `id` is outside that graph's edge list.
     #[inline]
     pub fn get_id(&self, id: EdgeId) -> Option<ColorId> {
-        match self.dense[id.index()] {
+        match self.slots[id.index()] {
             UNCOLORED => None,
             c => Some(ColorId(c)),
         }
     }
 
-    /// Assigns color `c` to the edge with dense id `id`, returning the
+    /// Assigns color `c` to the edge with id `id`, returning the
     /// previous color if any. O(1).
     ///
     /// # Panics
     ///
-    /// Panics if `id` is outside the index, or if `c` is
+    /// Panics if `id` is outside the graph's edge list, or if `c` is
     /// `ColorId(u32::MAX)` (the internal uncolored sentinel).
     #[inline]
     pub fn set_id(&mut self, id: EdgeId, c: ColorId) -> Option<ColorId> {
         assert_ne!(c.0, UNCOLORED, "u32::MAX is the uncolored sentinel");
-        let prev = std::mem::replace(&mut self.dense[id.index()], c.0);
+        let prev = std::mem::replace(&mut self.slots[id.index()], c.0);
         if prev == UNCOLORED {
-            self.dense_colored += 1;
+            self.colored += 1;
             None
         } else {
             Some(ColorId(prev))
         }
     }
 
-    /// Removes the color of the edge with dense id `id`, returning it.
+    /// Removes the color of the edge with id `id`, returning it.
     /// O(1).
     ///
     /// # Panics
     ///
-    /// Panics if `id` is outside the index.
+    /// Panics if `id` is outside the graph's edge list.
     #[inline]
     pub fn clear_id(&mut self, id: EdgeId) -> Option<ColorId> {
-        match std::mem::replace(&mut self.dense[id.index()], UNCOLORED) {
+        match std::mem::replace(&mut self.slots[id.index()], UNCOLORED) {
             UNCOLORED => None,
             c => {
-                self.dense_colored -= 1;
+                self.colored -= 1;
                 Some(ColorId(c))
             }
         }
@@ -343,31 +286,31 @@ impl EdgeColoring {
 
     /// Number of colored edges.
     pub fn len(&self) -> usize {
-        self.dense_colored + self.extra.len()
+        self.colored
     }
 
     /// Whether no edge is colored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.colored == 0
     }
 
-    /// Iterator over `(edge, color)` pairs in ascending edge order
-    /// (deterministic: dense index entries and side-map entries are
-    /// merged into one sorted stream).
-    pub fn iter(&self) -> EdgeColoringIter<'_> {
-        EdgeColoringIter {
-            index: &self.index,
-            dense: &self.dense,
-            pos: 0,
-            extra: self.extra.iter().peekable(),
-        }
+    /// The `(edge, color)` pairs in ascending edge order.
+    pub fn iter(&self) -> impl Iterator<Item = (Edge, ColorId)> + '_ {
+        self.edges
+            .iter()
+            .zip(&self.slots)
+            .filter(|&(_, &c)| c != UNCOLORED)
+            .map(|(&e, &c)| (e, ColorId(c)))
+    }
+
+    /// The assigned colors, in ascending edge order.
+    fn colors(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slots.iter().copied().filter(|&c| c != UNCOLORED)
     }
 
     /// Largest color index used, if any.
     pub fn max_color(&self) -> Option<ColorId> {
-        let dense_max = self.dense.iter().copied().filter(|&c| c != UNCOLORED).max();
-        let extra_max = self.extra.values().map(|c| c.0).max();
-        dense_max.into_iter().chain(extra_max).max().map(ColorId)
+        self.colors().max().map(ColorId)
     }
 
     /// Number of distinct colors used — one bitmap pass, no sorting.
@@ -384,10 +327,10 @@ impl EdgeColoring {
         let mut words = vec![0u64; words_len];
         let mut huge: Vec<u32> = Vec::new();
         let mut count = 0usize;
-        let mut mark = |c: u32| {
+        for c in self.colors() {
             if c >= BITMAP_COLOR_LIMIT {
                 huge.push(c);
-                return;
+                continue;
             }
             let word = &mut words[(c / 64) as usize];
             let bit = 1u64 << (c % 64);
@@ -395,84 +338,45 @@ impl EdgeColoring {
                 *word |= bit;
                 count += 1;
             }
-        };
-        for &c in &self.dense {
-            if c != UNCOLORED {
-                mark(c);
-            }
-        }
-        for c in self.extra.values() {
-            mark(c.0);
         }
         huge.sort_unstable();
         huge.dedup();
         count + huge.len()
     }
 
-    /// Merges `other` into `self`.
-    ///
-    /// Over a shared [`EdgeId`] index this is one elementwise pass;
-    /// across different indexes it walks `other` with a galloping
-    /// cursor into `self`'s index, and edges outside that index go to
-    /// the side map.
+    /// Merges `other`, a coloring of any graph, into `self`: one
+    /// forward pass over both sorted edge lists, in ascending edge
+    /// order. The edges merged before a failure stay merged.
     ///
     /// # Errors
     ///
-    /// Returns the conflicting edge if `other` assigns a *different*
-    /// color to an edge already colored in `self`.
+    /// Returns the first edge `other` colors that is not an edge of
+    /// `self`'s graph, or that `self` already holds in a *different*
+    /// color.
     pub fn merge(&mut self, other: &EdgeColoring) -> Result<(), Edge> {
-        if Arc::ptr_eq(&self.index, &other.index) {
-            // Same id space: elementwise, no edge lookups at all.
-            for (i, &c) in other.dense.iter().enumerate() {
-                if c != UNCOLORED && !self.merge_slot(i, c) {
-                    return Err(self.index[i]);
-                }
-            }
-            for (&e, &c) in &other.extra {
-                match self.get(e) {
-                    Some(existing) if existing != c => return Err(e),
-                    _ => {
-                        self.set(e, c);
-                    }
-                }
-            }
-            return Ok(());
-        }
-        // Different id spaces: walk `other` in ascending edge order
-        // with a galloping cursor into `self.index`, so merging k
-        // edges into an index of m costs O(k log(m/k)) rather than a
-        // search over all m per merged edge.
         let mut at = 0;
         for (e, c) in other.iter() {
-            at += gallop(&self.index[at..], e);
-            let merged = if self.index.get(at) == Some(&e) {
-                self.merge_slot(at, c.0)
-            } else {
-                *self.extra.entry(e).or_insert(c) == c
-            };
-            if !merged {
+            while self.edges.get(at).is_some_and(|&f| f < e) {
+                at += 1;
+            }
+            if self.edges.get(at) != Some(&e) {
                 return Err(e);
+            }
+            match self.slots[at] {
+                UNCOLORED => {
+                    self.slots[at] = c.0;
+                    self.colored += 1;
+                }
+                existing if existing != c.0 => return Err(e),
+                _ => {}
             }
         }
         Ok(())
     }
 
-    /// Colors dense slot `i` with `c` unless it already holds another
-    /// color; returns whether the slot now holds `c`.
-    fn merge_slot(&mut self, i: usize, c: u32) -> bool {
-        match self.dense[i] {
-            UNCOLORED => {
-                self.dense[i] = c;
-                self.dense_colored += 1;
-                true
-            }
-            existing => existing == c,
-        }
-    }
-
-    /// A new coloring over the *same* edge index with every assigned
-    /// color passed through `f` — the dense-preserving way to
-    /// translate a local palette onto a global one.
+    /// A new coloring of the *same* graph with every assigned color
+    /// passed through `f` — the way to translate a local palette onto
+    /// a global one.
     ///
     /// # Panics
     ///
@@ -480,39 +384,14 @@ impl EdgeColoring {
     /// uncolored sentinel), like [`set`](EdgeColoring::set) would.
     pub fn remap(&self, mut f: impl FnMut(Edge, ColorId) -> ColorId) -> EdgeColoring {
         let mut out = self.clone();
-        let mut apply = |e: Edge, c: ColorId| {
-            let mapped = f(e, c);
-            assert_ne!(mapped.0, UNCOLORED, "u32::MAX is the uncolored sentinel");
-            mapped
-        };
-        for (i, slot) in out.dense.iter_mut().enumerate() {
+        for (slot, &e) in out.slots.iter_mut().zip(self.edges.iter()) {
             if *slot != UNCOLORED {
-                *slot = apply(self.index[i], ColorId(*slot)).0;
+                let mapped = f(e, ColorId(*slot));
+                assert_ne!(mapped.0, UNCOLORED, "u32::MAX is the uncolored sentinel");
+                *slot = mapped.0;
             }
         }
-        for (&e, c) in out.extra.iter_mut() {
-            *c = apply(e, *c);
-        }
         out
-    }
-}
-
-/// The position of the first entry of the sorted `index` that is not
-/// below `e`: doubling steps from the front, then a binary search
-/// inside the last step, so the cost is logarithmic in the distance
-/// skipped rather than in `index.len()`.
-fn gallop(index: &[Edge], e: Edge) -> usize {
-    let mut hi = 1;
-    while hi < index.len() && index[hi] < e {
-        hi *= 2;
-    }
-    let lo = hi / 2;
-    lo + index[lo..hi.min(index.len())].partition_point(|&f| f < e)
-}
-
-impl Default for EdgeColoring {
-    fn default() -> Self {
-        EdgeColoring::new()
     }
 }
 
@@ -523,69 +402,14 @@ impl fmt::Debug for EdgeColoring {
 }
 
 impl PartialEq for EdgeColoring {
-    /// Representation-independent equality: the same `edge → color`
-    /// mapping, whether a color sits in the dense index or the side
-    /// map (both iterate in ascending edge order).
+    /// The same `edge → color` mapping, whichever graphs the two
+    /// colorings were created for.
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
 impl Eq for EdgeColoring {}
-
-impl FromIterator<(Edge, ColorId)> for EdgeColoring {
-    fn from_iter<T: IntoIterator<Item = (Edge, ColorId)>>(iter: T) -> Self {
-        let mut c = EdgeColoring::new();
-        c.extend(iter);
-        c
-    }
-}
-
-impl Extend<(Edge, ColorId)> for EdgeColoring {
-    fn extend<T: IntoIterator<Item = (Edge, ColorId)>>(&mut self, iter: T) {
-        for (e, c) in iter {
-            self.set(e, c);
-        }
-    }
-}
-
-/// Sorted-merge iterator over an [`EdgeColoring`]'s dense index and
-/// side map; see [`EdgeColoring::iter`].
-pub struct EdgeColoringIter<'a> {
-    index: &'a [Edge],
-    dense: &'a [u32],
-    pos: usize,
-    extra: std::iter::Peekable<std::collections::btree_map::Iter<'a, Edge, ColorId>>,
-}
-
-impl Iterator for EdgeColoringIter<'_> {
-    type Item = (Edge, ColorId);
-
-    fn next(&mut self) -> Option<(Edge, ColorId)> {
-        while self.pos < self.dense.len() && self.dense[self.pos] == UNCOLORED {
-            self.pos += 1;
-        }
-        match (self.dense.get(self.pos), self.extra.peek()) {
-            (Some(&c), Some(&(&e, &ec))) => {
-                if e < self.index[self.pos] {
-                    self.extra.next();
-                    Some((e, ec))
-                } else {
-                    let out = (self.index[self.pos], ColorId(c));
-                    self.pos += 1;
-                    Some(out)
-                }
-            }
-            (Some(&c), None) => {
-                let out = (self.index[self.pos], ColorId(c));
-                self.pos += 1;
-                Some(out)
-            }
-            (None, Some(_)) => self.extra.next().map(|(&e, &c)| (e, c)),
-            (None, None) => None,
-        }
-    }
-}
 
 /// Why a coloring failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -602,6 +426,8 @@ pub enum ColoringError {
     IncidentEdges(Edge, Edge, ColorId),
     /// An edge color exceeds the allowed palette.
     EdgePaletteExceeded(Edge, ColorId, usize),
+    /// A color sits on a pair that is not an edge of the graph.
+    ColoredNonEdge(Edge),
 }
 
 impl fmt::Display for ColoringError {
@@ -620,6 +446,9 @@ impl fmt::Display for ColoringError {
             }
             ColoringError::EdgePaletteExceeded(e, c, k) => {
                 write!(f, "edge {e} has color {c} outside palette of size {k}")
+            }
+            ColoringError::ColoredNonEdge(e) => {
+                write!(f, "{e} has a color but is not an edge of the graph")
             }
         }
     }
@@ -762,27 +591,18 @@ impl ColorMarks {
         self.nbr.resize(len, 0);
     }
 
-    /// [`validate_partial_edge_coloring`]'s pass: one O(n+m) sweep.
-    /// When `c` is dense over `g`'s edge index the inner loop is pure
-    /// array traffic; otherwise each incident edge costs one O(log m)
-    /// lookup.
+    /// [`validate_partial_edge_coloring`]'s pass: one O(n+m) sweep of
+    /// array traffic over `c`, a coloring of `g`'s edge list.
     fn check_partial_edge_coloring(
         &mut self,
         g: &Graph,
         c: &EdgeColoring,
     ) -> Result<(), ColoringError> {
-        let fast = c.is_indexed_for(g);
         for v in g.vertices() {
             self.begin_group();
-            let nbrs = g.neighbors(v);
             let ids = g.neighbor_edge_ids(v);
-            for (k, &u) in nbrs.iter().enumerate() {
-                let col = if fast {
-                    c.get_id(ids[k])
-                } else {
-                    c.get(Edge::new(u, v))
-                };
-                let Some(col) = col else { continue };
+            for (&u, &id) in g.neighbors(v).iter().zip(ids) {
+                let Some(col) = c.get_id(id) else { continue };
                 if let Some(prev) = self.observe(col.index(), u.0) {
                     return Err(ColoringError::IncidentEdges(
                         Edge::new(VertexId(prev), v),
@@ -797,16 +617,8 @@ impl ColorMarks {
 
     /// [`validate_edge_coloring`]'s pass.
     fn check_edge_coloring(&mut self, g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
-        if c.is_indexed_for(g) {
-            if let Some(i) = c.dense.iter().position(|&slot| slot == UNCOLORED) {
-                return Err(ColoringError::UncoloredEdge(g.edge(EdgeId(i as u32))));
-            }
-        } else {
-            for &e in g.edges() {
-                if c.get(e).is_none() {
-                    return Err(ColoringError::UncoloredEdge(e));
-                }
-            }
+        if let Some(i) = c.slots.iter().position(|&slot| slot == UNCOLORED) {
+            return Err(ColoringError::UncoloredEdge(g.edge(EdgeId(i as u32))));
         }
         self.check_partial_edge_coloring(g, c)
     }
@@ -819,45 +631,54 @@ impl ColorMarks {
         palette_size: usize,
     ) -> Result<(), ColoringError> {
         self.check_edge_coloring(g, c)?;
-        if c.is_indexed_for(g) {
-            for (i, &col) in c.dense.iter().enumerate() {
-                if col != UNCOLORED && col as usize >= palette_size {
-                    return Err(ColoringError::EdgePaletteExceeded(
-                        g.edge(EdgeId(i as u32)),
-                        ColorId(col),
-                        palette_size,
-                    ));
-                }
-            }
-        } else {
-            for &e in g.edges() {
-                let col = c.get(e).expect("checked complete");
-                if col.index() >= palette_size {
-                    return Err(ColoringError::EdgePaletteExceeded(e, col, palette_size));
-                }
-            }
+        match c.slots.iter().position(|&col| col as usize >= palette_size) {
+            Some(i) => Err(ColoringError::EdgePaletteExceeded(
+                g.edge(EdgeId(i as u32)),
+                ColorId(c.slots[i]),
+                palette_size,
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
+}
+
+/// `c` as a coloring of `g`'s own edge list: `c` itself when it is
+/// one, otherwise `c` laid onto [`EdgeColoring::dense_for`]`(g)` by
+/// [`EdgeColoring::merge`].
+///
+/// # Errors
+///
+/// Returns [`ColoringError::ColoredNonEdge`] for the first colored
+/// pair of `c` that is not an edge of `g`.
+fn on_graph<'a>(g: &Graph, c: &'a EdgeColoring) -> Result<Cow<'a, EdgeColoring>, ColoringError> {
+    if c.is_indexed_for(g) {
+        return Ok(Cow::Borrowed(c));
+    }
+    let mut laid = EdgeColoring::dense_for(g);
+    laid.merge(c).map_err(ColoringError::ColoredNonEdge)?;
+    Ok(Cow::Owned(laid))
 }
 
 /// Validates a *complete, proper* edge coloring of `g`.
 ///
 /// # Errors
 ///
-/// Returns the first violation found: an uncolored edge or two incident
-/// edges sharing a color.
+/// Returns the first violation found: a color on a pair that is not
+/// an edge of `g`, an uncolored edge, or two incident edges sharing a
+/// color.
 pub fn validate_edge_coloring(g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
-    ColorMarks::default().check_edge_coloring(g, c)
+    ColorMarks::default().check_edge_coloring(g, &*on_graph(g, c)?)
 }
 
-/// Validates that the colored portion of an edge coloring is proper.
+/// Validates that the colored portion of an edge coloring of `g` is
+/// proper.
 ///
 /// # Errors
 ///
-/// Returns the first pair of incident edges sharing a color.
+/// Returns a color on a pair that is not an edge of `g`, or else the
+/// first pair of incident edges sharing a color.
 pub fn validate_partial_edge_coloring(g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
-    ColorMarks::default().check_partial_edge_coloring(g, c)
+    ColorMarks::default().check_partial_edge_coloring(g, &*on_graph(g, c)?)
 }
 
 /// Validates a complete proper edge coloring confined to the palette
@@ -866,14 +687,14 @@ pub fn validate_partial_edge_coloring(g: &Graph, c: &EdgeColoring) -> Result<(),
 ///
 /// # Errors
 ///
-/// Returns the first violation: uncolored edge, incident conflict, or
-/// out-of-palette color.
+/// Returns the first violation: a color on a non-edge, an uncolored
+/// edge, an incident conflict, or an out-of-palette color.
 pub fn validate_edge_coloring_with_palette(
     g: &Graph,
     c: &EdgeColoring,
     palette_size: usize,
 ) -> Result<(), ColoringError> {
-    ColorMarks::default().check_edge_coloring_with_palette(g, c, palette_size)
+    ColorMarks::default().check_edge_coloring_with_palette(g, &*on_graph(g, c)?, palette_size)
 }
 
 #[cfg(test)]
@@ -961,7 +782,7 @@ mod tests {
         let g = path3();
         let e01 = Edge::new(VertexId(0), VertexId(1));
         let e12 = Edge::new(VertexId(1), VertexId(2));
-        let mut c = EdgeColoring::new();
+        let mut c = EdgeColoring::dense_for(&g);
         c.set(e01, ColorId(0));
         c.set(e12, ColorId(1));
         assert!(validate_edge_coloring(&g, &c).is_ok());
@@ -975,7 +796,7 @@ mod tests {
         let g = path3();
         let e01 = Edge::new(VertexId(0), VertexId(1));
         let e12 = Edge::new(VertexId(1), VertexId(2));
-        let mut c = EdgeColoring::new();
+        let mut c = EdgeColoring::dense_for(&g);
         c.set(e01, ColorId(0));
         c.set(e12, ColorId(0));
         assert!(matches!(
@@ -987,7 +808,7 @@ mod tests {
     #[test]
     fn uncolored_edge_detected() {
         let g = path3();
-        let c = EdgeColoring::new();
+        let c = EdgeColoring::dense_for(&g);
         assert!(matches!(
             validate_edge_coloring(&g, &c),
             Err(ColoringError::UncoloredEdge(_))
@@ -997,15 +818,61 @@ mod tests {
 
     #[test]
     fn merge_detects_conflicts() {
+        let (g, t) = (path3(), crate::gen::complete(3));
         let e = Edge::new(VertexId(0), VertexId(1));
-        let mut a = EdgeColoring::new();
+        let mut a = EdgeColoring::dense_for(&g);
         a.set(e, ColorId(0));
-        let mut b = EdgeColoring::new();
+        let mut b = EdgeColoring::dense_for(&g);
         b.set(e, ColorId(1));
         assert_eq!(a.clone().merge(&b), Err(e));
-        let mut same = EdgeColoring::new();
+        // Across edge lists too: the triangle's {0,1} is the path's.
+        let mut same = EdgeColoring::dense_for(&t);
         same.set(e, ColorId(0));
         assert!(a.merge(&same).is_ok());
+        assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn merge_refuses_an_edge_outside_the_graph() {
+        let (g, t) = (path3(), crate::gen::complete(3));
+        let e02 = Edge::new(VertexId(0), VertexId(2));
+        let e12 = Edge::new(VertexId(1), VertexId(2));
+        let mut other = EdgeColoring::dense_for(&t);
+        other.set(Edge::new(VertexId(0), VertexId(1)), ColorId(0));
+        other.set(e02, ColorId(9));
+        other.set(e12, ColorId(1));
+        let mut c = EdgeColoring::dense_for(&g);
+        assert_eq!(c.merge(&other), Err(e02));
+        // The walk is in ascending edge order: {0,1} merged before the
+        // failure, {1,2} was never reached.
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.get(e12), None);
+    }
+
+    #[test]
+    fn a_color_on_a_non_edge_fails_validation() {
+        // A proper coloring of the triangle is not a coloring of the
+        // path on the same vertices: {0,2} is not an edge of it.
+        let (g, t) = (path3(), crate::gen::complete(3));
+        let mut c = EdgeColoring::dense_for(&t);
+        for (i, &e) in t.edges().iter().enumerate() {
+            c.set(e, ColorId(i as u32));
+        }
+        assert!(validate_edge_coloring_with_palette(&t, &c, 3).is_ok());
+        let stray = Err(ColoringError::ColoredNonEdge(Edge::new(
+            VertexId(0),
+            VertexId(2),
+        )));
+        assert_eq!(validate_edge_coloring_with_palette(&g, &c, 3), stray);
+        assert_eq!(validate_edge_coloring(&g, &c), stray);
+        assert_eq!(validate_partial_edge_coloring(&g, &c), stray);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not an edge")]
+    fn set_on_a_non_edge_panics() {
+        let mut c = EdgeColoring::dense_for(&path3());
+        c.set(Edge::new(VertexId(0), VertexId(2)), ColorId(9));
     }
 
     #[test]
@@ -1035,7 +902,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "uncolored sentinel")]
     fn set_rejects_the_sentinel_color() {
-        let mut c = EdgeColoring::new();
+        let mut c = EdgeColoring::dense_for(&path3());
         c.set(Edge::new(VertexId(0), VertexId(1)), ColorId(u32::MAX));
     }
 
@@ -1054,6 +921,7 @@ mod tests {
             ColoringError::UncoloredVertex(VertexId(0)).to_string(),
             ColoringError::AdjacentVertices(VertexId(0), VertexId(1), ColorId(0)).to_string(),
             ColoringError::UncoloredEdge(Edge::new(VertexId(0), VertexId(1))).to_string(),
+            ColoringError::ColoredNonEdge(Edge::new(VertexId(0), VertexId(2))).to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

@@ -615,7 +615,8 @@ mod tests {
 
     #[test]
     fn fournier_empty() {
-        assert_eq!(fournier(&gen::empty(3)), Ok(EdgeColoring::new()));
+        let g = gen::empty(3);
+        assert_eq!(fournier(&g), Ok(EdgeColoring::dense_for(&g)));
     }
 
     #[test]

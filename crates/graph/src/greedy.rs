@@ -93,13 +93,19 @@ fn first_free(seen: &[u32], stamp: u32) -> ColorId {
     ColorId(c as u32)
 }
 
-/// Extends a partial edge coloring greedily over `edges`, choosing for
-/// each edge the smallest color free at both endpoints.
+/// Extends a partial edge coloring of `g` greedily over `edges`,
+/// choosing for each edge the smallest color free at both endpoints.
 ///
-/// The existing colors in `partial` (which may cover edges *outside*
-/// `g`, e.g. the other party's edges at shared vertices) are respected.
-/// The used-color scratch is one stamp-marked vector reused across all
-/// edges — no per-edge allocation.
+/// `partial` is a coloring of `g`'s edges (usually
+/// [`EdgeColoring::dense_for`]`(g)`) and `edges` are edges of `g`; the
+/// colors `partial` already holds are respected. The used-color
+/// scratch is one stamp-marked vector reused across all edges — no
+/// per-edge allocation.
+///
+/// # Panics
+///
+/// Panics if an uncolored edge of `edges` is not an edge of
+/// `partial`'s graph.
 pub fn greedy_edge_coloring_with(
     g: &Graph,
     partial: EdgeColoring,
@@ -180,7 +186,7 @@ mod tests {
     fn greedy_edge_extends_partial() {
         let g = gen::path(4);
         let e01 = Edge::new(VertexId(0), VertexId(1));
-        let mut partial = EdgeColoring::new();
+        let mut partial = EdgeColoring::dense_for(&g);
         partial.set(e01, ColorId(5));
         let c = greedy_edge_coloring_with(&g, partial, g.edges().iter().copied());
         assert_eq!(c.get(e01), Some(ColorId(5)), "existing colors preserved");

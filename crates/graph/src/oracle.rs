@@ -10,10 +10,13 @@
 use crate::coloring::{EdgeColoring, VertexColoring};
 use crate::graph::{Edge, Graph};
 
-/// Whether `c` colors every edge of `g`, no two edges at a vertex
-/// share a color, and every color is below `palette` (`usize::MAX`
-/// checks properness only).
+/// Whether `c` colors every edge of `g` and nothing else, no two edges
+/// at a vertex share a color, and every color is below `palette`
+/// (`usize::MAX` checks properness only).
 pub fn edge_coloring_ok(g: &Graph, c: &EdgeColoring, palette: usize) -> bool {
+    if c.iter().any(|(e, _)| g.edges().binary_search(&e).is_err()) {
+        return false;
+    }
     for v in g.vertices() {
         let mut seen = Vec::new();
         for &u in g.neighbors(v) {

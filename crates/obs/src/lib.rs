@@ -5,8 +5,8 @@
 //! # The two halves
 //!
 //! **Metrics** ([`counter`], [`gauge`], [`histogram`]) live in one
-//! process-wide sharded registry. Handles are cheap clones of shared
-//! atomics: registration takes a shard lock once, after which every
+//! process-wide registry. Handles are cheap clones of shared
+//! atomics: registration takes the registry lock once, after which every
 //! increment or observation is a lock-free atomic operation with no
 //! allocation — safe on the trial hot path. Histograms use fixed
 //! log₂ buckets (one per bit length), so [`Histogram::observe`] is a

@@ -1,25 +1,23 @@
 //! The process-wide metrics registry: monotonic counters, gauges, and
-//! fixed log₂-bucket histograms, sharded to keep registration cheap
-//! and rendered as Prometheus text exposition or single-line JSON.
+//! fixed log₂-bucket histograms, rendered as Prometheus text
+//! exposition or single-line JSON.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are thin `Arc`s
-//! around shared atomics: look one up once (a shard lock), cache it,
-//! and every subsequent update is lock-free with no allocation.
+//! around shared atomics: look one up once (the registry lock), cache
+//! it, and every subsequent update is lock-free with no allocation.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// Shard count of the registry map (a small power of two).
-const SHARDS: usize = 8;
 
 /// Histogram bucket count: bucket `i ≥ 1` holds values of bit length
 /// `i` (the range `[2^(i−1), 2^i − 1]`); bucket 0 holds exactly 0.
 const BUCKETS: usize = 65;
 
-/// Canonical identity of one metric: name plus sorted label pairs.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// Canonical identity of one metric: name plus sorted label pairs,
+/// ordered by name, then labels.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct MetricId {
     name: String,
     labels: Vec<(String, String)>,
@@ -105,37 +103,24 @@ impl Metric {
     }
 }
 
-/// The sharded name → metric map behind the free functions.
-struct Registry {
-    shards: Vec<Mutex<HashMap<MetricId, Metric>>>,
-}
+/// The name → metric map behind the free functions.
+struct Registry(Mutex<BTreeMap<MetricId, Metric>>);
 
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-    })
+    REGISTRY.get_or_init(|| Registry(Mutex::new(BTreeMap::new())))
 }
 
 impl Registry {
     fn get_or_insert(&self, id: MetricId, make: impl FnOnce() -> Metric) -> Metric {
-        use std::hash::{DefaultHasher, Hash, Hasher};
-        let mut hasher = DefaultHasher::new();
-        id.hash(&mut hasher);
-        let shard = &self.shards[hasher.finish() as usize % SHARDS];
-        let mut map = shard.lock().unwrap_or_else(|p| p.into_inner());
+        let mut map = self.0.lock().unwrap_or_else(|p| p.into_inner());
         map.entry(id).or_insert_with(make).clone()
     }
 
-    /// Every registered metric, sorted by rendered identity.
+    /// Every registered metric, in [`MetricId`] order.
     fn snapshot(&self) -> Vec<(MetricId, Metric)> {
-        let mut all: Vec<(MetricId, Metric)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.lock().unwrap_or_else(|p| p.into_inner());
-            all.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        all.sort_by(|(a, _), (b, _)| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        all
+        let map = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 }
 

@@ -153,6 +153,13 @@ impl CampaignFile {
                 .collect::<Result<Vec<_>, _>>()?,
             Some(_) => return Err("\"sizes\" must be an array of integers".to_string()),
         };
+        for spec in &graphs {
+            for &n in &sizes {
+                spec.scaled_to(n)
+                    .check()
+                    .map_err(|e| format!("graph {spec} at size {n}: {e}"))?;
+            }
+        }
 
         // The trial count is checked before the seeds are collected,
         // so a huge range is refused without allocating for it.
@@ -412,6 +419,11 @@ mod tests {
         assert!(err.contains("[campaign]"), "{err}");
         let err = CampaignFile::parse(&format!("{GOOD}\nfrobs = 1")).expect_err("unknown key");
         assert!(err.contains("unknown key"), "{err}");
+        // A spec that is fine alone but breaks at a declared size.
+        let sized = "[campaign]\nprotocols = [\"edge/theorem2\"]\ngraphs = [\"cycle(n=5)\"]\nseeds = \"0..1\"\nsizes = ";
+        let err = CampaignFile::parse(&format!("{sized}[3, 2]")).expect_err("a 2-vertex cycle");
+        assert!(err.contains("cycle(n=5) at size 2"), "{err}");
+        assert!(CampaignFile::parse(&format!("{sized}[3, 9]")).is_ok());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! A work item does not carry a pre-built [`Instance`]; it *is* a
 //! lazy descriptor (`spec` + `partitioner` + trial seed) that the
 //! worker resolves right before running the protocol, through a
-//! sharded concurrent cache:
+//! concurrent cache:
 //!
 //! ```text
 //! (spec, graph_seed)              → Arc<Graph>
@@ -43,7 +43,7 @@ use crate::seeds;
 use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::Graph;
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -144,26 +144,21 @@ impl std::fmt::Display for ExecStats {
     }
 }
 
-/// Shard count of the concurrent caches (a small power of two; keys
-/// hash-distribute across shards to keep lock contention low).
-const SHARDS: usize = 16;
-
-/// A sharded `key → value` cache with exactly-once construction:
-/// the shard lock is held only to look up the per-key cell, and the
-/// build itself runs under the cell's [`OnceLock`], so concurrent
-/// builds of *different* keys in the same shard do not serialize and
-/// the same key is never built twice.
-struct Sharded<K, V> {
-    shards: Vec<Mutex<HashMap<K, Arc<OnceLock<V>>>>>,
+/// A `key → value` cache with exactly-once construction: the lock is
+/// held only to look up the per-key cell, and the build itself runs
+/// under the cell's [`OnceLock`], so concurrent builds of *different*
+/// keys do not serialize and the same key is never built twice.
+struct OnceMap<K, V> {
+    cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
     requested: AtomicU64,
     built: AtomicU64,
     build_nanos: AtomicU64,
 }
 
-impl<K: Eq + Hash, V: Clone> Sharded<K, V> {
+impl<K: Eq + Hash, V: Clone> OnceMap<K, V> {
     fn new() -> Self {
-        Sharded {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+        OnceMap {
+            cells: Mutex::new(HashMap::new()),
             requested: AtomicU64::new(0),
             built: AtomicU64::new(0),
             build_nanos: AtomicU64::new(0),
@@ -172,11 +167,8 @@ impl<K: Eq + Hash, V: Clone> Sharded<K, V> {
 
     fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> V {
         self.requested.fetch_add(1, Ordering::Relaxed);
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let shard = &self.shards[hasher.finish() as usize % SHARDS];
         let cell = {
-            let mut map = shard.lock().expect("cache shard poisoned");
+            let mut map = self.cells.lock().expect("instance cache poisoned");
             Arc::clone(map.entry(key).or_default())
         };
         cell.get_or_init(|| {
@@ -236,8 +228,8 @@ pub struct CacheStats {
 /// concurrent overlapping campaigns build each distinct instance
 /// exactly once between them.
 pub struct InstanceCache {
-    graphs: Sharded<GraphKey, Arc<Graph>>,
-    partitions: Sharded<PartitionKey, Arc<EdgePartition>>,
+    graphs: OnceMap<GraphKey, Arc<Graph>>,
+    partitions: OnceMap<PartitionKey, Arc<EdgePartition>>,
 }
 
 impl Default for InstanceCache {
@@ -250,8 +242,8 @@ impl InstanceCache {
     /// An empty cache.
     pub fn new() -> Self {
         InstanceCache {
-            graphs: Sharded::new(),
-            partitions: Sharded::new(),
+            graphs: OnceMap::new(),
+            partitions: OnceMap::new(),
         }
     }
 

@@ -125,9 +125,54 @@ impl GraphSpec {
             GraphSpec::NearRegular { d, .. } => GraphSpec::NearRegular { n, d },
             GraphSpec::GnmMaxDegree { n: n0, m, dmax } => GraphSpec::GnmMaxDegree {
                 n,
-                m: (m * n).checked_div(n0).unwrap_or(m),
+                m: (m as u128 * n as u128)
+                    .checked_div(n0 as u128)
+                    .map_or(m, |scaled| usize::try_from(scaled).unwrap_or(usize::MAX)),
                 dmax,
             },
+        }
+    }
+
+    /// Checks the preconditions of the family's generator, so that
+    /// [`build`](GraphSpec::build) does not panic on a spec that
+    /// passes: `n` fits a vertex id, a cycle has at least 3 vertices
+    /// and a star at least 1, `p` is a probability, and the `m` edges
+    /// of `gnm` (`⌊n·d/2⌋` of `near-regular`) fit under both the
+    /// degree cap and `n(n−1)/2`.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseSpecError::BadValue`] naming the first field out of
+    /// range.
+    pub fn check(&self) -> Result<(), ParseSpecError> {
+        let bad = |field: &str, value: &dyn std::fmt::Display| {
+            Err(ParseSpecError::BadValue {
+                field: field.to_string(),
+                value: value.to_string(),
+            })
+        };
+        let n = self.num_vertices();
+        if u32::try_from(n).is_err() {
+            return bad("n", &n);
+        }
+        // `gen::gnm_max_degree`'s own checks, for `m` edges under the
+        // degree cap `dmax` (named `field` in the spec).
+        let fits = |m: usize, dmax: usize, field: &str| match n.checked_mul(dmax) {
+            _ if m == 0 => Ok(()),
+            None => bad(field, &dmax),
+            Some(ends) if m > ends / 2 || m > n * n.saturating_sub(1) / 2 => bad("m", &m),
+            Some(_) => Ok(()),
+        };
+        match *self {
+            GraphSpec::Cycle { n } if n < 3 => bad("n", &n),
+            GraphSpec::Star { n } if n < 1 => bad("n", &n),
+            GraphSpec::Gnp { p, .. } if !(0.0..=1.0).contains(&p) => bad("p", &p),
+            GraphSpec::NearRegular { d, .. } => match n.checked_mul(d) {
+                Some(ends) if fits(ends / 2, d, "d").is_ok() => Ok(()),
+                _ => bad("d", &d),
+            },
+            GraphSpec::GnmMaxDegree { m, dmax, .. } => fits(m, dmax, "dmax"),
+            _ => Ok(()),
         }
     }
 }
@@ -145,11 +190,12 @@ pub enum ParseSpecError {
         /// The `k` of the missing `k=v`.
         field: &'static str,
     },
-    /// A field value failed to parse as a number.
+    /// A field value failed to parse as a number, or is outside what
+    /// the family's generator accepts (see [`GraphSpec::check`]).
     BadValue {
         /// The `k` of the offending `k=v`.
         field: String,
-        /// The unparseable `v`.
+        /// The offending `v`.
         value: String,
     },
     /// A field this family does not take, or a duplicate of one it
@@ -174,7 +220,10 @@ impl std::fmt::Display for ParseSpecError {
                 write!(f, "family {family:?} is missing field {field:?}")
             }
             ParseSpecError::BadValue { field, value } => {
-                write!(f, "field {field:?} has unparseable value {value:?}")
+                write!(
+                    f,
+                    "field {field:?} has unparseable or out-of-range value {value:?}"
+                )
             }
             ParseSpecError::UnexpectedField { family, field } => {
                 write!(
@@ -227,7 +276,8 @@ impl std::str::FromStr for GraphSpec {
 
     /// Parses the round-trip [`Display`](std::fmt::Display) form,
     /// e.g. `"near-regular(n=80,d=6)"` or `"gnp(n=50,p=0.1)"`.
-    /// Strict: unknown and duplicate fields are errors, not noise.
+    /// Strict: unknown and duplicate fields are errors, not noise, and
+    /// so is a spec that fails [`GraphSpec::check`].
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let (family, fields) = split_spec(s)?;
         let expected: &[&str] = match family {
@@ -269,37 +319,39 @@ impl std::str::FromStr for GraphSpec {
                 value: v.to_string(),
             })
         };
-        match family {
-            "empty" => Ok(GraphSpec::Empty {
+        let spec = match family {
+            "empty" => GraphSpec::Empty {
                 n: parse_usize("n")?,
-            }),
-            "path" => Ok(GraphSpec::Path {
+            },
+            "path" => GraphSpec::Path {
                 n: parse_usize("n")?,
-            }),
-            "cycle" => Ok(GraphSpec::Cycle {
+            },
+            "cycle" => GraphSpec::Cycle {
                 n: parse_usize("n")?,
-            }),
-            "complete" => Ok(GraphSpec::Complete {
+            },
+            "complete" => GraphSpec::Complete {
                 n: parse_usize("n")?,
-            }),
-            "star" => Ok(GraphSpec::Star {
+            },
+            "star" => GraphSpec::Star {
                 n: parse_usize("n")?,
-            }),
-            "gnp" => Ok(GraphSpec::Gnp {
+            },
+            "gnp" => GraphSpec::Gnp {
                 n: parse_usize("n")?,
                 p: parse_f64("p")?,
-            }),
-            "near-regular" => Ok(GraphSpec::NearRegular {
+            },
+            "near-regular" => GraphSpec::NearRegular {
                 n: parse_usize("n")?,
                 d: parse_usize("d")?,
-            }),
-            "gnm" => Ok(GraphSpec::GnmMaxDegree {
+            },
+            "gnm" => GraphSpec::GnmMaxDegree {
                 n: parse_usize("n")?,
                 m: parse_usize("m")?,
                 dmax: parse_usize("dmax")?,
-            }),
-            other => Err(ParseSpecError::UnknownFamily(other.to_string())),
-        }
+            },
+            other => return Err(ParseSpecError::UnknownFamily(other.to_string())),
+        };
+        spec.check()?;
+        Ok(spec)
     }
 }
 
@@ -418,6 +470,16 @@ mod tests {
                 m: 150,
                 dmax: 8,
             },
+            // Each generator's limit, reached but not crossed.
+            GraphSpec::Cycle { n: 3 },
+            GraphSpec::Star { n: 1 },
+            GraphSpec::Gnp { n: 9, p: 1.0 },
+            GraphSpec::NearRegular { n: 4, d: 3 },
+            GraphSpec::GnmMaxDegree {
+                n: 4,
+                m: 6,
+                dmax: 3,
+            },
         ];
         for spec in specs {
             let text = spec.to_string();
@@ -468,6 +530,23 @@ mod tests {
             Err(ParseSpecError::Malformed("cycle(9)".into()))
         );
         assert!("near-regular".parse::<GraphSpec>().is_err());
+        // Well-formed, but the generator would panic on it.
+        for (text, field) in [
+            ("cycle(n=2)", "n"),
+            ("star(n=0)", "n"),
+            ("gnp(n=10,p=NaN)", "p"),
+            ("gnp(n=10,p=2)", "p"),
+            ("gnm(n=4,m=100,dmax=2)", "m"),
+            ("gnm(n=5,m=1,dmax=18446744073709551615)", "dmax"),
+            ("near-regular(n=4,d=9)", "d"),
+            ("near-regular(n=5,d=18446744073709551615)", "d"),
+            ("path(n=5000000000)", "n"),
+        ] {
+            match text.parse::<GraphSpec>() {
+                Err(ParseSpecError::BadValue { field: f, .. }) => assert_eq!(f, field, "{text}"),
+                other => panic!("{text}: {other:?}"),
+            }
+        }
     }
 
     #[test]

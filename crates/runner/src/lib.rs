@@ -56,7 +56,7 @@
 //! derivation in [`seeds`] — the one place the whole derivation
 //! scheme is defined and documented. Campaigns enqueue lazy instance
 //! *descriptors*; the shared executor resolves them on its
-//! worker threads through a sharded concurrent cache
+//! worker threads through a concurrent cache
 //! (`(spec, graph seed) → Arc<Graph>`,
 //! `(spec, graph seed, partitioner) → Arc<EdgePartition>`), so a
 //! P-protocol grid builds each distinct instance exactly once instead

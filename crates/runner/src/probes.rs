@@ -470,11 +470,11 @@ impl Protocol for WStreamingSpaceProbe {
         let d = g.max_degree().max(1);
         let (coloring, space, budget) = if self.chunked {
             let mut alg = ChunkedWStreaming::with_sqrt_delta_capacity(n, d);
-            let (c, s) = run_w_streaming(&mut alg, g.edges());
+            let (c, s) = run_w_streaming(&mut alg, g, g.edges());
             (c, s, None)
         } else {
             let mut alg = GreedyWStreaming::new(n, d);
-            let (c, s) = run_w_streaming(&mut alg, g.edges());
+            let (c, s) = run_w_streaming(&mut alg, g, g.edges());
             (c, s, Some(2 * d - 1))
         };
         Outcome::edge(g, coloring, CommStats::default(), budget)

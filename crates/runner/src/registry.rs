@@ -123,10 +123,11 @@ impl Protocol for EdgeLemma51Bounded {
 
     fn run(&self, inst: &Instance) -> Outcome {
         if inst.delta() == 0 {
+            let p = &inst.partition;
             return merge_edge_outcome(
                 inst,
-                EdgeColoring::new(),
-                EdgeColoring::new(),
+                EdgeColoring::dense_for(p.alice()),
+                EdgeColoring::dense_for(p.bob()),
                 CommStats::default(),
                 1,
             );
@@ -274,6 +275,10 @@ fn agreed<T: PartialEq>(alice: T, bob: T) -> Option<T> {
     (alice == bob).then_some(alice)
 }
 
+/// Judges an edge protocol's two outputs. Each party outputs colors
+/// for its own edges only (§3.1), so a party's coloring that is not a
+/// coloring of that party's own edge list fails the trial; the two
+/// are then merged onto the whole graph and validated there.
 fn merge_edge_outcome(
     inst: &Instance,
     alice: EdgeColoring,
@@ -281,12 +286,16 @@ fn merge_edge_outcome(
     stats: CommStats,
     budget: usize,
 ) -> Outcome {
-    // Merge both parties into a coloring dense over the *whole*
-    // graph's edge ids, so the validator pass takes its O(n+m)
-    // array-indexed fast path.
+    let p = &inst.partition;
     let mut merged = EdgeColoring::dense_for(inst.graph());
-    for side in [&alice, &bob] {
-        if let Err(e) = merged.merge(side) {
+    for (name, coloring, own) in [("Alice", &alice, p.alice()), ("Bob", &bob, p.bob())] {
+        if !coloring.is_indexed_for(own) {
+            return Outcome::failed(
+                format!("{name}'s coloring is not a coloring of {name}'s own edges"),
+                stats,
+            );
+        }
+        if let Err(e) = merged.merge(coloring) {
             return Outcome::failed(format!("parties both colored {e}"), stats);
         }
     }
@@ -349,5 +358,40 @@ pub fn registry() -> Registry {
             Arc::new(StreamingReduction::greedy()),
             Arc::new(StreamingReduction::chunked()),
         ],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::Verdict;
+    use bichrome_graph::edge_color::misra_gries;
+    use bichrome_graph::gen;
+    use bichrome_graph::partition::Partitioner;
+
+    #[test]
+    fn an_edge_party_coloring_outside_its_own_edges_fails_the_trial() {
+        let g = gen::cycle(8);
+        let inst = Instance::new("c8", Partitioner::Alternating.split(&g), 0);
+        let p = &inst.partition;
+        // A proper coloring of the whole graph, handed in as Alice's
+        // output: every color is right, but half of them are Bob's.
+        let whole = misra_gries(p.whole());
+        let only = |side: &bichrome_graph::Graph| {
+            let mut c = EdgeColoring::dense_for(side);
+            for &e in side.edges() {
+                c.set(e, whole.get(e).expect("complete"));
+            }
+            c
+        };
+        let judged = |alice, bob| merge_edge_outcome(&inst, alice, bob, CommStats::default(), 3);
+        assert!(judged(only(p.alice()), only(p.bob())).verdict.is_valid());
+        let out = judged(whole.clone(), EdgeColoring::dense_for(p.bob()));
+        assert_eq!(
+            out.verdict,
+            Verdict::Invalid("Alice's coloring is not a coloring of Alice's own edges".into())
+        );
+        let out = judged(only(p.alice()), only(p.whole()));
+        assert!(!out.verdict.is_valid(), "Bob's output over the whole graph");
     }
 }

@@ -260,7 +260,7 @@ mod tests {
             let g = gen::gnm_max_degree(50, 150, 8, seed);
             let delta = g.max_degree().max(1);
             let mut alg = GreedyWStreaming::new(50, delta);
-            let (coloring, stats) = run_w_streaming(&mut alg, g.edges());
+            let (coloring, stats) = run_w_streaming(&mut alg, &g, g.edges());
             assert!(validate_edge_coloring_with_palette(&g, &coloring, 2 * delta - 1).is_ok());
             assert_eq!(stats.max_state_bits, (50 * (2 * delta - 1)) as u64);
         }
@@ -284,7 +284,7 @@ mod tests {
         for seed in 0..5 {
             let g = gen::gnm_max_degree(40, 200, 12, seed);
             let mut alg = ChunkedWStreaming::new(40, 25);
-            let (coloring, _) = run_w_streaming(&mut alg, g.edges());
+            let (coloring, _) = run_w_streaming(&mut alg, &g, g.edges());
             assert!(validate_edge_coloring(&g, &coloring).is_ok());
         }
     }
@@ -295,10 +295,10 @@ mod tests {
         let delta = g.max_degree();
 
         let mut greedy = GreedyWStreaming::new(60, delta);
-        let (cg, sg) = run_w_streaming(&mut greedy, g.edges());
+        let (cg, sg) = run_w_streaming(&mut greedy, &g, g.edges());
 
         let mut chunked = ChunkedWStreaming::with_sqrt_delta_capacity(60, delta);
-        let (cc, sc) = run_w_streaming(&mut chunked, g.edges());
+        let (cc, sc) = run_w_streaming(&mut chunked, &g, g.edges());
 
         assert!(validate_edge_coloring(&g, &cg).is_ok());
         assert!(validate_edge_coloring(&g, &cc).is_ok());
@@ -332,7 +332,7 @@ mod tests {
         // own color, trivially proper.
         let g = gen::path(5);
         let mut alg = ChunkedWStreaming::new(5, 1);
-        let (coloring, _) = run_w_streaming(&mut alg, g.edges());
+        let (coloring, _) = run_w_streaming(&mut alg, &g, g.edges());
         assert!(validate_edge_coloring(&g, &coloring).is_ok());
         assert_eq!(coloring.num_distinct_colors(), 4);
     }

@@ -1,7 +1,7 @@
 //! The W-streaming execution model.
 
 use bichrome_graph::coloring::{ColorId, EdgeColoring};
-use bichrome_graph::Edge;
+use bichrome_graph::{Edge, Graph};
 
 /// A W-streaming algorithm: processes an edge stream with bounded
 /// internal state, emitting `(edge, color)` outputs along the way.
@@ -53,17 +53,20 @@ pub struct SpaceStats {
     pub stream_len: usize,
 }
 
-/// Runs `alg` over `stream` for all of its passes, collecting the
-/// emitted coloring and auditing space after every edge.
+/// Runs `alg` over `stream`, a sequence of `g`'s edges, for all of its
+/// passes, collecting the emitted coloring of `g` and auditing space
+/// after every edge.
 ///
 /// # Panics
 ///
-/// Panics if the algorithm emits two different colors for one edge.
+/// Panics if the algorithm emits two different colors for one edge,
+/// or a color for a pair that is not an edge of `g`.
 pub fn run_w_streaming(
     alg: &mut dyn WStreamingAlgorithm,
+    g: &Graph,
     stream: &[Edge],
 ) -> (EdgeColoring, SpaceStats) {
-    let mut coloring = EdgeColoring::new();
+    let mut coloring = EdgeColoring::dense_for(g);
     let mut stats = SpaceStats {
         max_state_bits: alg.state_bits(),
         passes: alg.passes(),
@@ -94,7 +97,7 @@ pub fn run_w_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bichrome_graph::VertexId;
+    use bichrome_graph::{gen, VertexId};
 
     /// Trivial test algorithm: colors every edge 0 and stores nothing.
     struct AllZero;
@@ -117,11 +120,12 @@ mod tests {
 
     #[test]
     fn harness_collects_outputs_and_space() {
+        let g = gen::path(4);
         let stream = vec![
             Edge::new(VertexId(0), VertexId(1)),
             Edge::new(VertexId(2), VertexId(3)),
         ];
-        let (coloring, stats) = run_w_streaming(&mut AllZero, &stream);
+        let (coloring, stats) = run_w_streaming(&mut AllZero, &g, &stream);
         assert_eq!(coloring.len(), 2);
         assert_eq!(stats.max_state_bits, 0);
         assert_eq!(stats.passes, 1);
@@ -152,6 +156,6 @@ mod tests {
             }
         }
         let e = Edge::new(VertexId(0), VertexId(1));
-        let (_c, _s) = run_w_streaming(&mut Flaky(0), &[e, e]);
+        let (_c, _s) = run_w_streaming(&mut Flaky(0), &gen::path(2), &[e, e]);
     }
 }

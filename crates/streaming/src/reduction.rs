@@ -15,8 +15,9 @@ use crate::weaker::WeakerOutput;
 use bichrome_comm::session::run_two_party_ctx;
 use bichrome_comm::wire::{BitWriter, Message};
 use bichrome_comm::{CommStats, Side};
-use bichrome_graph::coloring::EdgeColoring;
+use bichrome_graph::coloring::{ColorId, EdgeColoring};
 use bichrome_graph::partition::EdgePartition;
+use bichrome_graph::Edge;
 
 /// Result of the streaming simulation.
 #[derive(Debug, Clone)]
@@ -44,6 +45,7 @@ where
 {
     let alice_edges = partition.alice().edges().to_vec();
     let bob_edges = partition.bob().edges().to_vec();
+    let whole = partition.whole();
     let make_ref = &make_alg;
 
     let party = |side: Side| {
@@ -54,7 +56,13 @@ where
         };
         move |ctx: bichrome_comm::session::PartyCtx| {
             let mut alg = make_ref();
-            let mut reported = EdgeColoring::new();
+            // A party may report any edge of the whole graph.
+            let mut reported = EdgeColoring::dense_for(whole);
+            let mut report = |outputs: Vec<(Edge, ColorId)>| {
+                for (e, c) in outputs {
+                    reported.set(e, c);
+                }
+            };
             let passes = alg.passes();
             for pass in 0..passes {
                 match side {
@@ -68,7 +76,7 @@ where
                         }
                         alg.begin_pass(pass);
                         for &e in &my_edges {
-                            reported.extend(alg.process_edge(e));
+                            report(alg.process_edge(e));
                         }
                         ctx.endpoint.send(bytes_to_bits(&alg.export_state()));
                     }
@@ -82,9 +90,9 @@ where
                         }
                         alg.import_state(&bits_to_bytes(&state));
                         for &e in &my_edges {
-                            reported.extend(alg.process_edge(e));
+                            report(alg.process_edge(e));
                         }
-                        reported.extend(alg.end_pass());
+                        report(alg.end_pass());
                     }
                 }
             }

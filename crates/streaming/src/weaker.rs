@@ -11,8 +11,9 @@
 use bichrome_graph::coloring::{validate_edge_coloring_with_palette, ColoringError, EdgeColoring};
 use bichrome_graph::Graph;
 
-/// Both parties' reported outputs for a weaker-(2Δ−1) instance.
-#[derive(Debug, Clone, Default)]
+/// Both parties' reported outputs for a weaker-(2Δ−1) instance: two
+/// colorings of the whole graph's edges.
+#[derive(Debug, Clone)]
 pub struct WeakerOutput {
     /// Colors Alice reported (any edges, not just hers).
     pub alice: EdgeColoring,
@@ -26,7 +27,8 @@ impl WeakerOutput {
     /// # Errors
     ///
     /// Returns the offending edge if the parties report *conflicting*
-    /// colors for it (reporting the same color twice is fine).
+    /// colors for it (reporting the same color twice is fine), or if
+    /// Bob reports an edge outside Alice's coloring's graph.
     pub fn combined(&self) -> Result<EdgeColoring, bichrome_graph::Edge> {
         let mut all = self.alice.clone();
         all.merge(&self.bob)?;
@@ -66,12 +68,12 @@ mod tests {
         let e01 = Edge::new(VertexId(0), VertexId(1));
         let e12 = Edge::new(VertexId(1), VertexId(2));
         // Alice reports *both* edges (even if one belongs to Bob).
-        let mut alice = EdgeColoring::new();
+        let mut alice = EdgeColoring::dense_for(&g);
         alice.set(e01, ColorId(0));
         alice.set(e12, ColorId(1));
         let out = WeakerOutput {
             alice,
-            bob: EdgeColoring::new(),
+            bob: EdgeColoring::dense_for(&g),
         };
         assert!(validate_weaker_output(&g, &out, 3).is_ok());
     }
@@ -80,9 +82,9 @@ mod tests {
     fn agreement_on_double_reports_is_fine() {
         let g = gen::path(2);
         let e = Edge::new(VertexId(0), VertexId(1));
-        let mut alice = EdgeColoring::new();
+        let mut alice = EdgeColoring::dense_for(&g);
         alice.set(e, ColorId(0));
-        let mut bob = EdgeColoring::new();
+        let mut bob = EdgeColoring::dense_for(&g);
         bob.set(e, ColorId(0));
         let out = WeakerOutput { alice, bob };
         assert!(validate_weaker_output(&g, &out, 1).is_ok());
@@ -92,9 +94,9 @@ mod tests {
     fn conflicting_double_reports_fail() {
         let g = gen::path(2);
         let e = Edge::new(VertexId(0), VertexId(1));
-        let mut alice = EdgeColoring::new();
+        let mut alice = EdgeColoring::dense_for(&g);
         alice.set(e, ColorId(0));
-        let mut bob = EdgeColoring::new();
+        let mut bob = EdgeColoring::dense_for(&g);
         bob.set(e, ColorId(1));
         let out = WeakerOutput { alice, bob };
         assert!(validate_weaker_output(&g, &out, 3).is_err());
@@ -103,7 +105,10 @@ mod tests {
     #[test]
     fn missing_edges_fail() {
         let g = gen::path(3);
-        let out = WeakerOutput::default();
+        let out = WeakerOutput {
+            alice: EdgeColoring::dense_for(&g),
+            bob: EdgeColoring::dense_for(&g),
+        };
         assert!(matches!(
             validate_weaker_output(&g, &out, 3),
             Err(ColoringError::UncoloredEdge(_))

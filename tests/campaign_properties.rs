@@ -25,6 +25,39 @@ fn determinism_grid(base_seed: u64) -> Campaign {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    /// Every spec string the parser accepts builds: the parser refuses
+    /// what would panic inside a generator, over small parameters that
+    /// straddle each family's limits.
+    #[test]
+    fn prop_every_accepted_spec_builds(
+        family in 0usize..8,
+        n in 0usize..9,
+        k in 0usize..40,
+        dmax in 0usize..9,
+        p in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        let p = [0.0, 0.3, 1.0, -0.1, 1.5, f64::NAN][p];
+        let text = match family {
+            0 => format!("empty(n={n})"),
+            1 => format!("path(n={n})"),
+            2 => format!("cycle(n={n})"),
+            3 => format!("complete(n={n})"),
+            4 => format!("star(n={n})"),
+            5 => format!("gnp(n={n},p={p})"),
+            6 => format!("near-regular(n={n},d={dmax})"),
+            _ => format!("gnm(n={n},m={k},dmax={dmax})"),
+        };
+        if let Ok(spec) = text.parse::<GraphSpec>() {
+            let g = spec.build(seed);
+            prop_assert_eq!(g.num_vertices(), n, "{}", text);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The determinism property: a 3-protocol × 2-family × 4-seed

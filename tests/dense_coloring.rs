@@ -1,8 +1,10 @@
-//! Equivalence tests for the dense edge-indexed hot path (PR 5): the
-//! validators over a dense `EdgeColoring` must agree with the
-//! old `HashMap`-keyed semantics — same accept/reject verdict and
-//! same first violation — on random graphs and colorings, and the
-//! `EdgeId` layer must round-trip.
+//! Equivalence tests for the dense edge-indexed hot path: the
+//! validators over an `EdgeColoring` must agree with the old
+//! `HashMap`-keyed semantics — same accept/reject verdict and same
+//! first violation — on random graphs and colorings, whether the
+//! coloring is of the graph's own edge list or of a wider one laid
+//! onto it; a color on a pair that is not an edge of the graph is the
+//! first violation. The `EdgeId` layer must round-trip.
 
 use bichrome_graph::coloring::{
     validate_edge_coloring, validate_edge_coloring_with_palette, validate_partial_edge_coloring,
@@ -13,9 +15,20 @@ use bichrome_graph::{gen, Edge, EdgeId, Graph, VertexId};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// The pre-PR-5 reference semantics, verbatim: per-vertex `HashMap`
-/// duplicate detection over the sorted neighbor lists.
+/// The rule for colorings of another edge list: the first colored
+/// pair (in ascending edge order) that is not an edge of `g` fails.
+fn ref_on_graph(g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
+    match c.iter().find(|(e, _)| !g.has_edge(e.u(), e.v())) {
+        Some((e, _)) => Err(ColoringError::ColoredNonEdge(e)),
+        None => Ok(()),
+    }
+}
+
+/// The pre-PR-5 reference semantics, verbatim after the non-edge
+/// rule: per-vertex `HashMap` duplicate detection over the sorted
+/// neighbor lists.
 fn ref_validate_partial(g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
+    ref_on_graph(g, c)?;
     for v in g.vertices() {
         let mut seen: HashMap<ColorId, Edge> = HashMap::new();
         for &u in g.neighbors(v) {
@@ -33,6 +46,7 @@ fn ref_validate_partial(g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError
 
 /// The pre-PR-5 reference complete validator.
 fn ref_validate(g: &Graph, c: &EdgeColoring) -> Result<(), ColoringError> {
+    ref_on_graph(g, c)?;
     for &e in g.edges() {
         if c.get(e).is_none() {
             return Err(ColoringError::UncoloredEdge(e));
@@ -60,14 +74,21 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The complete graph on `g`'s vertices: the widest edge list a
+/// coloring of `g`'s edges can be laid out over.
+fn wide(g: &Graph) -> Graph {
+    gen::complete(g.num_vertices())
+}
+
 /// A random (often improper, often partial) assignment over a random
-/// subset of the graph's edges, materialized both sparse (`new` +
-/// `set`, everything in the side map) and dense (`dense_for`).
+/// subset of the graph's edges, materialized over the complete graph
+/// on its vertices (sparse: most slots stay uncolored) and over `g`
+/// itself (dense).
 fn random_colorings(
     g: &Graph,
     picks: &[(u8, u8)], // (keep-if-nonzero, color) per edge, cycled
 ) -> (EdgeColoring, EdgeColoring) {
-    let mut sparse = EdgeColoring::new();
+    let mut sparse = EdgeColoring::dense_for(&wide(g));
     let mut dense = EdgeColoring::dense_for(g);
     if picks.is_empty() {
         return (sparse, dense);
@@ -82,10 +103,19 @@ fn random_colorings(
     (sparse, dense)
 }
 
-/// The per-edge reference merge: one `get` and one `set` per edge of
-/// `other`, in ascending edge order, stopping at the first conflict.
-fn ref_merge(target: &mut EdgeColoring, other: &EdgeColoring) -> Result<(), Edge> {
+/// The per-edge reference merge into a coloring of `target_graph`:
+/// one membership test, one `get` and one `set` per edge of `other`,
+/// in ascending edge order, stopping at the first edge outside
+/// `target_graph` or in conflict.
+fn ref_merge(
+    target_graph: &Graph,
+    target: &mut EdgeColoring,
+    other: &EdgeColoring,
+) -> Result<(), Edge> {
     for (e, c) in other.iter() {
+        if !target_graph.has_edge(e.u(), e.v()) {
+            return Err(e);
+        }
         match target.get(e) {
             Some(existing) if existing != c => return Err(e),
             _ => {
@@ -96,24 +126,21 @@ fn ref_merge(target: &mut EdgeColoring, other: &EdgeColoring) -> Result<(), Edge
     Ok(())
 }
 
-/// A coloring indexed by the subgraph of `g` that `mask` keeps (by
-/// nothing, like `EdgeColoring::new()`, when `mask` is empty): each
-/// edge of `g` whose pick is nonzero gets a color from `0..4`,
-/// spilling to the side map when it is outside the index, so two such
-/// colorings clash often.
-fn sub_coloring(g: &Graph, mask: &[u8], picks: &[(u8, u8)]) -> EdgeColoring {
-    let mut c = if mask.is_empty() {
-        EdgeColoring::new()
-    } else {
-        EdgeColoring::dense_for(&g.edge_subgraph_where(|id, _| mask[id.index() % mask.len()] != 0))
-    };
+/// A coloring of the subgraph of `g` that `mask` keeps (of no edge
+/// when `mask` is empty), returned with that subgraph: each kept edge
+/// whose pick is nonzero gets a color from `0..4`, so two such
+/// colorings clash often, and each holds edges the other's graph
+/// lacks.
+fn sub_coloring(g: &Graph, mask: &[u8], picks: &[(u8, u8)]) -> (Graph, EdgeColoring) {
+    let sub = g.edge_subgraph_where(|id, _| !mask.is_empty() && mask[id.index() % mask.len()] != 0);
+    let mut c = EdgeColoring::dense_for(&sub);
     for (i, &e) in g.edges().iter().enumerate() {
         let (keep, color) = picks[i % picks.len()];
-        if keep != 0 {
+        if keep != 0 && sub.has_edge(e.u(), e.v()) {
             c.set(e, ColorId(u32::from(color)));
         }
     }
-    c
+    (sub, c)
 }
 
 proptest! {
@@ -127,13 +154,14 @@ proptest! {
         target_picks in proptest::collection::vec((0u8..3, 0u8..4), 1..16),
         other_picks in proptest::collection::vec((0u8..3, 0u8..4), 1..16),
     ) {
-        let target = sub_coloring(&g, &target_mask, &target_picks);
-        let other = sub_coloring(&g, &other_mask, &other_picks);
+        let (target_graph, target) = sub_coloring(&g, &target_mask, &target_picks);
+        let (_, other) = sub_coloring(&g, &other_mask, &other_picks);
         let mut fast = target.clone();
         let mut slow = target;
-        // Same verdict (the same first conflicting edge), and the same
-        // coloring afterwards, even when a conflict cut the walk short.
-        prop_assert_eq!(fast.merge(&other), ref_merge(&mut slow, &other));
+        // Same verdict (the same first edge outside the target's graph
+        // or in conflict), and the same coloring afterwards, even when
+        // a failure cut the walk short.
+        prop_assert_eq!(fast.merge(&other), ref_merge(&target_graph, &mut slow, &other));
         prop_assert_eq!(&fast, &slow);
     }
 
@@ -144,10 +172,17 @@ proptest! {
         palette in 1usize..10,
     ) {
         let (sparse, dense) = random_colorings(&g, &picks);
-        // Representation-independent equality first.
+        // Equality first: it does not depend on the edge list.
         prop_assert_eq!(&sparse, &dense);
+        // A wide coloring with a color on a non-edge of `g`, when one
+        // exists: the first violation, whatever else is wrong.
+        let mut stray = sparse.clone();
+        let (u, v) = (VertexId(0), VertexId(g.num_vertices() as u32 - 1));
+        if !g.has_edge(u, v) && picks[0].0 % 2 == 0 {
+            stray.set(Edge::new(u, v), ColorId(u32::from(picks[0].1)));
+        }
 
-        for c in [&sparse, &dense] {
+        for c in [&sparse, &dense, &stray] {
             // Partial, complete, and palette validators all agree
             // with the reference — same verdict, same first violation.
             prop_assert_eq!(
@@ -217,12 +252,15 @@ fn tampered_colorings_are_caught_in_both_representations() {
     let ids = g.neighbor_edge_ids(v);
     let (e1, e2) = (g.edge(ids[0]), g.edge(ids[1]));
 
-    // Re-materialize the tampered coloring both ways.
+    // Re-materialize the tampered coloring over both edge lists.
     for dense in [false, true] {
         let mut conflict = if dense {
             good.clone()
         } else {
-            good.iter().collect::<EdgeColoring>()
+            let mut laid = EdgeColoring::dense_for(&wide(&g));
+            laid.merge(&good)
+                .expect("the complete graph holds every edge");
+            laid
         };
         conflict.set(e2, good.get(e1).expect("colored"));
         assert!(
@@ -258,9 +296,10 @@ fn tampered_colorings_are_caught_in_both_representations() {
 fn merge_is_representation_independent() {
     let g = gen::gnp(25, 0.3, 9);
     let c = misra_gries(&g);
-    // Split the coloring across two halves, one per representation.
+    // Split the coloring across two halves, one per edge list.
+    let k = wide(&g);
     let mut lo = EdgeColoring::dense_for(&g);
-    let mut hi = EdgeColoring::new();
+    let mut hi = EdgeColoring::dense_for(&k);
     for (i, (e, col)) in c.iter().enumerate() {
         if i % 2 == 0 {
             lo.set(e, col);
@@ -274,9 +313,16 @@ fn merge_is_representation_independent() {
     assert_eq!(merged, c);
     // A genuine conflict is still reported.
     if let Some((e, col)) = c.iter().next() {
-        let mut clash = EdgeColoring::new();
+        let mut clash = EdgeColoring::dense_for(&k);
         clash.set(e, ColorId(col.0 + 1));
         assert_eq!(merged.merge(&clash), Err(e));
+    }
+    // So is a color on a pair outside `g`.
+    let stray = k.edges().iter().find(|e| !g.has_edge(e.u(), e.v()));
+    if let Some(&e) = stray {
+        let mut outside = EdgeColoring::dense_for(&k);
+        outside.set(e, ColorId(0));
+        assert_eq!(merged.merge(&outside), Err(e));
     }
 }
 

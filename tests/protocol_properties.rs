@@ -6,7 +6,7 @@
 use bichrome_core::edge::two_delta::two_delta_party;
 use bichrome_core::run_parties;
 use bichrome_core::slack_int::run_slack_int_session;
-use bichrome_graph::coloring::validate_edge_coloring_with_palette;
+use bichrome_graph::coloring::{validate_edge_coloring_with_palette, EdgeColoring};
 use bichrome_graph::edge_color::{fournier, misra_gries};
 use bichrome_graph::matching::{delta_perfect_matching, is_matching};
 use bichrome_graph::partition::Partitioner;
@@ -59,7 +59,8 @@ proptest! {
         // Theorem 3's zero communication, as the session meters it.
         prop_assert_eq!(stats.total_bits(), 0);
         prop_assert_eq!(stats.rounds, 0);
-        let mut merged = a;
+        let mut merged = EdgeColoring::dense_for(&g);
+        prop_assert!(merged.merge(&a).is_ok());
         prop_assert!(merged.merge(&b).is_ok());
         let budget = (2 * g.max_degree()).max(1);
         prop_assert!(validate_edge_coloring_with_palette(&g, &merged, budget).is_ok());

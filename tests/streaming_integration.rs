@@ -20,7 +20,7 @@ fn streaming_and_two_party_agree_on_validity() {
         let delta = g.max_degree();
 
         let mut s = GreedyWStreaming::new(80, delta);
-        let (streaming, _) = run_w_streaming(&mut s, g.edges());
+        let (streaming, _) = run_w_streaming(&mut s, &g, g.edges());
         validate_edge_coloring_with_palette(&g, &streaming, 2 * delta - 1)
             .expect("streaming valid");
 
@@ -89,10 +89,10 @@ fn stream_order_does_not_break_validity() {
     orders.push(shuffled);
     for order in &mut orders {
         let mut alg = GreedyWStreaming::new(50, delta);
-        let (c, _) = run_w_streaming(&mut alg, order);
+        let (c, _) = run_w_streaming(&mut alg, &g, order);
         validate_edge_coloring_with_palette(&g, &c, 2 * delta - 1).expect("order-independent");
         let mut alg = ChunkedWStreaming::new(50, 30);
-        let (c, _) = run_w_streaming(&mut alg, order);
+        let (c, _) = run_w_streaming(&mut alg, &g, order);
         validate_edge_coloring(&g, &c).expect("chunked order-independent");
     }
 }
@@ -123,7 +123,7 @@ proptest! {
     ) {
         let g = gen::gnm_max_degree(30, 90, 7, seed);
         let mut alg = ChunkedWStreaming::new(30, cap);
-        let (c, stats) = run_w_streaming(&mut alg, g.edges());
+        let (c, stats) = run_w_streaming(&mut alg, &g, g.edges());
         prop_assert!(validate_edge_coloring(&g, &c).is_ok());
         // Buffer never exceeds its capacity (audited space is bounded).
         let vbits = 5; // ⌈log₂ 30⌉
