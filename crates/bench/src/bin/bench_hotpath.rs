@@ -1,5 +1,6 @@
 //! **bench-hotpath** — microbenchmark of the dense edge-indexed hot
-//! path: the validator pass (over a dense `EdgeColoring`),
+//! path: the partition split (both sides cut from a shared whole
+//! graph), the validator pass (over a dense `EdgeColoring`),
 //! Misra–Gries fan coloring, `Random-Color-Trial` (Algorithm 1) and
 //! the D1LC finishing protocol, timed on gnp/gnm grids at
 //! n ∈ {1e3, 1e4, 1e5, 1e6}, and written to `BENCH_hotpath.json`
@@ -31,6 +32,7 @@ use bichrome_graph::edge_color::misra_gries;
 use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::{gen, Graph, VertexId};
 use bichrome_runner::{Campaign, GraphSpec};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The benchmark's graph sizes.
@@ -93,6 +95,7 @@ struct Point {
     n: usize,
     m: usize,
     delta: usize,
+    split: Timing,
     validate: Timing,
     misra_gries: Timing,
     d1lc: Timing,
@@ -112,9 +115,13 @@ fn build(family: &'static str, n: usize, seed: u64) -> Graph {
 /// Times one `(family, n)` grid point. Every phase reads inputs built
 /// before its timer starts and leaves them as they were.
 fn measure(family: &'static str, n: usize) -> Point {
-    let g = build(family, n, 1);
+    let g = Arc::new(build(family, n, 1));
     let budget = g.max_degree() + 1;
-    let split = Partitioner::Alternating.split(&g);
+
+    // --- Partition split: the ownership bits and both sides, cut
+    // from the shared whole graph. ---
+    let split_timing = Timing::of(|| Partitioner::Alternating.split_shared(Arc::clone(&g)));
+    let split = Partitioner::Alternating.split_shared(Arc::clone(&g));
     let (ia, ib, zlen) = d1lc_instance(&g, &split);
 
     // --- Misra–Gries (Proposition 3.4). ---
@@ -160,6 +167,7 @@ fn measure(family: &'static str, n: usize) -> Point {
         n,
         m: g.num_edges(),
         delta: g.max_degree(),
+        split: split_timing,
         validate,
         misra_gries,
         d1lc,
@@ -230,6 +238,9 @@ fn point_json(p: &Point) -> String {
     w.field_u64("n", p.n as u64);
     w.field_u64("m", p.m as u64);
     w.field_u64("delta", p.delta as u64);
+    w.field_u64("split_nanos", p.split.best());
+    w.field_f64("split_spread", p.split.spread());
+    w.field_f64("split_edges_per_sec", p.split.per_sec(p.m));
     w.field_u64("validate_nanos", p.validate.best());
     w.field_f64("validate_nanos_p50", p.validate.percentile(50.0));
     w.field_f64("validate_nanos_p95", p.validate.percentile(95.0));
@@ -337,10 +348,11 @@ fn main() {
         for &n in &sizes {
             let p = measure(family, n);
             println!(
-                "{family:4} n={n:7} m={:8} Δ={:3} · validate {:9} ns ({:.1}M edges/s) · \
-                 misra-gries {:10} ns · d1lc {:11} ns · rct {:11} ns",
+                "{family:4} n={n:7} m={:8} Δ={:3} · split {:9} ns · validate {:9} ns \
+                 ({:.1}M edges/s) · misra-gries {:10} ns · d1lc {:11} ns · rct {:11} ns",
                 p.m,
                 p.delta,
+                p.split.best(),
                 p.validate.best(),
                 p.validate.per_sec(p.m) / 1e6,
                 p.misra_gries.best(),
@@ -375,7 +387,7 @@ fn main() {
     assert_eq!(points.len(), 2 * sizes.len(), "full grid measured");
     for p in &points {
         assert!(p.m > 0 && p.delta > 0, "graphs must be nonempty");
-        for phase in [&p.validate, &p.misra_gries, &p.d1lc, &p.rct] {
+        for phase in [&p.split, &p.validate, &p.misra_gries, &p.d1lc, &p.rct] {
             assert!(phase.0.len() >= MIN_REPS, "every phase repeats");
             assert!(phase.best() > 0, "all phase timings must be positive");
         }

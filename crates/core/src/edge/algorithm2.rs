@@ -295,7 +295,9 @@ fn palette_index(palette: &[ColorId], c: ColorId) -> Option<usize> {
 /// Lemma 5.4 encoder: iteratively pick the palette color available for
 /// the largest fraction of the still-uncovered vertices (≥ 1/3 by the
 /// double-counting argument), announce it with a membership bit-array
-/// over the current uncovered list, and recurse on the rest.
+/// over the current uncovered list, and recurse on the rest. Each
+/// color's count of uncovered vertices is taken once and decremented
+/// for every vertex a pick covers; ties go to the largest color.
 ///
 /// `free_rows` is a flat `k.len() × palette_len` availability matrix
 /// (row `i` belongs to `k[i]`).
@@ -305,22 +307,34 @@ fn encode_palette_covering(
     palette_len: usize,
 ) -> bichrome_comm::Message {
     debug_assert_eq!(free_rows.len(), k.len() * palette_len);
-    let free = |i: usize, c: usize| free_rows[i * palette_len + c];
+    let row = |i: usize| &free_rows[i * palette_len..(i + 1) * palette_len];
+    let mut count = vec![0usize; palette_len];
+    for i in 0..k.len() {
+        for (n, &f) in count.iter_mut().zip(row(i)) {
+            *n += usize::from(f);
+        }
+    }
     let mut u: Vec<usize> = (0..k.len()).collect();
     let mut picks: Vec<(usize, Vec<bool>)> = Vec::new();
     while !u.is_empty() {
         let best = (0..palette_len)
-            .max_by_key(|&c| u.iter().filter(|&&i| free(i, c)).count())
+            .max_by_key(|&c| count[c])
             .expect("palette nonempty");
-        let mask: Vec<bool> = u.iter().map(|&i| free(i, best)).collect();
-        let covered = mask.iter().filter(|&&b| b).count();
-        assert!(covered > 0, "every vertex has an available color (Δ ≥ 8)");
-        let next: Vec<usize> = u
-            .iter()
-            .zip(&mask)
-            .filter(|(_, &m)| !m)
-            .map(|(&i, _)| i)
-            .collect();
+        assert!(
+            count[best] > 0,
+            "every vertex has an available color (Δ ≥ 8)"
+        );
+        let mask: Vec<bool> = u.iter().map(|&i| row(i)[best]).collect();
+        let mut next = Vec::with_capacity(u.len() - count[best]);
+        for (&i, &covered) in u.iter().zip(&mask) {
+            if covered {
+                for (n, &f) in count.iter_mut().zip(row(i)) {
+                    *n -= usize::from(f);
+                }
+            } else {
+                next.push(i);
+            }
+        }
         picks.push((best, mask));
         u = next;
     }
@@ -378,9 +392,12 @@ fn max_degree_of_edges(edges: &[Edge], n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::edge::tests::theorem2_merged;
+    use bichrome_comm::Message;
     use bichrome_graph::coloring::validate_edge_coloring_with_palette;
     use bichrome_graph::gen;
     use bichrome_graph::partition::Partitioner;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
 
     fn check(g: &Graph, part: Partitioner, seed: u64) {
         let p = part.split(g);
@@ -475,6 +492,56 @@ mod tests {
             assert!(free_of(v, idx), "assigned color must be available");
         }
         assert!(assigned[10].is_none());
+    }
+
+    /// Lemma 5.4's encoder with every pick recounting every color over
+    /// the still-uncovered vertices.
+    fn recount_covering(k: &[VertexId], free_rows: &[bool], palette_len: usize) -> Message {
+        let free = |i: usize, c: usize| free_rows[i * palette_len + c];
+        let mut u: Vec<usize> = (0..k.len()).collect();
+        let mut w = BitWriter::new();
+        let mut picks = Vec::new();
+        while !u.is_empty() {
+            let best = (0..palette_len)
+                .max_by_key(|&c| u.iter().filter(|&&i| free(i, c)).count())
+                .expect("palette nonempty");
+            let mask: Vec<bool> = u.iter().map(|&i| free(i, best)).collect();
+            u = u
+                .iter()
+                .zip(&mask)
+                .filter(|(_, &m)| !m)
+                .map(|(&i, _)| i)
+                .collect();
+            picks.push((best, mask));
+        }
+        w.write_gamma(picks.len() as u64);
+        for (c, mask) in &picks {
+            w.write_uint(*c as u64, width_for(palette_len.saturating_sub(1) as u64));
+            w.write_bools(mask);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn covering_picks_match_a_full_recount() {
+        let mut rng = StdRng::seed_from_u64(54);
+        for _ in 0..300 {
+            let palette_len = rng.gen_range(1..10usize);
+            let k: Vec<VertexId> = (0..rng.gen_range(1..40u32)).map(VertexId).collect();
+            // Sparse rows tie often; each row keeps one free color.
+            let mut free_rows: Vec<bool> = (0..k.len() * palette_len)
+                .map(|_| rng.gen_range(0..3u32) == 0)
+                .collect();
+            for i in 0..k.len() {
+                free_rows[i * palette_len + rng.gen_range(0..palette_len)] = true;
+            }
+            assert_eq!(
+                encode_palette_covering(&k, &free_rows, palette_len),
+                recount_covering(&k, &free_rows, palette_len),
+                "{} rows over {palette_len} colors",
+                k.len()
+            );
+        }
     }
 
     #[test]

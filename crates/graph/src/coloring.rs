@@ -192,6 +192,26 @@ impl EdgeColoring {
         }
     }
 
+    /// A coloring of `g`'s edges from its raw slots: `slots[i]` is the
+    /// color of [`EdgeId`]`(i)` or the uncolored sentinel, and
+    /// `colored` counts the other slots.
+    pub(crate) fn from_slots(g: &Graph, slots: Vec<u32>, colored: usize) -> Self {
+        debug_assert_eq!(slots.len(), g.num_edges());
+        debug_assert_eq!(slots.iter().filter(|&&c| c != UNCOLORED).count(), colored);
+        EdgeColoring {
+            edges: g.edges_shared(),
+            slots,
+            colored,
+        }
+    }
+
+    /// The raw slots, [`EdgeId`]-indexed, with `u32::MAX` for an
+    /// uncolored edge.
+    #[inline]
+    pub(crate) fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
     /// Whether this coloring's edge list *is* `g`'s edge list
     /// (pointer identity): the condition under which `EdgeId`-keyed
     /// calls and `g`'s edge ids agree.
@@ -428,6 +448,8 @@ pub enum ColoringError {
     EdgePaletteExceeded(Edge, ColorId, usize),
     /// A color sits on a pair that is not an edge of the graph.
     ColoredNonEdge(Edge),
+    /// Two reports give one edge different colors.
+    ConflictingReports(Edge),
 }
 
 impl fmt::Display for ColoringError {
@@ -449,6 +471,9 @@ impl fmt::Display for ColoringError {
             }
             ColoringError::ColoredNonEdge(e) => {
                 write!(f, "{e} has a color but is not an edge of the graph")
+            }
+            ColoringError::ConflictingReports(e) => {
+                write!(f, "edge {e} is reported in two different colors")
             }
         }
     }

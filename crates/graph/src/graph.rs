@@ -1,5 +1,6 @@
 //! The immutable simple undirected graph type used across the workspace.
 
+use crate::partition::Ownership;
 use std::fmt;
 use std::sync::Arc;
 
@@ -423,6 +424,63 @@ impl Graph {
         Graph::from_parts(self.n, edges)
     }
 
+    /// The two subgraphs on this vertex set that `owned` splits the
+    /// edges into, Bob's then Alice's (indexed by the ownership bit),
+    /// each equal to a [`from_parts`](Graph::from_parts) build over
+    /// its own edges. A side's incidence lists are its subsequences of
+    /// this graph's, which are already sorted, and a kept incidence's
+    /// id is its edge's rank among that side's edges. No write depends
+    /// on a branch: every incidence is written to both sides, and only
+    /// its owner's cursor advances. Each side's edge list is then read
+    /// off its own lists.
+    pub(crate) fn cut(&self, owned: &Ownership) -> [Graph; 2] {
+        let n = self.n as usize;
+        let alice_m = owned.alice_count();
+        let m = [self.num_edges() - alice_m, alice_m];
+        let mut offsets = m.map(|_| vec![0u32; n + 1]);
+        // One slot of slack per side: a write for the other side can
+        // land one past the last kept entry.
+        let mut neighbors = m.map(|k| vec![VertexId(0); 2 * k + 1]);
+        let mut neighbor_edge_ids = m.map(|k| vec![EdgeId(0); 2 * k + 1]);
+        let mut max_degree = [0u32; 2];
+        let mut at = [0usize; 2];
+        for v in 0..n {
+            let start = at;
+            let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+            for (&w, &id) in self.neighbors[lo..hi]
+                .iter()
+                .zip(&self.neighbor_edge_ids[lo..hi])
+            {
+                let (own, alice_rank) = owned.locate(id.index());
+                neighbors[0][at[0]] = w;
+                neighbors[1][at[1]] = w;
+                neighbor_edge_ids[0][at[0]] = EdgeId(id.0 - alice_rank);
+                neighbor_edge_ids[1][at[1]] = EdgeId(alice_rank);
+                at[0] += 1 - own;
+                at[1] += own;
+            }
+            for s in 0..2 {
+                offsets[s][v + 1] = at[s] as u32;
+                max_degree[s] = max_degree[s].max((at[s] - start[s]) as u32);
+            }
+        }
+        std::array::from_fn(|s| {
+            let offsets = std::mem::take(&mut offsets[s]);
+            let mut neighbors = std::mem::take(&mut neighbors[s]);
+            let mut neighbor_edge_ids = std::mem::take(&mut neighbor_edge_ids[s]);
+            neighbors.truncate(2 * m[s]);
+            neighbor_edge_ids.truncate(2 * m[s]);
+            Graph {
+                n: self.n,
+                edges: sorted_edges(&offsets, &neighbors, m[s]),
+                offsets,
+                neighbors,
+                neighbor_edge_ids,
+                max_degree: max_degree[s],
+            }
+        })
+    }
+
     /// Union of this graph with another graph on the same vertex set.
     ///
     /// # Panics
@@ -445,6 +503,33 @@ impl Graph {
     pub fn total_degree(&self) -> usize {
         2 * self.num_edges()
     }
+}
+
+/// The sorted edge list of the `m`-edge CSR `offsets`/`neighbors`,
+/// whose neighbor lists are sorted: each vertex's neighbors above it,
+/// in vertex order.
+fn sorted_edges(offsets: &[u32], neighbors: &[VertexId], m: usize) -> Arc<[Edge]> {
+    // `u`'s neighbors above it are `neighbors[k..end]`; `next` is the
+    // vertex to open when they run out.
+    let (mut u, mut next, mut k, mut end) = (0, 0, 0, 0);
+    // A mapped range has a trusted length, so the `Arc` is allocated
+    // once and filled in place.
+    (0..m)
+        .map(|_| {
+            while k == end {
+                u = next;
+                next += 1;
+                let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+                k = lo + neighbors[lo..hi].partition_point(|w| w.index() < u);
+                end = hi;
+            }
+            k += 1;
+            Edge {
+                u: VertexId(u as u32),
+                v: neighbors[k - 1],
+            }
+        })
+        .collect()
 }
 
 impl fmt::Display for Graph {

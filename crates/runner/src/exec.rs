@@ -20,6 +20,11 @@
 //! (spec, graph_seed, partitioner) → Arc<EdgePartition>
 //! ```
 //!
+//! A partition is split from the graph entry's own `Arc`
+//! ([`Partitioner::split_shared`]) and keeps it as its whole graph, so
+//! every partitioner of one `(spec, graph_seed)` shares one graph and
+//! each instance is held once: one graph plus its two sides.
+//!
 //! This fixes three problems of eager construction at once: setup
 //! work happens *on* the worker threads instead of serially before
 //! them; at most one materialized graph/partition exists per distinct
@@ -279,7 +284,7 @@ impl InstanceCache {
                 graph_seed,
                 partitioner,
             },
-            || Arc::new(partitioner.split(&graph)),
+            || Arc::new(partitioner.split_shared(Arc::clone(&graph))),
         );
         Instance {
             label,
@@ -390,6 +395,30 @@ mod tests {
         assert_eq!(stats.graphs_built, 4, "one graph per seed");
         assert_eq!(stats.partitions_requested, 12);
         assert_eq!(stats.partitions_built, 4, "one partition per seed");
+    }
+
+    #[test]
+    fn partitions_hold_the_cached_graph_itself() {
+        let cache = InstanceCache::new();
+        let spec = GraphSpec::NearRegular { n: 24, d: 4 };
+        let alternating = cache.instance(&spec, Partitioner::Alternating, 5);
+        let random = cache.instance(&spec, Partitioner::Random(1), 5);
+        let graph = cache.graphs.get_or_build(
+            GraphKey {
+                spec: spec.to_string(),
+                graph_seed: seeds::graph_seed(5),
+            },
+            || unreachable!("built by the first resolution"),
+        );
+        assert!(
+            std::ptr::eq(alternating.graph(), &*graph),
+            "the partition shares the cache's graph, not a copy"
+        );
+        assert!(
+            std::ptr::eq(random.graph(), alternating.graph()),
+            "two partitioners on one (spec, seed) share one whole graph"
+        );
+        assert_eq!(cache.stats().graphs_built, 1);
     }
 
     #[test]

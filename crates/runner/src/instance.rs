@@ -421,10 +421,10 @@ impl Instance {
     /// sub-seeds through the [`crate::seeds`] scheme so the two
     /// streams are independent.
     pub fn from_spec(spec: &GraphSpec, partitioner: Partitioner, trial_seed: u64) -> Self {
-        let g = spec.build(seeds::graph_seed(trial_seed));
+        let g = Arc::new(spec.build(seeds::graph_seed(trial_seed)));
         Instance {
             label: spec.to_string(),
-            partition: Arc::new(partitioner.split(&g)),
+            partition: Arc::new(partitioner.split_shared(g)),
             trial_seed,
             seed: seeds::protocol_seed(trial_seed),
         }

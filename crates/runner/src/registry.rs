@@ -277,8 +277,9 @@ fn agreed<T: PartialEq>(alice: T, bob: T) -> Option<T> {
 
 /// Judges an edge protocol's two outputs. Each party outputs colors
 /// for its own edges only (§3.1), so a party's coloring that is not a
-/// coloring of that party's own edge list fails the trial; the two
-/// are then merged onto the whole graph and validated there.
+/// coloring of that party's own edge list fails the trial; the
+/// partition's ownership bits then lay the two onto the whole graph,
+/// where they are validated.
 fn merge_edge_outcome(
     inst: &Instance,
     alice: EdgeColoring,
@@ -286,20 +287,13 @@ fn merge_edge_outcome(
     stats: CommStats,
     budget: usize,
 ) -> Outcome {
-    let p = &inst.partition;
-    let mut merged = EdgeColoring::dense_for(inst.graph());
-    for (name, coloring, own) in [("Alice", &alice, p.alice()), ("Bob", &bob, p.bob())] {
-        if !coloring.is_indexed_for(own) {
-            return Outcome::failed(
-                format!("{name}'s coloring is not a coloring of {name}'s own edges"),
-                stats,
-            );
-        }
-        if let Err(e) = merged.merge(coloring) {
-            return Outcome::failed(format!("parties both colored {e}"), stats);
-        }
+    match inst.partition.join(&alice, &bob) {
+        Ok(merged) => Outcome::edge(inst.graph(), merged, stats, Some(budget)),
+        Err(p) => Outcome::failed(
+            format!("{p}'s coloring is not a coloring of {p}'s own edges"),
+            stats,
+        ),
     }
-    Outcome::edge(inst.graph(), merged, stats, Some(budget))
 }
 
 /// The string-keyed collection of every registered protocol.

@@ -42,17 +42,26 @@ impl WeakerOutput {
 ///
 /// # Errors
 ///
-/// Returns the first [`ColoringError`] found; double reports with
-/// different colors surface as [`ColoringError::UncoloredEdge`]-free
-/// merge failure mapped to `IncidentEdges`-style errors by the caller —
-/// here they are reported via `Err` from the merge as an uncolored
-/// marker on the conflicting edge.
+/// Returns [`ColoringError::ColoredNonEdge`] for a report on a pair
+/// that is not an edge of `g`, [`ColoringError::ConflictingReports`]
+/// for an edge the parties report in different colors, and otherwise
+/// the first violation [`validate_edge_coloring_with_palette`] finds
+/// in the combined reports.
 pub fn validate_weaker_output(
     g: &Graph,
     out: &WeakerOutput,
     palette_size: usize,
 ) -> Result<(), ColoringError> {
-    let combined = out.combined().map_err(ColoringError::UncoloredEdge)?; // conflicting report
+    let mut combined = EdgeColoring::dense_for(g);
+    for report in [&out.alice, &out.bob] {
+        combined.merge(report).map_err(|e| {
+            if g.has_edge(e.u(), e.v()) {
+                ColoringError::ConflictingReports(e)
+            } else {
+                ColoringError::ColoredNonEdge(e)
+            }
+        })?;
+    }
     validate_edge_coloring_with_palette(g, &combined, palette_size)
 }
 
@@ -99,7 +108,29 @@ mod tests {
         let mut bob = EdgeColoring::dense_for(&g);
         bob.set(e, ColorId(1));
         let out = WeakerOutput { alice, bob };
-        assert!(validate_weaker_output(&g, &out, 3).is_err());
+        assert_eq!(
+            validate_weaker_output(&g, &out, 3),
+            Err(ColoringError::ConflictingReports(e))
+        );
+    }
+
+    #[test]
+    fn a_report_on_a_non_edge_fails() {
+        let g = gen::path(3);
+        let e01 = Edge::new(VertexId(0), VertexId(1));
+        let e12 = Edge::new(VertexId(1), VertexId(2));
+        let stray = Edge::new(VertexId(0), VertexId(2));
+        let mut alice = EdgeColoring::dense_for(&g);
+        alice.set(e01, ColorId(0));
+        alice.set(e12, ColorId(1));
+        // Bob reports over the triangle: one pair is not an edge of g.
+        let mut bob = EdgeColoring::dense_for(&gen::complete(3));
+        bob.set(stray, ColorId(2));
+        let out = WeakerOutput { alice, bob };
+        assert_eq!(
+            validate_weaker_output(&g, &out, 3),
+            Err(ColoringError::ColoredNonEdge(stray))
+        );
     }
 
     #[test]
