@@ -8,8 +8,12 @@
 //! hot-path throughput across PRs. Each phase repeats until it has
 //! run for at least [`MIN_PHASE`] and [`MIN_REPS`] times; a point
 //! is the best repetition, with the spread (worst/best − 1) beside
-//! it. A full run also times two end-to-end campaign shapes (few
-//! giant cells vs a 100+-cell small grid) through the real runner.
+//! it. It also times end-to-end campaign shapes through the real
+//! runner the same way: few giant cells, a 100+-cell small grid, and a
+//! skewed grid whose costly cell comes first, run serially, through
+//! the runner's pull loop, and through the contiguous per-core chunks
+//! campaigns used before it. The file records the host's core count
+//! (`nproc`) and the git commit (`git_sha`) it measured.
 //!
 //! The bin asserts its own schema invariants (all timings > 0, every
 //! phase present) before writing, so a malformed benchmark fails the
@@ -20,8 +24,9 @@
 //!     [out.json] [--max-n N]
 //! ```
 //!
-//! `--max-n` drops grid sizes above `N` and skips the campaign section
-//! (CI uses `--max-n 100000` for a quick trajectory point).
+//! `--max-n` drops kernel grid sizes above `N`; the campaign shapes
+//! have fixed sizes and always run (CI uses `--max-n 100000` for a
+//! quick trajectory point).
 
 use bichrome_comm::Side;
 use bichrome_core::d1lc::{solve_d1lc, D1lcInput};
@@ -31,7 +36,7 @@ use bichrome_graph::coloring::{validate_edge_coloring_with_palette, ColorId, Ver
 use bichrome_graph::edge_color::misra_gries;
 use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::{gen, Graph, VertexId};
-use bichrome_runner::{Campaign, GraphSpec};
+use bichrome_runner::{Campaign, GraphSpec, InstanceCache};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -259,31 +264,90 @@ fn point_json(p: &Point) -> String {
     w.finish()
 }
 
-/// One end-to-end campaign timing through the real runner (queue →
-/// executor), reported as trajectory evidence for the two scheduling
-/// regimes: few giant cells vs a wide small grid.
+/// One end-to-end campaign shape timed through the real runner.
 struct CampaignPoint {
     label: &'static str,
+    /// How the pending trials were scheduled: `pull` (the runner's
+    /// pull loop, one worker per core), `chunked` (one contiguous chunk
+    /// of the queue per core, cut up front) or `serial`.
+    schedule: &'static str,
     cells: usize,
-    trials: u64,
-    wall_seconds: f64,
+    trials: usize,
+    wall: Timing,
 }
 
 fn campaign_json(p: &CampaignPoint) -> String {
     let mut w = bichrome_runner::json::Writer::object();
     w.field_str("label", p.label);
+    w.field_str("schedule", p.schedule);
     w.field_u64("cells", p.cells as u64);
-    w.field_u64("trials", p.trials);
-    w.field_f64("wall_seconds", p.wall_seconds);
+    w.field_u64("trials", p.trials as u64);
+    w.field_f64("wall_seconds", p.wall.best() as f64 / 1e9);
+    w.field_f64("wall_spread", p.wall.spread());
+    w.field_u64("reps", p.wall.0.len() as u64);
     w.finish()
 }
 
+/// Times `campaign()` under `schedule`; every repetition builds its
+/// instances afresh.
+fn time_campaign(
+    label: &'static str,
+    schedule: &'static str,
+    campaign: impl Fn() -> Campaign,
+) -> CampaignPoint {
+    let (cells, trials) = {
+        let c = campaign();
+        (c.cell_count(), c.prepare().expect("no store").pending())
+    };
+    let wall = Timing::of(|| match schedule {
+        "pull" => campaign().run().cells.len(),
+        "serial" => campaign().parallel(false).run().cells.len(),
+        "chunked" => run_chunked(campaign()),
+        other => panic!("unknown schedule {other}"),
+    });
+    let point = CampaignPoint {
+        label,
+        schedule,
+        cells,
+        trials,
+        wall,
+    };
+    println!(
+        "campaign {label} ({schedule}) · {cells} cells · {trials} trials · \
+         wall {:.3}s (spread {:.2})",
+        point.wall.best() as f64 / 1e9,
+        point.wall.spread()
+    );
+    point
+}
+
+/// The schedule campaigns ran on before the pull loop (the rayon
+/// stand-in's `par_iter`): the pending trials cut into one contiguous
+/// chunk per core up front, one scoped thread per chunk.
+fn run_chunked(campaign: Campaign) -> usize {
+    let prepared = campaign.prepare().expect("no store");
+    let cache = InstanceCache::new();
+    let indices: Vec<usize> = (0..prepared.pending()).collect();
+    let chunk = indices.len().div_ceil(nproc()).max(1);
+    std::thread::scope(|s| {
+        for part in indices.chunks(chunk) {
+            let (prepared, cache) = (&prepared, &cache);
+            s.spawn(move || {
+                for &i in part {
+                    let record = prepared.run_pending(i, cache).expect("the trial runs");
+                    prepared.commit(i, record).expect("no store");
+                }
+            });
+        }
+    });
+    prepared.finish().0.cells.len()
+}
+
 /// Four big cells at n = 1e5: two protocols × two partitioners, one
-/// seed — fewer trials than cores, so the run is bound by its slowest
-/// trial.
-fn giant_campaign() -> CampaignPoint {
-    let started = Instant::now();
-    let (report, stats) = Campaign::new()
+/// seed — fewer trials than cores on most hosts, so the run is bound
+/// by its slowest trial.
+fn giant_campaign() -> Campaign {
+    Campaign::new()
         .protocol_keys(["vertex/theorem1", "edge/theorem2"])
         .graphs([GraphSpec::Gnp {
             n: 100_000,
@@ -291,20 +355,12 @@ fn giant_campaign() -> CampaignPoint {
         }])
         .partitioners([Partitioner::Alternating, Partitioner::Random(1)])
         .seeds([1])
-        .run_with_stats();
-    CampaignPoint {
-        label: "giant-4-cells-n1e5",
-        cells: report.cells.len(),
-        trials: stats.trials_computed,
-        wall_seconds: started.elapsed().as_secs_f64(),
-    }
 }
 
 /// A 100+-cell grid of small instances — many more trials than
 /// cores, so the run is bound by the executor's per-trial overhead.
-fn small_grid_campaign() -> CampaignPoint {
-    let started = Instant::now();
-    let (report, stats) = Campaign::new()
+fn small_grid_campaign() -> Campaign {
+    Campaign::new()
         .protocol_keys([
             "vertex/theorem1",
             "edge/theorem2",
@@ -313,13 +369,50 @@ fn small_grid_campaign() -> CampaignPoint {
         .graphs([GraphSpec::NearRegular { n: 64, d: 8 }])
         .sizes((64..400).step_by(9))
         .seeds([1])
-        .run_with_stats();
-    CampaignPoint {
-        label: "small-grid-100plus-cells",
-        cells: report.cells.len(),
-        trials: stats.trials_computed,
-        wall_seconds: started.elapsed().as_secs_f64(),
-    }
+}
+
+/// One costly cell first, then many small ones of about the same total
+/// cost: a schedule that cuts the queue into per-core chunks up front
+/// leaves the small cells behind the costly one on its core, while the
+/// pull loop lets the other cores take them.
+fn skewed_campaign() -> Campaign {
+    let small = (0..SKEWED_SMALL_CELLS).map(|i| GraphSpec::NearRegular {
+        n: 512 + 2 * i,
+        d: 8,
+    });
+    Campaign::new()
+        .protocol_keys(["vertex/theorem1"])
+        .graphs(
+            std::iter::once(GraphSpec::NearRegular {
+                n: SKEWED_COSTLY_N,
+                d: 8,
+            })
+            .chain(small),
+        )
+        .seeds([1])
+}
+
+/// The costly cell's size in [`skewed_campaign`]…
+const SKEWED_COSTLY_N: usize = 80_000;
+
+/// …and how many small cells follow it.
+const SKEWED_SMALL_CELLS: usize = 120;
+
+/// Available cores, as the runner's parallel campaigns count them.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The commit measured (suffixed `-dirty` when the tree has
+/// uncommitted changes), or `unknown` outside a git checkout.
+fn git_sha() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |sha| sha.trim().to_string())
 }
 
 fn main() {
@@ -340,7 +433,6 @@ fn main() {
         .into_iter()
         .filter(|&n| max_n.is_none_or(|cap| n <= cap))
         .collect();
-    let full_grid = max_n.is_none();
 
     let started = Instant::now();
     let mut points = Vec::new();
@@ -363,23 +455,14 @@ fn main() {
         }
     }
 
-    // End-to-end campaign regimes, only on unfiltered runs (CI's
-    // filtered trajectory point skips them).
-    let campaigns: Vec<CampaignPoint> = if full_grid {
-        let giant = giant_campaign();
-        println!(
-            "campaign {} · {} cells · {} trials · wall {:.3}s",
-            giant.label, giant.cells, giant.trials, giant.wall_seconds
-        );
-        let small = small_grid_campaign();
-        println!(
-            "campaign {} · {} cells · {} trials · wall {:.3}s",
-            small.label, small.cells, small.trials, small.wall_seconds
-        );
-        vec![giant, small]
-    } else {
-        Vec::new()
-    };
+    // End-to-end campaign shapes, at fixed sizes on every run.
+    let campaigns = vec![
+        time_campaign("giant-4-cells-n1e5", "pull", giant_campaign),
+        time_campaign("small-grid-100plus-cells", "pull", small_grid_campaign),
+        time_campaign("skewed-costly-first", "serial", skewed_campaign),
+        time_campaign("skewed-costly-first", "chunked", skewed_campaign),
+        time_campaign("skewed-costly-first", "pull", skewed_campaign),
+    ];
     let wall_seconds = started.elapsed().as_secs_f64();
 
     // Schema smoke invariants: a zero timing or a missing phase means
@@ -393,20 +476,22 @@ fn main() {
         }
     }
     for c in &campaigns {
-        assert!(c.cells > 0 && c.wall_seconds > 0.0, "campaigns must run");
+        assert!(c.cells > 0 && c.trials > 0, "campaigns must run");
+        assert!(c.wall.0.len() >= MIN_REPS, "every campaign repeats");
+        assert!(c.wall.best() > 0, "all campaign timings must be positive");
     }
-    if full_grid {
-        assert!(
-            campaigns[1].cells > 100,
-            "small grid must exceed 100 cells, got {}",
-            campaigns[1].cells
-        );
-    }
+    assert!(
+        campaigns[1].cells > 100,
+        "small grid must exceed 100 cells, got {}",
+        campaigns[1].cells
+    );
 
     let rows: Vec<String> = points.iter().map(point_json).collect();
     let camp_rows: Vec<String> = campaigns.iter().map(campaign_json).collect();
     let mut w = bichrome_runner::json::Writer::object();
     w.field_str("benchmark", "hotpath");
+    w.field_u64("nproc", nproc() as u64);
+    w.field_str("git_sha", &git_sha());
     w.field_u64("sizes", sizes.len() as u64);
     w.field_f64("wall_seconds", wall_seconds);
     w.field_raw("grid", &format!("[{}]", rows.join(",")));

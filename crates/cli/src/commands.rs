@@ -52,11 +52,15 @@ USAGE:
     bichrome work --connect <addr> [--max-retries <n>] [--backoff <ms>]
         Pull trials from a daemon, compute them locally, and stream the
         records back. Run any number of these wherever the daemon is
-        reachable; one dying mid-trial costs only a lease timeout. An
-        unreachable or restarting daemon is retried with capped
-        exponential backoff (base --backoff ms, default 100, doubling
-        to 64x; deterministic jitter) for up to --max-retries
-        consecutive failures (default 50) before the worker gives up.
+        reachable; one dying mid-trial costs only a lease timeout. A
+        trial that fails on the worker (its protocol panics, or its
+        session cannot open, say for want of file descriptors) goes
+        back as an error: the daemon fails its job and the worker
+        keeps leasing. An unreachable or restarting daemon is retried
+        with capped exponential backoff (base --backoff ms, default
+        100, doubling to 64x; deterministic jitter) for up to
+        --max-retries consecutive failures (default 50) before the
+        worker gives up.
     bichrome submit <campaign.toml> --addr <addr> [--watch]
         Submit the declaration (sent inline) as a job; --watch streams
         its progress and exits with the final accounting.
@@ -72,8 +76,8 @@ USAGE:
         Print the daemon's counters (cache, store, jobs, leases) plus
         lease-age and lease-latency percentiles.
     bichrome metrics --addr <addr>
-        Print the daemon's full metrics registry: every counter, gauge,
-        and histogram (with p50/p95/p99) — the same registry its
+        Print the daemon's full metrics registry: every counter and
+        histogram (with p50/p95/p99) — the same registry its
         `GET /metrics` endpoint exposes.
     bichrome shutdown --addr <addr>
         Drain in-flight jobs, checkpoint the store, stop the daemon.
@@ -290,7 +294,7 @@ fn run(args: &[&str], require_store: bool) -> Result<String, String> {
     }
     let (report, stats) = campaign
         .try_run_with_stats()
-        .map_err(|e| format!("campaign store: {e}"))?;
+        .map_err(|e| format!("campaign failed: {e}"))?;
     if let Some(out) = flags.trace_out {
         write_trace(out)?;
     }
@@ -397,11 +401,12 @@ fn serve(args: &[&str]) -> Result<String, String> {
         Some(spec) => Addr::parse(spec)?,
         None => Addr::Unix(std::path::Path::new(dir).join("daemon.sock")),
     };
-    let mut config = DaemonConfig {
-        workers: flags.workers,
-        local_pool: !flags.no_local_workers,
-        ..DaemonConfig::default()
-    };
+    let mut config = DaemonConfig::default();
+    if flags.no_local_workers {
+        config.workers = 0;
+    } else if flags.workers > 0 {
+        config.workers = flags.workers;
+    }
     if let Some(secs) = flags.lease_timeout {
         config.lease_timeout = Duration::from_secs(secs);
     }
@@ -514,9 +519,11 @@ impl Reconnector {
 /// compute them with the ordinary prepared-run machinery, stream the
 /// records back, all on one kept connection. A lease waits at the
 /// daemon until work arrives, so the worker never sleeps between
-/// trials. Exits when the daemon says stop (drain), immediately
-/// on a fatal protocol error, or once the daemon has stayed
-/// unreachable through `--max-retries` consecutive backoffs.
+/// trials. A trial that fails here (it panics, or its descriptor does
+/// not resolve) goes back as its error, and the worker leases on.
+/// Exits when the daemon says stop (drain), immediately on a fatal
+/// protocol error, or once the daemon has stayed unreachable through
+/// `--max-retries` consecutive backoffs.
 ///
 /// Mid-trial disconnects are survived by construction: the lease is
 /// re-acquired idempotently (a trial is a pure function of its key,
@@ -550,25 +557,27 @@ fn work(args: &[&str]) -> Result<String, String> {
                     partitioner: t.partitioner.clone(),
                     seed: t.seed,
                 };
-                let kind: TransportKind = t
+                let result = t
                     .transport
-                    .parse()
-                    .map_err(|e| format!("daemon sent a bad transport: {e}"))?;
-                let fault: FaultPlan = t
-                    .fault
-                    .parse()
-                    .map_err(|e| format!("daemon sent a bad fault plan: {e}"))?;
-                let record = compute_trial(&key, kind, &fault, &cache)?;
-                let json = record.to_json();
+                    .parse::<TransportKind>()
+                    .map_err(|e| format!("daemon sent a bad transport: {e}"))
+                    .and_then(|kind| {
+                        let fault: FaultPlan = t
+                            .fault
+                            .parse()
+                            .map_err(|e| format!("daemon sent a bad fault plan: {e}"))?;
+                        compute_trial(&key, kind, &fault, &cache)
+                    })
+                    .map(|record| record.to_json());
                 // Retry the return leg too: completes are idempotent
                 // (the token removal arbitrates), so resending after
                 // a mid-complete disconnect at worst earns a polite
                 // `accepted: false`.
                 loop {
-                    match client.complete(t.lease, &json) {
+                    match client.complete(t.lease, result.as_deref().map_err(String::as_str)) {
                         Ok(accepted) => {
                             retry.on_contact();
-                            computed += u64::from(accepted);
+                            computed += u64::from(accepted && result.is_ok());
                             break;
                         }
                         Err(e) if !e.is_retryable() => {
@@ -726,7 +735,7 @@ fn stats(args: &[&str]) -> Result<String, String> {
 }
 
 /// `bichrome metrics`: the daemon's full obs registry, one line per
-/// metric — counters and gauges as `name: value`, histograms as
+/// metric — counters as `name: value`, histograms as
 /// `name: count=…  sum=… p50=… p95=… p99=…`.
 fn metrics(args: &[&str]) -> Result<String, String> {
     let flags = parse_flags(args, &["--addr"])?;
@@ -742,11 +751,9 @@ fn metrics(args: &[&str]) -> Result<String, String> {
             .unwrap_or_else(|| "?".to_string())
     };
     let mut out = String::new();
-    for section in ["counters", "gauges"] {
-        if let Some(entries) = o.get(section).and_then(Value::as_object) {
-            for (name, value) in entries {
-                writeln!(out, "{name}: {}", num(value)).expect("string write");
-            }
+    if let Some(entries) = o.get("counters").and_then(Value::as_object) {
+        for (name, value) in entries {
+            writeln!(out, "{name}: {}", num(value)).expect("string write");
         }
     }
     if let Some(entries) = o.get("histograms").and_then(Value::as_object) {

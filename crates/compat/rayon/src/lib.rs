@@ -1,16 +1,15 @@
-//! Offline stand-in for `rayon`.
-//!
-//! The build environment cannot reach crates.io, so this crate
-//! provides the two shapes the workspace uses, implemented on
-//! `std::thread::scope`:
+//! Offline stand-in for `rayon`, implemented on `std::thread::scope`:
 //!
 //! * [`current_num_threads`] — the number of available cores;
 //! * `par_iter().map(..).collect()` — the input slice is cut into one
 //!   contiguous chunk per available core, each chunk is mapped on its
 //!   own OS thread, and results are stitched back in input order.
 //!
-//! The campaign runner parallelizes *across* trials with these; each
-//! trial itself runs serially.
+//! Only the benchmark package under `e2e_bench/` uses it, by path.
+//! Campaigns and the daemon run trials through the runner's pull loop,
+//! whose workers take the next trial as they finish one, where these
+//! fixed chunks leave a core idle behind a costly head. The crate is
+//! deleted once the benchmark package is ported off it.
 //!
 //! Semantics match rayon for pure `Fn` closures: same output order,
 //! real parallelism, panics propagate.

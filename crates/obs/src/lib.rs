@@ -4,7 +4,7 @@
 //!
 //! # The two halves
 //!
-//! **Metrics** ([`counter`], [`gauge`], [`histogram`]) live in one
+//! **Metrics** ([`counter`], [`histogram`]) live in one
 //! process-wide registry. Handles are cheap clones of shared
 //! atomics: registration takes the registry lock once, after which every
 //! increment or observation is a lock-free atomic operation with no
@@ -61,8 +61,8 @@ mod registry;
 mod trace;
 
 pub use registry::{
-    counter, counter_labeled, gauge, gauge_labeled, histogram, histogram_labeled, render_json,
-    render_prometheus, Counter, Gauge, Histogram, HistogramTimer,
+    counter, counter_labeled, histogram, histogram_labeled, render_json, render_prometheus,
+    Counter, Histogram, HistogramTimer,
 };
 pub use trace::{
     clear_spans, export_chrome_trace, set_tracing, span, span_events, span_tagged, tracing_enabled,

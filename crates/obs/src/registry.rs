@@ -1,13 +1,13 @@
-//! The process-wide metrics registry: monotonic counters, gauges, and
-//! fixed log₂-bucket histograms, rendered as Prometheus text
-//! exposition or single-line JSON.
+//! The process-wide metrics registry: monotonic counters and fixed
+//! log₂-bucket histograms, rendered as Prometheus text exposition or
+//! single-line JSON.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are thin `Arc`s
+//! Handles ([`Counter`], [`Histogram`]) are thin `Arc`s
 //! around shared atomics: look one up once (the registry lock), cache
 //! it, and every subsequent update is lock-free with no allocation.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -89,7 +89,6 @@ fn escape(s: &str) -> String {
 #[derive(Clone)]
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -97,7 +96,6 @@ impl Metric {
     fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
@@ -148,34 +146,6 @@ impl Counter {
 
     /// The current total.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can move both ways. Cloning shares the
-/// underlying atomic.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Gauge").field(&self.get()).finish()
-    }
-}
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -322,30 +292,6 @@ pub fn counter_labeled(name: &str, labels: &[(&str, &str)]) -> Counter {
     }
 }
 
-/// The gauge named `name`, registering it on first use.
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a different metric kind.
-pub fn gauge(name: &str) -> Gauge {
-    gauge_labeled(name, &[])
-}
-
-/// The gauge named `name` with the given label pairs.
-///
-/// # Panics
-///
-/// Panics if the identity is already registered as a different kind.
-pub fn gauge_labeled(name: &str, labels: &[(&str, &str)]) -> Gauge {
-    let id = MetricId::new(name, labels);
-    match registry().get_or_insert(id.clone(), || {
-        Metric::Gauge(Gauge(Arc::new(AtomicI64::new(0))))
-    }) {
-        Metric::Gauge(g) => g,
-        other => mismatch(&id, "gauge", &other),
-    }
-}
-
 /// The histogram named `name`, registering it on first use.
 ///
 /// # Panics
@@ -375,8 +321,8 @@ pub fn histogram_labeled(name: &str, labels: &[(&str, &str)]) -> Histogram {
 }
 
 /// Renders the whole registry in Prometheus text exposition format
-/// (version 0.0.4): one `# TYPE` line per family, counters and gauges
-/// as single samples, histograms as cumulative `_bucket{le=...}`
+/// (version 0.0.4): one `# TYPE` line per family, counters as single
+/// samples, histograms as cumulative `_bucket{le=...}`
 /// series plus `_sum` and `_count`. This is the body the daemon's
 /// `GET /metrics` endpoint serves.
 pub fn render_prometheus() -> String {
@@ -394,9 +340,6 @@ pub fn render_prometheus() -> String {
         match metric {
             Metric::Counter(c) => {
                 out.push_str(&format!("{} {}\n", id.render(), c.get()));
-            }
-            Metric::Gauge(g) => {
-                out.push_str(&format!("{} {}\n", id.render(), g.get()));
             }
             Metric::Histogram(h) => {
                 let mut cumulative = 0u64;
@@ -433,7 +376,7 @@ pub fn render_prometheus() -> String {
 }
 
 /// Renders the whole registry as one single-line JSON object:
-/// `{"counters":{...},"gauges":{...},"histograms":{...}}`, histograms
+/// `{"counters":{...},"histograms":{...}}`, histograms
 /// as `{count, sum, p50, p95, p99}`. This is the payload of the
 /// daemon's `metrics` socket verb — the same registry `GET /metrics`
 /// exposes, in machine-readable form.
@@ -441,7 +384,6 @@ pub fn render_json() -> String {
     use std::fmt::Write as _;
     let snapshot = registry().snapshot();
     let mut counters = String::new();
-    let mut gauges = String::new();
     let mut histograms = String::new();
     for (id, metric) in &snapshot {
         let key = escape(&id.render());
@@ -451,12 +393,6 @@ pub fn render_json() -> String {
                     counters.push(',');
                 }
                 write!(counters, "\"{key}\":{}", c.get()).expect("string write");
-            }
-            Metric::Gauge(g) => {
-                if !gauges.is_empty() {
-                    gauges.push(',');
-                }
-                write!(gauges, "\"{key}\":{}", g.get()).expect("string write");
             }
             Metric::Histogram(h) => {
                 if !histograms.is_empty() {
@@ -475,9 +411,7 @@ pub fn render_json() -> String {
             }
         }
     }
-    format!(
-        "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{histograms}}}}}"
-    )
+    format!("{{\"counters\":{{{counters}}},\"histograms\":{{{histograms}}}}}")
 }
 
 #[cfg(test)]
@@ -485,19 +419,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_accumulate() {
+    fn counters_accumulate() {
         let c = counter("test_registry_counter_total");
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         // A second lookup shares the same atomic.
         assert_eq!(counter("test_registry_counter_total").get(), 5);
-
-        let g = gauge("test_registry_gauge");
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
-        assert_eq!(gauge("test_registry_gauge").get(), 4);
     }
 
     #[test]
@@ -562,16 +490,13 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_is_wellformed() {
-        counter("test_prom_counter_total").add(3);
-        gauge_labeled("test_prom_gauge", &[("site", "a")]).set(-2);
+        counter_labeled("test_prom_counter_total", &[("site", "a")]).add(3);
         let h = histogram("test_prom_hist_nanos");
         h.observe(5);
         h.observe(900);
         let text = render_prometheus();
         assert!(text.contains("# TYPE test_prom_counter_total counter"));
-        assert!(text.contains("test_prom_counter_total 3"));
-        assert!(text.contains("# TYPE test_prom_gauge gauge"));
-        assert!(text.contains("test_prom_gauge{site=\"a\"} -2"));
+        assert!(text.contains("test_prom_counter_total{site=\"a\"} 3"));
         assert!(text.contains("# TYPE test_prom_hist_nanos histogram"));
         assert!(text.contains("test_prom_hist_nanos_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("test_prom_hist_nanos_sum 905"));
@@ -595,13 +520,11 @@ mod tests {
     #[test]
     fn json_rendering_is_single_line_and_covers_all_kinds() {
         counter("test_json_counter_total").inc();
-        gauge("test_json_gauge").set(9);
         histogram("test_json_hist_nanos").observe(42);
         let json = render_json();
         assert!(!json.contains('\n'));
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"test_json_counter_total\":1"));
-        assert!(json.contains("\"test_json_gauge\":9"));
         assert!(json.contains("\"test_json_hist_nanos\":{\"count\":1"));
         assert!(json.contains("\"p95\":"));
     }
@@ -618,11 +541,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let c = counter("test_hammer_total");
                     let h = histogram("test_hammer_nanos");
-                    let g = gauge("test_hammer_gauge");
                     for i in 0..PER_THREAD {
                         c.inc();
                         h.observe(t * PER_THREAD + i);
-                        g.add(1);
                     }
                 })
             })
@@ -636,9 +557,5 @@ mod tests {
         // Sum of 0..80_000.
         let n = THREADS * PER_THREAD;
         assert_eq!(h.sum(), n * (n - 1) / 2);
-        assert_eq!(
-            gauge("test_hammer_gauge").get(),
-            (THREADS * PER_THREAD) as i64
-        );
     }
 }

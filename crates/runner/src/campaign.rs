@@ -41,13 +41,12 @@ use crate::protocol::Protocol;
 use crate::registry::registry;
 use crate::seeds;
 use crate::table::Table;
-use bichrome_comm::fault::{with_session_faults, FaultPlan};
-use bichrome_comm::transport::{with_session_transport, TransportKind};
+use bichrome_comm::fault::FaultPlan;
+use bichrome_comm::transport::TransportKind;
 use bichrome_graph::partition::Partitioner;
 use bichrome_store::{Store, StoreError, TrialKey};
-use rayon::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Placeholder label for the default partition axis entry: a fresh
@@ -60,6 +59,27 @@ use std::sync::{Arc, Mutex};
 /// itself derived from the trial seed (which the key carries), so the
 /// label plus the seed still pins the computation exactly.
 pub const DEFAULT_PARTITIONER_LABEL: &str = "random(per-seed)";
+
+/// Why [`Campaign::try_run_with_stats`] failed.
+#[derive(Debug)]
+pub enum RunError {
+    /// The store could not be opened, or a record could not be flushed.
+    Store(StoreError),
+    /// The failed trial's key and panic message (its protocol panicked,
+    /// or its session could not be set up).
+    Trial(TrialKey, String),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Store(e) => write!(f, "store: {e}"),
+            RunError::Trial(key, message) => write!(f, "{key}: {message}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// Where a campaign's persistent store comes from: a directory the
 /// campaign opens itself, or a handle shared with other campaigns (the
@@ -302,52 +322,61 @@ impl Campaign {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Campaign::run`], plus any store error
-    /// (use [`Campaign::try_run_with_stats`] to handle those).
+    /// Same conditions as [`Campaign::run`], plus any store error or
+    /// failed trial (use [`Campaign::try_run_with_stats`] to handle
+    /// those).
     pub fn run_with_stats(self) -> (CampaignReport, ExecStats) {
         self.try_run_with_stats()
-            .unwrap_or_else(|e| panic!("campaign store failure: {e}"))
+            .unwrap_or_else(|e| panic!("campaign failed: {e}"))
     }
 
-    /// [`Campaign::run_with_stats`] with store failures surfaced as
-    /// [`StoreError`]s instead of panics (axis misconfiguration still
-    /// panics — those are programming errors, not runtime
-    /// conditions).
+    /// [`Campaign::run_with_stats`] with store failures and failed
+    /// trials surfaced as a [`RunError`] instead of panics (axis
+    /// misconfiguration still panics — those are programming errors,
+    /// not runtime conditions). Pending trials run through
+    /// [`crate::pull_loop`], one worker per core if parallel.
     ///
     /// # Errors
     ///
-    /// Returns the first store failure: the store could not be
-    /// opened/created, or a freshly computed record could not be
-    /// flushed (the in-memory report is lost in that case — the
-    /// error is returned *after* execution so it names exactly what
-    /// was not persisted).
+    /// Returns the first failure: the store could not be opened, a
+    /// trial panicked, or a record could not be flushed. Every other
+    /// pending trial still runs and commits first, so a re-run
+    /// computes only what failed; the in-memory report is lost.
     ///
     /// # Panics
     ///
     /// Same axis-validation conditions as [`Campaign::run`].
-    pub fn try_run_with_stats(self) -> Result<(CampaignReport, ExecStats), StoreError> {
-        let prepared = self.prepare()?;
+    pub fn try_run_with_stats(self) -> Result<(CampaignReport, ExecStats), RunError> {
+        let prepared = self.prepare().map_err(RunError::Store)?;
         // A fresh per-run cache, exactly as before the daemon lifted
         // caching to process scope: the run's ExecStats then report
         // this grid's dedup in isolation.
         let cache = InstanceCache::new();
-        let flush_error: Mutex<Option<StoreError>> = Mutex::new(None);
-        let work = |&i: &usize| {
-            let record = prepared.run_pending(i, &cache);
-            if let Err(e) = prepared.commit(i, record) {
-                flush_error
-                    .lock()
-                    .expect("flush error slot poisoned")
-                    .get_or_insert(e);
-            }
-        };
-        let indices: Vec<usize> = (0..prepared.pending()).collect();
-        if prepared.parallel() {
-            let _: Vec<()> = indices.par_iter().map(work).collect();
+        let pending = prepared.pending();
+        let workers = if prepared.parallel() {
+            std::thread::available_parallelism().map_or(1, |n| n.get().min(pending))
         } else {
-            indices.iter().for_each(work);
-        }
-        if let Some(e) = flush_error.into_inner().expect("flush error slot poisoned") {
+            1
+        };
+        let next = AtomicUsize::new(0);
+        let failure: Mutex<Option<RunError>> = Mutex::new(None);
+        exec::pull_loop(
+            workers,
+            || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < pending),
+            |i| {
+                let committed = prepared
+                    .run_pending(i, &cache)
+                    .map_err(|message| RunError::Trial(prepared.pending_key(i).clone(), message))
+                    .and_then(|record| prepared.commit(i, record).map_err(RunError::Store));
+                if let Err(e) = committed {
+                    failure
+                        .lock()
+                        .expect("failure slot poisoned")
+                        .get_or_insert(e);
+                }
+            },
+        );
+        if let Some(e) = failure.into_inner().expect("failure slot poisoned") {
             return Err(e);
         }
         let (report, mut stats) = prepared.finish();
@@ -365,7 +394,7 @@ impl Campaign {
     /// stored trials become pre-filled results) and the resulting
     /// [`PreparedRun`] of pending work items, which the caller drives
     /// at its own pace. [`Campaign::try_run_with_stats`] drives it
-    /// with one `par_iter`; the `bichrome` daemon instead feeds every
+    /// through the pull loop; the `bichrome` daemon instead feeds every
     /// in-flight job's pending items into one multiplexed worker pool
     /// against one process-wide [`InstanceCache`].
     ///
@@ -507,7 +536,7 @@ struct CellMeta {
 /// A campaign split at the store-consult boundary by
 /// [`Campaign::prepare`]: stored trials are already in the result
 /// grid, and the *pending* trials sit in a flat queue the caller
-/// drives — serially, through one `par_iter`, or interleaved with
+/// drives — through [`crate::pull_loop`], alone or interleaved with
 /// other prepared runs on a shared worker pool (the daemon). All
 /// methods take `&self`, so a `PreparedRun` can sit behind an `Arc`
 /// with many workers committing concurrently.
@@ -570,13 +599,12 @@ impl PreparedRun {
     /// Executes pending trial `i` against `cache`, returning its
     /// record. Pure compute — nothing is persisted or recorded until
     /// [`PreparedRun::commit`]. Safe to call from any thread; each
-    /// `i` should be run once.
-    pub fn run_pending(&self, i: usize, cache: &InstanceCache) -> TrialRecord {
-        let (record, nanos) = with_session_transport(self.transport, || {
-            with_session_faults(&self.fault, || exec::run_item(&self.queue[i], cache))
-        });
+    /// `i` should be run once. A trial that panics (graph build,
+    /// session set-up or protocol) comes back as its panic message.
+    pub fn run_pending(&self, i: usize, cache: &InstanceCache) -> Result<TrialRecord, String> {
+        let (record, nanos) = exec::run_item(&self.queue[i], self.transport, &self.fault, cache)?;
         self.run_nanos.fetch_add(nanos, Ordering::Relaxed);
-        record
+        Ok(record)
     }
 
     /// Commits pending trial `i`'s record: appends it to the store
@@ -670,9 +698,9 @@ fn partitioner_axis_label(p: Option<Partitioner>) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message naming the unresolvable field: an unknown
+/// Returns a message naming the unresolvable field (an unknown
 /// protocol key, an unparsable graph spec, or an unparsable
-/// partitioner label.
+/// partitioner label), or the trial's panic message.
 pub fn compute_trial(
     key: &TrialKey,
     transport: TransportKind,
@@ -703,9 +731,7 @@ pub fn compute_trial(
         partitioner,
         trial_seed: key.seed,
     };
-    let (record, _nanos) = with_session_transport(transport, || {
-        with_session_faults(fault, || exec::run_item(&item, cache))
-    });
+    let (record, _nanos) = exec::run_item(&item, transport, fault, cache)?;
     Ok(record)
 }
 
@@ -1417,6 +1443,59 @@ mod tests {
         assert_eq!(warm_stats.graphs_requested, 0, "no instance was built");
     }
 
+    /// `edge/theorem2`, except that it panics on one trial seed.
+    struct PanicsOnSeed(u64);
+
+    impl Protocol for PanicsOnSeed {
+        fn name(&self) -> &str {
+            "test/panics-on-seed"
+        }
+
+        fn run(&self, inst: &Instance) -> crate::Outcome {
+            if inst.trial_seed == self.0 {
+                panic!("boom on seed {}", self.0);
+            }
+            registry()
+                .get("edge/theorem2")
+                .expect("registered")
+                .run(inst)
+        }
+    }
+
+    #[test]
+    fn a_panicking_trial_fails_alone_and_a_rerun_computes_only_it() {
+        for parallel in [true, false] {
+            let tmp = TempDir::new("panic");
+            let grid = |protocol: PanicsOnSeed| {
+                Campaign::new()
+                    .protocol_labeled("flaky", Arc::new(protocol))
+                    .graphs([GraphSpec::NearRegular { n: 24, d: 4 }])
+                    .seeds(0..6)
+                    .parallel(parallel)
+                    .with_store(&tmp.0)
+            };
+            match grid(PanicsOnSeed(2)).try_run_with_stats() {
+                Err(RunError::Trial(key, message)) => {
+                    assert_eq!((key.protocol.as_str(), key.seed), ("flaky", 2));
+                    assert_eq!(message, "trial panicked: boom on seed 2");
+                }
+                other => panic!("parallel={parallel}: expected seed 2 to fail, got {other:?}"),
+            }
+            let stored = Store::open_existing(&tmp.0).expect("store").len();
+            assert_eq!(
+                stored, 5,
+                "parallel={parallel}: every other trial committed"
+            );
+
+            let (report, stats) = grid(PanicsOnSeed(u64::MAX))
+                .try_run_with_stats()
+                .expect("nothing panics");
+            assert_eq!(stats.trials_computed, 1, "parallel={parallel}");
+            assert_eq!(stats.trials_skipped, 5, "parallel={parallel}");
+            assert!(report.all_valid());
+        }
+    }
+
     #[test]
     fn extending_the_seed_axis_computes_only_the_new_suffix() {
         let tmp = TempDir::new("extend");
@@ -1560,7 +1639,7 @@ mod tests {
             let prepared = campaign.prepare().expect("no store attached");
             let cache = InstanceCache::new();
             for i in 0..prepared.pending() {
-                let local = prepared.run_pending(i, &cache);
+                let local = prepared.run_pending(i, &cache).expect("runs");
                 let key = prepared.pending_key(i);
                 for kind in TransportKind::ALL {
                     let remote = compute_trial(key, kind, &FaultPlan::new(), &InstanceCache::new())

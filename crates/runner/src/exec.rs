@@ -1,12 +1,11 @@
-//! The trial executor behind [`crate::Campaign`].
+//! The trial executor behind [`crate::Campaign`] and the daemon.
 //!
-//! A campaign flattens its cross-product of cells × seeds into a
-//! *flat* queue of [`WorkItem`]s, so one `par_iter` fans the entire
-//! grid across worker threads; the `bichrome` daemon instead feeds
-//! every in-flight job's items to one shared pool. Either way each
-//! item runs through [`run_item`]. Every item's randomness derives
-//! only from its own cell and seed, so the parallel and serial
-//! schedules produce bit-identical records.
+//! A campaign flattens its cells × seeds into a *flat* queue of
+//! [`WorkItem`]s; the daemon feeds every in-flight job's items to one
+//! shared queue. Either way workers take items through [`pull_loop`]
+//! and run each through [`run_item`], the one panic boundary. Every
+//! item's randomness derives only from its own cell and seed, so the
+//! parallel and serial schedules produce bit-identical records.
 //!
 //! # Lazy, shared instance materialization
 //!
@@ -45,10 +44,13 @@ use crate::instance::{GraphSpec, Instance};
 use crate::plan::TrialRecord;
 use crate::protocol::Protocol;
 use crate::seeds;
+use bichrome_comm::fault::{with_session_faults, FaultPlan};
+use bichrome_comm::transport::{with_session_transport, TransportKind};
 use bichrome_graph::partition::{EdgePartition, Partitioner};
 use bichrome_graph::Graph;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -295,25 +297,60 @@ impl InstanceCache {
     }
 }
 
-/// Runs one work item against `cache`, returning the record and the
-/// nanoseconds spent inside `Protocol::run`. This is the one unit of
-/// trial execution: a campaign run, the daemon's multiplexed pool and
-/// a remote worker's [`crate::compute_trial`] all schedule it.
-pub(crate) fn run_item(item: &WorkItem, cache: &InstanceCache) -> (TrialRecord, u64) {
-    let _trial_span = bichrome_obs::span("trial/run");
-    let instance = {
-        let _setup_span = bichrome_obs::span("trial/setup");
-        cache.instance(&item.spec, item.partitioner, item.trial_seed)
+/// Runs `work` on every item `next` yields until it yields `None`, on
+/// `workers` threads (the caller and `workers − 1` scoped ones) that
+/// each pull their next item as soon as they finish one: one worker
+/// runs inline. A panic in `work` re-raises once the others finish.
+pub fn pull_loop<T>(workers: usize, next: impl Fn() -> Option<T> + Sync, work: impl Fn(T) + Sync) {
+    let drain = || {
+        while let Some(item) = next() {
+            work(item);
+        }
     };
-    let run_started = Instant::now();
-    let outcome = {
-        let _execute_span = bichrome_obs::span("trial/execute");
-        item.protocol.run(&instance)
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(drain);
+        }
+        drain();
+    });
+}
+
+/// Runs one work item against `cache`, its sessions over `transport`
+/// under `fault`: the record and the nanoseconds inside
+/// `Protocol::run`, or the panic message of a trial that panicked
+/// (graph build, session set-up or protocol). Every executor calls
+/// this one panic boundary; the transport and fault guards inside it
+/// restore the thread's settings as a panic unwinds.
+pub(crate) fn run_item(
+    item: &WorkItem,
+    transport: TransportKind,
+    fault: &FaultPlan,
+    cache: &InstanceCache,
+) -> Result<(TrialRecord, u64), String> {
+    let trial = || {
+        let _trial_span = bichrome_obs::span("trial/run");
+        let instance = {
+            let _setup_span = bichrome_obs::span("trial/setup");
+            cache.instance(&item.spec, item.partitioner, item.trial_seed)
+        };
+        let run_started = Instant::now();
+        let outcome = {
+            let _execute_span = bichrome_obs::span("trial/execute");
+            item.protocol.run(&instance)
+        };
+        let record = TrialRecord::from_outcome(&instance, outcome);
+        let nanos = run_started.elapsed().as_nanos() as u64;
+        trial_metrics().observe(nanos);
+        (record, nanos)
     };
-    let record = TrialRecord::from_outcome(&instance, outcome);
-    let nanos = run_started.elapsed().as_nanos() as u64;
-    trial_metrics().observe(nanos);
-    (record, nanos)
+    catch_unwind(AssertUnwindSafe(|| {
+        with_session_transport(transport, || with_session_faults(fault, trial))
+    }))
+    .map_err(|panic| {
+        let text = (panic.downcast_ref::<&str>().copied())
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+        format!("trial panicked: {}", text.unwrap_or("(no message)"))
+    })
 }
 
 /// The cached process-registry handle for per-trial execution time
@@ -343,6 +380,7 @@ impl TrialMetrics {
 mod tests {
     use super::*;
     use crate::registry::registry;
+    use std::sync::atomic::AtomicUsize;
 
     /// A queue repeating the same (spec, seed) column across several
     /// protocols — the shape whose redundancy the cache removes.
@@ -369,7 +407,9 @@ mod tests {
         let records = queue
             .iter()
             .map(|item| {
-                let (record, nanos) = run_item(item, cache);
+                let (record, nanos) =
+                    run_item(item, TransportKind::InProc, &FaultPlan::new(), cache)
+                        .expect("registry protocols do not panic");
                 run_nanos += nanos;
                 record
             })
@@ -448,6 +488,97 @@ mod tests {
         assert!(
             cache.stats().setup_nanos > 0,
             "two graphs were actually built"
+        );
+    }
+
+    /// Pulls `0..n` from a shared counter, as `Campaign` does.
+    fn counter_source(next: &AtomicUsize, n: usize) -> Option<usize> {
+        Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n)
+    }
+
+    #[test]
+    fn the_pull_loop_hands_out_every_item_exactly_once() {
+        for workers in [0, 1, 3] {
+            let next = AtomicUsize::new(0);
+            let seen = Mutex::new(Vec::new());
+            pull_loop(
+                workers,
+                || counter_source(&next, 100),
+                |i| seen.lock().expect("seen").push(i),
+            );
+            let mut seen = seen.into_inner().expect("seen");
+            seen.sort_unstable();
+            assert_eq!(seen, (0..100).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_inline_on_the_caller() {
+        let caller = std::thread::current().id();
+        let next = AtomicUsize::new(0);
+        pull_loop(
+            1,
+            || counter_source(&next, 3),
+            |_| assert_eq!(std::thread::current().id(), caller),
+        );
+    }
+
+    #[test]
+    fn a_costly_first_item_does_not_strand_the_rest() {
+        // Item 0 ends only once the other worker has run every other
+        // item. A schedule that cut the source into one chunk per
+        // worker up front would leave half of them queued behind it.
+        let next = AtomicUsize::new(0);
+        let rest_done = AtomicUsize::new(0);
+        let started = Instant::now();
+        pull_loop(
+            2,
+            || counter_source(&next, 10),
+            |i| {
+                if i > 0 {
+                    rest_done.fetch_add(1, Ordering::SeqCst);
+                    return;
+                }
+                while rest_done.load(Ordering::SeqCst) < 9 {
+                    assert!(
+                        started.elapsed().as_secs() < 10,
+                        "items stranded behind the costly one"
+                    );
+                    std::thread::yield_now();
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn a_panicking_trial_comes_back_as_its_err() {
+        struct Boom;
+        impl Protocol for Boom {
+            fn name(&self) -> &str {
+                "test/boom"
+            }
+            fn run(&self, _inst: &Instance) -> crate::Outcome {
+                panic!("boom on purpose")
+            }
+        }
+        let item = WorkItem {
+            protocol: Arc::new(Boom),
+            spec: GraphSpec::NearRegular { n: 24, d: 4 },
+            partitioner: Partitioner::Alternating,
+            trial_seed: 1,
+        };
+        let err = run_item(
+            &item,
+            TransportKind::Pipe,
+            &FaultPlan::new(),
+            &InstanceCache::new(),
+        )
+        .expect_err("the protocol panicked");
+        assert_eq!(err, "trial panicked: boom on purpose");
+        assert_eq!(
+            bichrome_comm::transport::session_transport(),
+            TransportKind::InProc,
+            "the transport scope unwound"
         );
     }
 }

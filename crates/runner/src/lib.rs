@@ -12,7 +12,8 @@
 //!   [`registry`](crate::registry()) docs for the theorem map).
 //! * [`Campaign`] — the one batch front end: sets of protocols ×
 //!   graph families × sizes × partitioners × seeds, executed as one
-//!   flat parallel work queue into a [`CampaignReport`] with pivots,
+//!   flat work queue that worker threads pull from
+//!   ([`pull_loop`]) into a [`CampaignReport`] with pivots,
 //!   baseline deltas, and table / JSON / CSV output. Repeated trials
 //!   of one protocol on one graph family are a one-cell campaign.
 //!
@@ -95,10 +96,10 @@ pub use bichrome_comm::transport::TransportKind;
 pub use bichrome_store::json;
 pub use campaign::{
     compute_trial, diff_reports, BaselineDelta, Campaign, CampaignCell, CampaignReport, GroupBy,
-    PreparedRun,
+    PreparedRun, RunError,
 };
 pub use campaign_file::CampaignFile;
-pub use exec::{CacheStats, ExecStats, InstanceCache};
+pub use exec::{pull_loop, CacheStats, ExecStats, InstanceCache};
 pub use instance::{GraphSpec, Instance, ParseSpecError};
 pub use plan::{percentile, Aggregate, Report, Summary, TrialRecord};
 pub use protocol::{Artifact, Outcome, Protocol, Verdict};

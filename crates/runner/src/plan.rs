@@ -151,6 +151,12 @@ impl TrialRecord {
         let seed: u64 = digits
             .parse()
             .map_err(|_| format!("seed {digits:?} is not a u64"))?;
+        let bits_alice_to_bob = get_u64("bits_alice_to_bob")?;
+        let bits_bob_to_alice = get_u64("bits_bob_to_alice")?;
+        // Reports sum the two directions; refuse what cannot be summed.
+        bits_alice_to_bob
+            .checked_add(bits_bob_to_alice)
+            .ok_or("the two directions' bits overflow a u64")?;
         let mut metrics = BTreeMap::new();
         if let Some(m) = obj.get("metrics") {
             let m = m.as_object().ok_or("field \"metrics\" is not an object")?;
@@ -177,8 +183,8 @@ impl TrialRecord {
             n: get_u64("n")? as usize,
             m: get_u64("m")? as usize,
             delta: get_u64("delta")? as usize,
-            bits_alice_to_bob: get_u64("bits_alice_to_bob")?,
-            bits_bob_to_alice: get_u64("bits_bob_to_alice")?,
+            bits_alice_to_bob,
+            bits_bob_to_alice,
             rounds: get_u64("rounds")?,
             colors_used: get_u64("colors_used")? as usize,
             palette_budget: match get("palette_budget")? {
@@ -456,5 +462,26 @@ mod tests {
         );
         assert!(TrialRecord::from_json("{}").is_err());
         assert!(TrialRecord::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn a_record_whose_total_bits_overflow_is_refused() {
+        let huge = TrialRecord {
+            label: "huge".to_string(),
+            seed: 0,
+            n: 1,
+            m: 0,
+            delta: 0,
+            bits_alice_to_bob: 1 << 63,
+            bits_bob_to_alice: 1 << 63,
+            rounds: 0,
+            colors_used: 0,
+            palette_budget: None,
+            valid: true,
+            error: None,
+            metrics: BTreeMap::new(),
+        };
+        let err = TrialRecord::from_json(&huge.to_json()).expect_err("refused");
+        assert!(err.contains("overflow"), "{err}");
     }
 }

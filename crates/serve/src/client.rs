@@ -190,7 +190,7 @@ impl Client {
 
     /// The daemon's process-wide observability registry — the same
     /// registry its `GET /metrics` endpoint serves, as a JSON object
-    /// (`{"counters":{...},"gauges":{...},"histograms":{...}}`).
+    /// (`{"counters":{...},"histograms":{...}}`).
     ///
     /// # Errors
     ///
@@ -272,17 +272,18 @@ impl Client {
         }))
     }
 
-    /// Returns a leased trial's computed record (the `TrialRecord`
-    /// JSON). `Ok(false)` means the daemon discarded it — the lease
-    /// had already expired and the trial went to another worker.
+    /// Returns a leased trial's result: its computed record (the
+    /// `TrialRecord` JSON), or the error the trial failed with, which
+    /// fails its job. `Ok(false)` means the daemon discarded it — the
+    /// lease had already expired and the trial went to another worker.
     ///
     /// # Errors
     ///
     /// Transport failures and rejected (re-queued) records.
-    pub fn complete(&self, lease: u64, record_json: &str) -> Result<bool, ProtoError> {
+    pub fn complete(&self, lease: u64, result: Result<&str, &str>) -> Result<bool, ProtoError> {
         let v = self.kept_roundtrip(&Request::Complete {
             lease,
-            record: record_json.to_string(),
+            result: result.map(str::to_string).map_err(str::to_string),
         })?;
         let obj = v
             .as_object()

@@ -148,9 +148,9 @@ pub enum Request {
     /// Daemon-wide counters (instance cache, store, jobs).
     Stats,
     /// The process-wide observability registry
-    /// ([`bichrome_obs::render_json`]) — every counter, gauge, and
-    /// histogram, in the same registry `GET /metrics` exposes in
-    /// Prometheus text form.
+    /// ([`bichrome_obs::render_json`]) — every counter and histogram,
+    /// in the same registry `GET /metrics` exposes in Prometheus text
+    /// form.
     Metrics,
     /// Liveness probe.
     Ping,
@@ -173,14 +173,14 @@ pub enum Request {
         /// nanoseconds (absent on the wire = 0).
         backoff_ns: u64,
     },
-    /// A remote worker returns a leased trial's computed record
-    /// (the `TrialRecord` JSON, carried as a string).
+    /// A remote worker returns a leased trial's result: its record
+    /// (`"record"`, the `TrialRecord` JSON carried as a string) or, if
+    /// the trial failed on the worker, its error (`"error"`).
     Complete {
         /// The lease token from the daemon's `lease` answer.
         lease: u64,
-        /// The computed `TrialRecord`, serialized with
-        /// `TrialRecord::to_json`.
-        record: String,
+        /// `TrialRecord::to_json` of the record, or the trial's error.
+        result: Result<String, String>,
     },
 }
 
@@ -280,11 +280,12 @@ impl Request {
             }
             "complete" => Ok(Request::Complete {
                 lease: job_field("lease")?,
-                record: obj
-                    .get("record")
-                    .and_then(Value::as_str)
-                    .ok_or("\"complete\" needs a \"record\" string (TrialRecord JSON)")?
-                    .to_string(),
+                result: match (obj.get("record"), obj.get("error")) {
+                    (Some(Value::String(record)), None) => Ok(record.clone()),
+                    (None, Some(Value::String(error))) => Err(error.clone()),
+                    _ => Err("\"complete\" needs a \"record\" string (TrialRecord JSON) \
+                              or an \"error\" string, not both")?,
+                },
             }),
             other => Err(format!("unknown op {other:?}")),
         }
@@ -346,10 +347,13 @@ impl Request {
                     w.field_u64("backoff_ns", *backoff_ns);
                 }
             }
-            Request::Complete { lease, record } => {
+            Request::Complete { lease, result } => {
                 w.field_str("op", "complete");
                 w.field_u64("lease", *lease);
-                w.field_str("record", record);
+                match result {
+                    Ok(record) => w.field_str("record", record),
+                    Err(error) => w.field_str("error", error),
+                }
             }
         }
         w.finish()
@@ -413,7 +417,11 @@ mod tests {
             },
             Request::Complete {
                 lease: 41,
-                record: "{\"label\":\"near-regular(n=6,d=2)\",\"seed\":\"3\"}".to_string(),
+                result: Ok("{\"label\":\"near-regular(n=6,d=2)\",\"seed\":\"3\"}".to_string()),
+            },
+            Request::Complete {
+                lease: 42,
+                result: Err("trial panicked: cannot set up tcp transport".to_string()),
             },
         ];
         for req in cases {
@@ -438,6 +446,10 @@ mod tests {
             ("{\"op\":\"report\",\"format\":\"yaml\"}", "yaml"),
             ("{\"op\":\"complete\"}", "integer \"lease\""),
             ("{\"op\":\"complete\",\"lease\":1}", "TrialRecord JSON"),
+            (
+                "{\"op\":\"complete\",\"lease\":1,\"record\":\"{}\",\"error\":\"x\"}",
+                "not both",
+            ),
         ] {
             let err = Request::parse(line).expect_err(line);
             assert!(

@@ -12,9 +12,9 @@
 //! * one [`InstanceCache`] — when two in-flight jobs touch the same
 //!   `(spec, seed)` graph, it is built exactly once, *across* jobs,
 //!   not once per job as `Campaign::run` would;
-//! * a fixed pool of worker threads feeding off one FIFO of
-//!   `Task`s (`(job, pending-trial-index)` pairs), shared with the
-//!   remote workers' leases.
+//! * a fixed pool of worker threads pulling one FIFO of `Task`s
+//!   (`(job, pending-trial-index)` pairs) through [`pull_loop`],
+//!   shared with the remote workers' leases.
 //!
 //! `submit` parses an inline campaign declaration, consults the store
 //! ([`Campaign::prepare`](bichrome_runner::Campaign::prepare)) and
@@ -46,14 +46,13 @@
 use crate::net::{read_line_capped, write_line, Addr, Line, Listener, Stream};
 use crate::proto::{error_line, error_line_kind, Format, Request, MAX_REQUEST_LINE};
 use bichrome_runner::{
-    diff_reports, CacheStats, CampaignFile, CampaignReport, ExecStats, InstanceCache, PreparedRun,
-    TrialRecord,
+    diff_reports, pull_loop, CacheStats, CampaignFile, CampaignReport, ExecStats, InstanceCache,
+    PreparedRun, TrialRecord,
 };
 use bichrome_store::json;
 use bichrome_store::{Store, StoreConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -63,13 +62,11 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for [`Daemon::start`].
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Worker threads (0 = one per available core).
+    /// Local pool threads (default: one per core). 0 makes the daemon
+    /// a pure scheduler: every trial waits for a remote worker's
+    /// `lease` — how the distributed e2e test proves the workers did
+    /// all the computing.
     pub workers: usize,
-    /// Whether to run the local worker pool at all. `false` turns the
-    /// daemon into a pure scheduler: every trial waits for a remote
-    /// worker's `lease` — the configuration the distributed e2e test
-    /// uses to prove the workers did all the computing.
-    pub local_pool: bool,
     /// How long a leased trial may stay outstanding before the reaper
     /// assumes its worker died and re-queues it. Re-issuing is always
     /// safe — a trial is a pure function of its key, so whichever copy
@@ -91,8 +88,7 @@ pub struct DaemonConfig {
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
-            workers: 0,
-            local_pool: true,
+            workers: thread::available_parallelism().map_or(1, |n| n.get()),
             lease_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(30),
             store: StoreConfig {
@@ -338,27 +334,20 @@ impl Daemon {
             lease_timeout: config.lease_timeout,
             io_timeout: config.io_timeout,
         });
-        let n = match (config.local_pool, config.workers) {
-            (false, _) => 0,
-            (true, 0) => thread::available_parallelism().map_or(1, |n| n.get()),
-            (true, n) => n,
-        };
         let mut handles = daemon.workers.lock().expect("workers poisoned");
-        for _ in 0..n {
+        if config.workers > 0 {
             let d = Arc::clone(&daemon);
             handles.push(thread::spawn(move || {
-                while let Some(task) = d.next_task() {
-                    bichrome_obs::histogram("bichrome_task_queue_nanos")
-                        .observe(task.enqueued.elapsed().as_nanos() as u64);
-                    // A panicking protocol poisons only its own job,
-                    // not the daemon: the job turns `failed` and its
-                    // queue drains.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        task.job.prepared.run_pending(task.idx, &d.cache)
-                    }))
-                    .map_err(|panic| panic_message(panic.as_ref()));
-                    let _ = d.settle(&task.job, task.idx, result, false);
-                }
+                pull_loop(
+                    config.workers,
+                    || d.next_task(),
+                    |task| {
+                        bichrome_obs::histogram("bichrome_task_queue_nanos")
+                            .observe(task.enqueued.elapsed().as_nanos() as u64);
+                        let result = task.job.prepared.run_pending(task.idx, &d.cache);
+                        let _ = d.settle(&task.job, task.idx, result, false);
+                    },
+                );
             }));
         }
         // The lease reaper runs even (especially) without a local
@@ -635,8 +624,8 @@ impl Daemon {
     }
 
     /// `{"ok":true,"metrics":{...}}` — the process-wide observability
-    /// registry ([`bichrome_obs::render_json`]): every counter, gauge,
-    /// and histogram, the same registry `GET /metrics` serves in
+    /// registry ([`bichrome_obs::render_json`]): every counter and
+    /// histogram, the same registry `GET /metrics` serves in
     /// Prometheus text form.
     pub fn metrics_line(&self) -> String {
         let mut w = json::Writer::object();
@@ -710,9 +699,10 @@ impl Daemon {
     }
 
     /// Ends pending trial `idx` of `job`, wherever it ran: commits its
-    /// record or fails the job with the error, then retires the trial.
-    /// A `leased` record counts as a completed lease before the job
-    /// can finalize, so whoever sees the job end sees the count.
+    /// record or fails the job with the error (after the trial's key),
+    /// then retires the trial.
+    /// A `leased` trial counts as a completed lease either way before
+    /// the job can finalize, so whoever sees the job end sees the count.
     fn settle(
         &self,
         job: &Arc<Job>,
@@ -729,11 +719,11 @@ impl Daemon {
             Ok(()) => {
                 let done = job.computed.fetch_add(1, Ordering::SeqCst) + 1;
                 job.emit_trial(idx, done);
-                if leased {
-                    self.sched().leases_completed += 1;
-                }
             }
-            Err(msg) => job.fail(msg.clone()),
+            Err(msg) => job.fail(format!("{}: {msg}", job.prepared.pending_key(idx))),
+        }
+        if leased {
+            self.sched().leases_completed += 1;
         }
         self.retire(job);
         settled
@@ -882,13 +872,15 @@ impl Daemon {
         Some(w.finish())
     }
 
-    /// Accepts a leased trial's computed record. The token removal is
-    /// the exactly-once arbiter: a token the reaper already expired
-    /// (or one never issued) gets `{"accepted":false}` and the record
-    /// is discarded — the re-queued copy is bit-identical anyway. A
+    /// Accepts a leased trial's result: its computed record, or the
+    /// error it failed with on the worker. The token removal is the
+    /// exactly-once arbiter: a token the reaper already expired (or one
+    /// never issued) gets `{"accepted":false}` and the result is
+    /// discarded — the re-queued copy is bit-identical anyway. A
+    /// reported failure fails the job, as one on the local pool does. A
     /// record that does not decode (or answers the wrong trial) sends
     /// the trial back to the queue and reports the error.
-    pub fn complete_line(&self, token: u64, record_json: &str) -> String {
+    pub fn complete_line(&self, token: u64, result: Result<&str, &str>) -> String {
         let lease = self.sched().leases.remove(&token);
         let Some(lease) = lease else {
             // A worker presumed dead limped back with its answer
@@ -906,6 +898,13 @@ impl Daemon {
             self.retire(&job);
             return ok_with("accepted", false);
         }
+        let record_json = match result {
+            Ok(record_json) => record_json,
+            Err(error) => {
+                let _ = self.settle(&job, idx, Err(error.to_string()), true);
+                return ok_with("accepted", true);
+            }
+        };
         let leased_seed = job.prepared.pending_key(idx).seed;
         let record = TrialRecord::from_json(record_json)
             .map_err(|e| format!("bad record: {e}"))
@@ -1104,8 +1103,9 @@ impl Daemon {
                 Some(line) => reply(writer, &line),
                 None => return false,
             },
-            Request::Complete { lease, record } => {
-                reply(writer, &self.complete_line(lease, &record));
+            Request::Complete { lease, result } => {
+                let result = result.as_deref().map_err(String::as_str);
+                reply(writer, &self.complete_line(lease, result));
             }
             Request::Ping => reply(writer, &ok_with("pong", true)),
             Request::Shutdown => {
@@ -1148,15 +1148,4 @@ fn ok_with(flag: &str, value: bool) -> String {
     w.field_bool("ok", true);
     w.field_bool(flag, value);
     w.finish()
-}
-
-/// Renders a caught panic payload.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        format!("trial panicked: {s}")
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        format!("trial panicked: {s}")
-    } else {
-        "trial panicked".to_string()
-    }
 }

@@ -52,7 +52,7 @@ fn pure_scheduler(
     scheduler_with(
         tmp,
         DaemonConfig {
-            local_pool: false,
+            workers: 0,
             lease_timeout,
             ..DaemonConfig::default()
         },
@@ -103,7 +103,7 @@ fn work_one(client: &Client, cache: &InstanceCache) -> Option<LeaseGrant> {
             let record = compute(&t, cache);
             assert!(
                 client
-                    .complete(t.lease, &record.to_json())
+                    .complete(t.lease, Ok(&record.to_json()))
                     .expect("complete"),
                 "fresh lease must be accepted"
             );
@@ -228,7 +228,7 @@ fn an_abandoned_lease_expires_requeues_and_the_late_complete_is_discarded() {
     let record = compute(&stale, &InstanceCache::new());
     assert!(
         !client
-            .complete(stale.lease, &record.to_json())
+            .complete(stale.lease, Ok(&record.to_json()))
             .expect("stale complete"),
         "an expired lease's completion must be rejected"
     );
@@ -272,7 +272,7 @@ fn malformed_or_mismatched_records_requeue_the_trial() {
         other => panic!("expected a trial, got {other:?}"),
     };
     let err = client
-        .complete(t.lease, "this is not json")
+        .complete(t.lease, Ok("this is not json"))
         .expect_err("garbage record");
     assert!(err.to_string().contains("re-queued"), "{err}");
     assert!(
@@ -295,12 +295,49 @@ fn malformed_or_mismatched_records_requeue_the_trial() {
     let wrong = compute_trial(&wrong_key, TransportKind::InProc, &FaultPlan::new(), &cache)
         .expect("compute");
     let err = client
-        .complete(t2.lease, &wrong.to_json())
+        .complete(t2.lease, Ok(&wrong.to_json()))
         .expect_err("mismatched record");
     assert!(err.to_string().contains("re-queued"), "{err}");
 
     // Both trials are back in the queue: an honest worker finishes.
     assert_eq!(work_until_done(&addr, job), 6);
+    client.shutdown().expect("shutdown");
+    server.join().expect("server");
+}
+
+/// A trial that failed on its worker comes back as an error: the
+/// daemon fails the job with the worker's message, as it does a panic
+/// on its own pool, and counts the lease as completed.
+#[test]
+fn a_trial_failure_reported_by_a_worker_fails_the_job() {
+    let tmp = TempDir::new("reported");
+    let (daemon, addr, server) = pure_scheduler(&tmp, Duration::from_secs(30));
+    let client = Client::new(addr);
+    let job = client
+        .submit(
+            r#"
+            [campaign]
+            protocols = ["edge/theorem2"]
+            graphs    = ["near-regular(n=24,d=4)"]
+            seeds     = "0..1"
+            "#,
+        )
+        .expect("submit");
+    let t = match client.lease().expect("lease") {
+        LeaseGrant::Trial(t) => t,
+        other => panic!("expected a trial, got {other:?}"),
+    };
+    assert!(
+        client
+            .complete(t.lease, Err("trial panicked: boom"))
+            .expect("complete"),
+        "the daemon takes the failure"
+    );
+    let status = daemon.status(job).expect("status");
+    assert!(status.contains("\"state\":\"failed\""), "{status}");
+    assert!(status.contains("trial panicked: boom"), "{status}");
+    assert_eq!(stat(&daemon, "leases_completed"), 1);
+    assert_eq!(stat(&daemon, "leases_outstanding"), 0);
     client.shutdown().expect("shutdown");
     server.join().expect("server");
 }
@@ -340,7 +377,7 @@ fn faulted_campaigns_ship_the_chaos_plan_with_every_lease() {
     );
     let record = compute(&t, &InstanceCache::new());
     assert!(client
-        .complete(t.lease, &record.to_json())
+        .complete(t.lease, Ok(&record.to_json()))
         .expect("complete"));
 
     // `work_one` drains the rest, re-injecting each lease's plan.
@@ -383,7 +420,7 @@ fn a_lease_sent_before_any_job_returns_a_trial_once_one_is_submitted() {
         };
         let record = compute(&t, &InstanceCache::new());
         assert!(worker
-            .complete(t.lease, &record.to_json())
+            .complete(t.lease, Ok(&record.to_json()))
             .expect("complete"));
         job
     });
@@ -421,7 +458,9 @@ fn shutdown_answers_a_held_lease_with_stop() {
         let waited = asked.elapsed();
         // Finish the drain before asserting, so a failure cannot hang.
         let record = compute(&t, &InstanceCache::new());
-        assert!(busy.complete(t.lease, &record.to_json()).expect("complete"));
+        assert!(busy
+            .complete(t.lease, Ok(&record.to_json()))
+            .expect("complete"));
         drain.join().expect("drain").expect("shutdown");
         (grant, waited)
     });
@@ -469,7 +508,7 @@ fn a_kept_connection_closed_by_the_io_timeout_is_redialed() {
     let (daemon, addr, server) = scheduler_with(
         &tmp,
         DaemonConfig {
-            local_pool: false,
+            workers: 0,
             io_timeout: Duration::from_millis(100),
             ..DaemonConfig::default()
         },
@@ -486,7 +525,7 @@ fn a_kept_connection_closed_by_the_io_timeout_is_redialed() {
     std::thread::sleep(Duration::from_millis(300));
     assert!(
         client
-            .complete(t.lease, &record.to_json())
+            .complete(t.lease, Ok(&record.to_json()))
             .expect("complete on a re-dialed connection"),
         "the lease is still live"
     );

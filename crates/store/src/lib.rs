@@ -569,14 +569,6 @@ impl Store {
     /// `report` and `diff`, where a typo'd path should error, not
     /// materialize an empty store).
     pub fn open_existing(dir: impl Into<PathBuf>) -> Result<Store, StoreError> {
-        Store::open_existing_with(dir, StoreConfig::default())
-    }
-
-    /// [`Store::open_existing`] with explicit tuning.
-    pub fn open_existing_with(
-        dir: impl Into<PathBuf>,
-        config: StoreConfig,
-    ) -> Result<Store, StoreError> {
         let dir = dir.into();
         let meta_path = dir.join(META_FILE);
         if !meta_path.exists() {
@@ -585,7 +577,7 @@ impl Store {
                 dir.display()
             )));
         }
-        Store::open_or_create_with(dir, config)
+        Store::open_or_create(dir)
     }
 
     /// The directory this store lives in.
